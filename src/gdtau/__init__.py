@@ -7,9 +7,6 @@ from .algebra import (
     diff_x,
     grading,
     integrate_x,
-    poly_add,
-    poly_mul,
-    poly_scale,
 )
 from .bgw import (
     CorrelatorTable,
@@ -31,6 +28,7 @@ from .errors import (
     EngineError,
     IndexDivisible,
     InsufficientDepth,
+    InvariantViolated,
     MissingFlow,
     NotExact,
     NotHomogeneous,

@@ -545,18 +545,6 @@ class DiffPoly:
 # --------------------------------------------------------------------------
 
 
-def poly_add(p: ParamPoly, q: ParamPoly) -> ParamPoly:
-    return p + q
-
-
-def poly_mul(p: ParamPoly, q: ParamPoly) -> ParamPoly:
-    return p * q
-
-
-def poly_scale(p: ParamPoly, s: Rat) -> ParamPoly:
-    return p * Fraction(s)
-
-
 def diff_x(p: DiffPoly) -> DiffPoly:
     """Total x-derivative: v{a}_{k} -> v{a}_{k+1} plus Leibniz."""
     out = DiffPoly.zero(p.alphabet)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -242,11 +244,34 @@ def _render_entries(cfg: RunConfig, table: CorrelatorTable,
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    """Print `text`, or write it to `out`.  A new or regular file is written
+    atomically: a temp file in the same directory, then a rename over `out`.
+    Anything else (a symlink, a device such as /dev/stdout, a FIFO) is opened
+    and written in place, so the link or node itself is kept.  I/O failures
+    are usage errors."""
+    if not out:
         print(text)
+        return
+    try:
+        try:
+            atomic = stat.S_ISREG(os.lstat(out).st_mode)
+        except FileNotFoundError:
+            atomic = True
+        if not atomic:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return
+        tmp = f"{out}.{os.getpid()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -39,3 +39,7 @@ class WeightExceeded(EngineError):
 
 class NotStable(EngineError):
     """Two large-rank evaluations of a stabilized correlator disagree."""
+
+
+class InvariantViolated(EngineError):
+    """An internal consistency check of the engine failed."""

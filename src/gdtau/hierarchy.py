@@ -16,10 +16,10 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .algebra import DiffPoly, diff_x, integrate_x
-from .errors import IndexDivisible, MissingFlow
+from .errors import IndexDivisible, InvariantViolated, MissingFlow
 from .psido import LaxOperator, commutator, frac_power, plus_part, residue
 
-# Lax operators are stateful caches (root depths, fractional powers), so share
+# Lax operators hold their power tables (root and fractional powers), so share
 # one per (r, alphabet) across the whole process.
 _lax_cache: dict[tuple[int, str], LaxOperator] = {}
 
@@ -49,7 +49,7 @@ def gd_flow(r: int, i: int, alphabet: str = "d") -> dict[int, DiffPoly]:
         C = commutator(P, L.op)  # both purely differential, stays exact
         top = C.top
         if top is not None and top > r - 2:
-            raise AssertionError("flow commutator reaches above D^(r-2)")
+            raise InvariantViolated("flow commutator reaches above D^(r-2)")
         got = {a: C.coeff(r - 1 - a) for a in range(1, r)}
         _flow_cache[key] = got
     return got

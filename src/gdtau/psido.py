@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .algebra import DiffPoly, ParamPoly, diff_x
-from .errors import InsufficientDepth
+from .errors import InsufficientDepth, InvariantViolated
 
 Rat = Union[int, Fraction]
 
@@ -66,10 +66,6 @@ class PsiDO:
     @classmethod
     def zero(cls, alphabet: str) -> "PsiDO":
         return cls(alphabet)
-
-    @classmethod
-    def identity(cls, alphabet: str) -> "PsiDO":
-        return cls(alphabet, {0: 1})
 
     @classmethod
     def d(cls, alphabet: str, power: int = 1) -> "PsiDO":
@@ -273,7 +269,12 @@ def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
 
 
 class LaxOperator:
-    """D^r + v1 D^(r-2) + ... + v(r-1), with cached root and power data."""
+    """D^r + v1 D^(r-2) + ... + v(r-1), with a lazily filled power table.
+
+    Row t of R^k (R = L^(1/r)) is its coefficient at D^(k-t), built once from
+    R^k = R^(k-1) R.  Row t of R^1 is the root coefficient u_(t-1); it enters
+    row t of R^k only as k * u_(t-1) and is solved from row t of R^r against L.
+    """
 
     def __init__(self, r: int, alphabet: str = "d"):
         if r < 2:
@@ -284,41 +285,60 @@ class LaxOperator:
         for a in range(1, r):
             coeffs[r - 1 - a] = DiffPoly.jet(alphabet, a, 0)
         self.op = PsiDO(alphabet, coeffs)
-        self._root: Optional[PsiDO] = None  # deepest root computed so far
-        self._powers: dict[tuple[int, int], PsiDO] = {}
+        self._rows: list[list[DiffPoly]] = [[DiffPoly.const(alphabet, 1)] for _ in range(r + 1)]
+        self._derivs: dict[int, list[DiffPoly]] = {}  # n -> [u_n, u_n', u_n'', ...]
 
-    # -- r-th root ----------------------------------------------------------
+    def _deriv(self, n: int, j: int) -> DiffPoly:
+        chain = self._derivs.setdefault(n, [self._rows[1][n + 1]])
+        while len(chain) <= j:
+            chain.append(diff_x(chain[-1]))
+        return chain[j]
+
+    def _row(self, k: int, t: int, above: DiffPoly) -> DiffPoly:
+        """Row t of R^k less its u_(t-1) term, from `above` = row t of R^(k-1):
+        above + sum C(k-1-s, j) row_s(R^(k-1)) u_n^(j) over s+j+n = t-1, n >= 1."""
+        prev = self._rows[k - 1]
+        acc = above
+        for s in range(t - 1):
+            if prev[s].is_zero():
+                continue
+            inner = DiffPoly.zero(self.alphabet)
+            for j in range(0 if s else 1, t - 1 - s):
+                c = _binom(k - 1 - s, j)
+                if c:
+                    inner = inner + self._deriv(t - 1 - s - j, j) * c
+            acc = acc + prev[s] * inner
+        return acc
+
+    def _grow_root(self, depth: int) -> None:
+        """Fill R^1..R^r down to row `depth`, one root coefficient per row."""
+        for t in range(len(self._rows[1]), depth + 1):
+            partial = [DiffPoly.zero(self.alphabet)]
+            for k in range(2, self.r + 1):
+                partial.append(self._row(k, t, partial[-1]))
+            u = (self.op.coeff(self.r - t) - partial[-1]) * Fraction(1, self.r)
+            if t == 1 and not u.is_zero():
+                raise InvariantViolated("missing subleading term forces a zero root coefficient")
+            for k, p in enumerate(partial, start=1):
+                self._rows[k].append(p + u * k)
+
+    def power(self, k: int, floor: int) -> PsiDO:
+        """R^k exact at every power >= floor (needs the root down to floor-k+1)."""
+        if floor - k + 1 > -1:
+            raise InsufficientDepth("the root is only defined down to floor <= -1")
+        depth = k - floor
+        self._grow_root(depth)
+        root = self._rows[1]
+        for m in range(self.r + 1, k + 1):
+            if m == len(self._rows):
+                self._rows.append([root[0]])
+            above, rows = self._rows[m - 1], self._rows[m]
+            for t in range(len(rows), depth + 1):
+                rows.append(self._row(m, t, above[t]) + root[t])
+        return PsiDO(self.alphabet, {k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
 
     def root(self, floor: int) -> PsiDO:
-        if floor > -1:
-            raise InsufficientDepth("the root is only defined down to floor <= -1")
-        if self._root is None or self._root.floor > floor:
-            self._root = self._compute_root(floor)
-        return self._root.trim(floor)
-
-    def _compute_root(self, floor: int) -> PsiDO:
-        depth = -floor
-        r = self.r
-        terms: dict[int, DiffPoly] = {1: DiffPoly.const(self.alphabet, 1)}
-        for n in range(0, depth + 1):
-            target = r - 1 - n
-            partial = PsiDO(self.alphabet, terms)  # exact finite sum
-            power = _sequential_power(partial, r, target)
-            w = (self.op.coeff(target) - power.coeff(target)) * Fraction(1, r)
-            if n == 0 and not w.is_zero():
-                raise AssertionError("missing subleading term forces a zero root coefficient")
-            if not w.is_zero():
-                terms[-n] = w
-        return PsiDO(self.alphabet, terms, floor)
-
-
-def _sequential_power(R: PsiDO, m: int, floor: int) -> PsiDO:
-    """R^m with output floor `floor`, planning intermediate floors so the
-    window rule is met at every step (R exact, top 1)."""
-    acc = R
-    for step in range(2, m + 1):
-        acc = compose(R, acc, floor - (m - step))
-    return acc if m > 1 else compose(R, PsiDO.identity(R.alphabet), floor)
+        return self.power(1, floor)
 
 
 def rth_root(L: LaxOperator, floor: int) -> PsiDO:
@@ -328,7 +348,7 @@ def rth_root(L: LaxOperator, floor: int) -> PsiDO:
 
 def frac_power(L: LaxOperator, i: int, floor: Optional[int] = None) -> PsiDO:
     """(r-th root of L)^i.  Integer powers of L come back exact; genuinely
-    fractional ones are truncated at `floor` with pre-planned root depth."""
+    fractional ones are truncated at `floor`."""
     if i < 1:
         raise ValueError("the power index must be >= 1")
     if i % L.r == 0:
@@ -338,25 +358,4 @@ def frac_power(L: LaxOperator, i: int, floor: Optional[int] = None) -> PsiDO:
         return acc
     if floor is None:
         raise InsufficientDepth("fractional powers have an infinite tail; give a floor")
-    key = (i, floor)
-    cached = L._powers.get(key)
-    if cached is None:
-        cached = _planned_power(L, i, floor)
-        L._powers[key] = cached
-    return cached
-
-
-def _planned_power(L: LaxOperator, i: int, floor: int) -> PsiDO:
-    if i == 1:
-        return L.root(floor)
-    key = (i, floor)
-    cached = L._powers.get(key)
-    if cached is not None:
-        return cached
-    a = i // 2
-    b = i - a
-    left = _planned_power(L, a, floor - b)
-    right = _planned_power(L, b, floor - a)
-    out = compose(left, right, floor)
-    L._powers[key] = out
-    return out
+    return L.power(i, floor)

@@ -43,7 +43,7 @@ from .bgw import (
     tau_exp,
     _normalize,
 )
-from .errors import EngineError, NotStable, WeightExceeded
+from .errors import EngineError, InvariantViolated, NotStable, WeightExceeded
 from .hierarchy import lax
 from .psido import frac_power, residue
 
@@ -473,7 +473,7 @@ def solve_sigma_from_c(r: int) -> dict[int, ParamPoly]:
         gamma = expr - ParamPoly.var("sigma", alpha)
         for e in gamma.terms:
             if len(e) >= alpha and e[alpha - 1]:
-                raise AssertionError("one-point value is not triangular in sigma")
+                raise InvariantViolated("one-point value is not triangular in sigma")
         mapping = {b: out[b] for b in range(1, alpha)}
         out[alpha] = ParamPoly.var("c", alpha) - gamma.substitute(mapping, "c")
     return out
@@ -514,7 +514,7 @@ def d_from_c(r: int) -> dict[int, ParamPoly]:
         rest = expr - ParamPoly.var("d", alpha) * lead
         for e in rest.terms:
             if len(e) >= alpha and e[alpha - 1]:
-                raise AssertionError("residue constant is not triangular in d")
+                raise InvariantViolated("residue constant is not triangular in d")
         mapping = {b: out[b] for b in range(1, alpha)}
         rest_c = rest.substitute(mapping, "c") if not rest.is_zero() else ParamPoly.zero("c")
         out[alpha] = (ParamPoly.var("c", alpha) - rest_c) / lead

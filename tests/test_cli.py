@@ -1,9 +1,12 @@
 """End-to-end runs of the command line front end (no subprocesses)."""
 
 import json
+import os
+import stat
 
 import pytest
 
+from gdtau import ParamPoly, wconstraints
 from gdtau.cli import main
 
 
@@ -104,6 +107,70 @@ def test_correlators_out_file(capsys, tmp_path):
     text = target.read_text(encoding="utf-8")
     assert "<t3> = 1/2*c1^2 + 1/2*c1" in text
     assert text.endswith("\n")
+
+
+def test_out_into_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.txt"
+    code, out, err = run(capsys, "correlators", "--r", "2", "--weight", "3",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+    assert not target.parent.exists()
+
+
+def test_out_is_replaced_atomically(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "table.txt"
+    target.write_text("previous\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run(capsys, "correlators", "--r", "2", "--weight", "3",
+                       "--out", str(target))
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot write {target}: Permission denied"]
+    assert target.read_text(encoding="utf-8") == "previous\n"  # never half written
+    assert os.listdir(tmp_path) == ["table.txt"]  # temp file removed
+    monkeypatch.undo()
+    code, _, _ = run(capsys, "correlators", "--r", "2", "--weight", "3",
+                     "--out", str(target))
+    assert code == 0
+    assert "<t3> = 1/2*c1^2 + 1/2*c1" in target.read_text(encoding="utf-8")
+    assert os.listdir(tmp_path) == ["table.txt"]
+
+
+def test_out_through_symlink_writes_the_target(capsys, tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("previous\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    code, _, _ = run(capsys, "correlators", "--r", "2", "--weight", "3",
+                     "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()  # the link is kept, its target rewritten
+    assert "<t3> = 1/2*c1^2 + 1/2*c1" in real.read_text(encoding="utf-8")
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_into_fifo_writes_the_pipe(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a non-blocking reader lets the writer open the pipe; the table fits in
+    # the pipe buffer, so it is read back after the command returns
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run(capsys, "correlators", "--r", "2", "--weight", "3",
+                         "--out", str(fifo))
+        assert code == 0
+        text = os.read(reader, 1 << 16).decode("utf-8")
+    finally:
+        os.close(reader)
+    assert "<t3> = 1/2*c1^2 + 1/2*c1" in text
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_correlators_deterministic(capsys):
@@ -244,6 +311,17 @@ def test_bad_configuration_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err != "" or captured.out == ""
+
+
+def test_invariant_violation_exits_three(capsys, monkeypatch):
+    # a c(d) map that is not triangular trips the check inside d_from_c
+    monkeypatch.setattr(wconstraints, "_constants_cache", {})
+    monkeypatch.setattr(wconstraints, "c_from_d",
+                        lambda r: {a: ParamPoly.var("d", a) ** 2 for a in range(1, r)})
+    code, out, err = run(capsys, "constants", "--r", "3")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: residue constant is not triangular in d"]
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -18,7 +18,7 @@ from gdtau import (
     residue,
     rth_root,
 )
-from gdtau.errors import InsufficientDepth
+from gdtau.errors import InsufficientDepth, InvariantViolated
 
 
 def v(a, k=0):
@@ -96,6 +96,14 @@ def test_root_of_bare_power_is_d():
 def test_root_depth_guard():
     with pytest.raises(InsufficientDepth):
         rth_root(LaxOperator(2), 0)
+    L = LaxOperator(3)
+    with pytest.raises(InsufficientDepth):
+        frac_power(L, 1, 0)
+    # R^i at floor f reads the root down to f - i + 1, which must be <= -1
+    for i in (2, 4, 5):
+        assert frac_power(L, i, i - 2).floor == i - 2
+        with pytest.raises(InsufficientDepth):
+            frac_power(L, i, i - 1)
 
 
 # -- fractional powers -----------------------------------------------------------
@@ -114,6 +122,9 @@ def test_integer_power_is_differential():
 def test_fractional_power_needs_floor():
     with pytest.raises(InsufficientDepth):
         frac_power(LaxOperator(2), 3)
+    for i in (1, 2, 4, 5, 7):
+        with pytest.raises(InsufficientDepth):
+            frac_power(LaxOperator(3), i)
 
 
 def test_three_halves_power_plus_part():
@@ -148,6 +159,59 @@ def test_residue_degree_after_shift():
     for i, k in ((2, 1), (4, 2), (5, 3)):
         shifted = compose(frac_power(L, i, -2 - k), D(-k), floor=-1 - k)
         assert grading(residue(shifted)) == i - k + 1
+
+
+# -- the power table against plain composition -------------------------------------
+
+
+# Each case checks R^i for every i < 2r not divisible by r: at every floor
+# from -1 down to `deepest` for i < r, and down to `deepest_lifted` for i > r.
+# The oracle builds R^m, m < r, as R R ... R by compose from rth_root, and
+# R^(r+m) as L R^m, an identity the table (which fills R^k, k > r, from
+# R^(k-1) R) never uses.  At r = 6 the rows for i > r stop at floor -2: the
+# table alone needs ~18 s for floor -6 there on a 2-vCPU host, and the oracle
+# several times more.
+@pytest.mark.parametrize("r, deepest, deepest_lifted", [
+    (2, -6, -6), (3, -6, -6), (4, -6, -6), (5, -6, -6), (6, -6, -2),
+])
+def test_power_table_matches_repeated_composition(r, deepest, deepest_lifted):
+    # R^m must hold down to `low`; by the window rule R R ... R (m factors) at
+    # floor low needs the root down to low - m + 1
+    low = min(deepest, deepest_lifted - r)
+    root_floor = low - r + 2
+    R = rth_root(LaxOperator(r), root_floor)
+    chain = {1: R}
+    for m in range(2, r):
+        chain[m] = compose(chain[m - 1], R, root_floor + m - 1)
+    L = LaxOperator(r)
+    for m in range(1, r):
+        lifted = compose(L.op, chain[m], deepest_lifted)
+        for floor in range(-1, deepest - 1, -1):
+            assert frac_power(L, m, floor) == chain[m].trim(floor), (m, floor)
+        for floor in range(-1, deepest_lifted - 1, -1):
+            assert frac_power(L, r + m, floor) == lifted.trim(floor), (r + m, floor)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_request_order_does_not_matter(r):
+    # (i, floor) requests; i = 1 asks for the root itself
+    requests = [(1, -9), (1, -3), (r - 1, -4), (r + 1, -2), (2 * r + 1, -3), (2 * r + 1, -1)]
+
+    def ask(L, i, floor):
+        return L.root(floor) if i == 1 else frac_power(L, i, floor)
+
+    deep, shallow = LaxOperator(r), LaxOperator(r)
+    deep_first = {(i, f): ask(deep, i, f) for i, f in requests}
+    shallow_first = {(i, f): ask(shallow, i, f) for i, f in reversed(requests)}
+    assert deep_first == shallow_first
+    assert rth_root(deep, -3) == rth_root(shallow, -3)
+
+
+def test_subleading_term_violates_root_invariant():
+    L = LaxOperator(3)
+    L.op = L.op + PsiDO("d", {2: v(1)})  # D^3 + v1 D^2 + ... has no such root
+    with pytest.raises(InvariantViolated):
+        rth_root(L, -1)
 
 
 # -- parts, residue, commutator ----------------------------------------------------
