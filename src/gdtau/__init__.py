@@ -10,13 +10,11 @@ from .algebra import (
 )
 from .bgw import (
     CorrelatorTable,
-    InitialJets,
     TauSeries,
     connected_correlators_pde,
     connected_from_disconnected,
     disconnected_from_connected,
     index_multisets,
-    initial_jets,
     log_tau,
     pde_correlator,
     series_from_correlators,
@@ -29,13 +27,12 @@ from .errors import (
     IndexDivisible,
     InsufficientDepth,
     InvariantViolated,
-    MissingFlow,
     NotExact,
     NotHomogeneous,
     NotStable,
     WeightExceeded,
 )
-from .hierarchy import FlowTable, OmegaTable, gd_flow, lax, omega, t_derivative
+from .hierarchy import Hierarchy, gd_flow, hierarchy, lax, omega
 from .psido import (
     LaxOperator,
     PsiDO,

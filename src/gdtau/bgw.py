@@ -1,7 +1,7 @@
 """Tau data at the distinguished initial point.
 
 The initial point fixes every jet: v_a^(k) evaluates to d_a (a+1)(a+2)...(a+k)
-with one free parameter d_a per variable.  All correlators are weighted-
+with one free parameter d_a per variable (`Hierarchy.jet`).  All correlators are weighted-
 homogeneous-in-spirit tables of exact polynomials in whichever parameter
 alphabet is in play: `d` (jet parameters), `c` (single-correlator constants),
 or `sigma` (constraint eigenvalue constants).
@@ -25,49 +25,12 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .algebra import DiffPoly, ParamPoly
+from .algebra import ParamPoly
 from .errors import IndexDivisible, WeightExceeded
-from .hierarchy import FlowTable, OmegaTable, t_derivative
-from .psido import LaxOperator
+from .hierarchy import hierarchy
 
 Rat = Union[int, Fraction]
 Index = tuple[int, ...]
-
-
-# --------------------------------------------------------------------------
-# initial jets
-# --------------------------------------------------------------------------
-
-
-class InitialJets:
-    """Jet values at the initial point: v_a^(k) -> d_a * (a+1)...(a+k)."""
-
-    def __init__(self, r: int, alphabet: str = "d"):
-        self.r = r
-        self.alphabet = alphabet
-        self._cache: dict[tuple[int, int], ParamPoly] = {}
-
-    def value(self, a: int, k: int) -> ParamPoly:
-        if not 1 <= a <= self.r - 1:
-            raise ValueError(f"no variable v{a} for r={self.r}")
-        got = self._cache.get((a, k))
-        if got is None:
-            rising = math.factorial(a + k) // math.factorial(a)
-            got = ParamPoly.var(self.alphabet, a) * rising
-            self._cache[(a, k)] = got
-        return got
-
-    def evaluate(self, p: DiffPoly) -> ParamPoly:
-        return p.evaluate(self.value)
-
-
-def initial_jets(r: int, max_k: int = 0, alphabet: str = "d") -> InitialJets:
-    """Jet table for the order-r hierarchy, warmed through order max_k."""
-    jets = InitialJets(r, alphabet)
-    for a in range(1, r):
-        for k in range(max_k + 1):
-            jets.value(a, k)
-    return jets
 
 
 # --------------------------------------------------------------------------
@@ -337,28 +300,8 @@ def connected_from_disconnected(table: CorrelatorTable) -> CorrelatorTable:
 # --------------------------------------------------------------------------
 
 
-class _PdeTables:
-    def __init__(self, r: int, alphabet: str = "d"):
-        self.r = r
-        self.flows = FlowTable(r, alphabet)
-        self.omegas = OmegaTable(r, alphabet, self.flows)
-        self.jets = InitialJets(r, alphabet)
-
-
-_pde_cache: dict[tuple[int, str], _PdeTables] = {}
-
-
-def _pde_tables(r: int, alphabet: str = "d") -> _PdeTables:
-    key = (r, alphabet)
-    got = _pde_cache.get(key)
-    if got is None:
-        got = _pde_cache[key] = _PdeTables(r, alphabet)
-    return got
-
-
 def pde_correlator(r: int, indices: Iterable[int],
-                   seed_pair: Optional[tuple[int, int]] = None,
-                   alphabet: str = "d") -> ParamPoly:
+                   seed_pair: Optional[tuple[int, int]] = None) -> ParamPoly:
     """One connected correlator via the density route.
 
     For a single insertion j this is res(L^(j/r)) at the jets, divided by j.
@@ -369,12 +312,12 @@ def pde_correlator(r: int, indices: Iterable[int],
     I = _normalize(indices)
     if not I:
         raise ValueError("correlators need at least one insertion")
-    tabs = _pde_tables(r, alphabet)
+    H = hierarchy(r)
     for i in I:
         if i % r == 0:
             raise IndexDivisible(f"index {i} is a multiple of {r}")
     if len(I) == 1:
-        return tabs.jets.evaluate(tabs.omegas.residue(I[0])) * Fraction(1, I[0])
+        return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
     rest = list(I)
     if seed_pair is None:
         i, j = rest.pop(0), rest.pop(0)
@@ -386,20 +329,20 @@ def pde_correlator(r: int, indices: Iterable[int],
             raise ValueError(f"seed pair {seed_pair} is not contained in {I}")
         got.subtract(need)
         rest = sorted(got.elements())
-    density = tabs.omegas.omega(i, j)
+    density = H.omega(i, j)
     for k in rest:
-        density = t_derivative(density, k, tabs.flows)
-    return tabs.jets.evaluate(density)
+        density = H.t_derivative(density, k)
+    return H.evaluate(density)
 
 
-def connected_correlators_pde(r: int, max_weight: int, alphabet: str = "d") -> CorrelatorTable:
+def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:
     """Connected correlators through the given weight, all in the d alphabet."""
     if max_weight < 2:
         raise ValueError("the table needs max_weight >= 2")
     values: dict[Index, ParamPoly] = {}
     for I in index_multisets(r, max_weight):
-        values[I] = pde_correlator(r, I, alphabet=alphabet)
-    return CorrelatorTable(r, max_weight, alphabet, "connected", values)
+        values[I] = pde_correlator(r, I)
+    return CorrelatorTable(r, max_weight, "d", "connected", values)
 
 
 # --------------------------------------------------------------------------

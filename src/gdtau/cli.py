@@ -283,6 +283,13 @@ def _correlator_table(cfg: RunConfig) -> CorrelatorTable:
     if cfg.alphabet == "d":
         conn = connected_correlators_pde(cfg.r, max(cfg.weight, 2))
         return conn if cfg.kind == "connected" else disconnected_from_connected(conn)
+    # the weight recursion disagrees with the density route from r = 4 on
+    # (ROADMAP item 3), so only the density route serves those orders
+    if cfg.r >= 4:
+        if cfg.alphabet == "sigma":
+            raise ConfigError("the sigma alphabet comes from the weight recursion, "
+                              "which is unverified for r >= 4; use --alphabet c or d")
+        return table_in_c(cfg.r, max(cfg.weight, 2), "pde", cfg.kind)
     if cfg.alphabet == "sigma":
         disc = recursion_correlators(cfg.r, cfg.weight)
         return disc if cfg.kind == "disconnected" else connected_from_disconnected(disc)

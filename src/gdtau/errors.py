@@ -29,10 +29,6 @@ class IndexDivisible(EngineError):
     """A flow index divisible by r was passed where an admissible time is required."""
 
 
-class MissingFlow(EngineError):
-    """A frozen flow table was asked for a flow it does not contain."""
-
-
 class WeightExceeded(EngineError):
     """A series or table was queried beyond its weight cap."""
 

@@ -276,16 +276,15 @@ class LaxOperator:
     row t of R^k only as k * u_(t-1) and is solved from row t of R^r against L.
     """
 
-    def __init__(self, r: int, alphabet: str = "d"):
+    def __init__(self, r: int):
         if r < 2:
             raise ValueError("the operator order r must be >= 2")
         self.r = r
-        self.alphabet = alphabet
         coeffs: dict[int, DiffPoly | int] = {r: 1}
         for a in range(1, r):
-            coeffs[r - 1 - a] = DiffPoly.jet(alphabet, a, 0)
-        self.op = PsiDO(alphabet, coeffs)
-        self._rows: list[list[DiffPoly]] = [[DiffPoly.const(alphabet, 1)] for _ in range(r + 1)]
+            coeffs[r - 1 - a] = DiffPoly.jet("d", a, 0)
+        self.op = PsiDO("d", coeffs)
+        self._rows: list[list[DiffPoly]] = [[DiffPoly.const("d", 1)] for _ in range(r + 1)]
         self._derivs: dict[int, list[DiffPoly]] = {}  # n -> [u_n, u_n', u_n'', ...]
 
     def _deriv(self, n: int, j: int) -> DiffPoly:
@@ -302,7 +301,7 @@ class LaxOperator:
         for s in range(t - 1):
             if prev[s].is_zero():
                 continue
-            inner = DiffPoly.zero(self.alphabet)
+            inner = DiffPoly.zero("d")
             for j in range(0 if s else 1, t - 1 - s):
                 c = _binom(k - 1 - s, j)
                 if c:
@@ -313,7 +312,7 @@ class LaxOperator:
     def _grow_root(self, depth: int) -> None:
         """Fill R^1..R^r down to row `depth`, one root coefficient per row."""
         for t in range(len(self._rows[1]), depth + 1):
-            partial = [DiffPoly.zero(self.alphabet)]
+            partial = [DiffPoly.zero("d")]
             for k in range(2, self.r + 1):
                 partial.append(self._row(k, t, partial[-1]))
             u = (self.op.coeff(self.r - t) - partial[-1]) * Fraction(1, self.r)
@@ -335,7 +334,7 @@ class LaxOperator:
             above, rows = self._rows[m - 1], self._rows[m]
             for t in range(len(rows), depth + 1):
                 rows.append(self._row(m, t, above[t]) + root[t])
-        return PsiDO(self.alphabet, {k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
+        return PsiDO("d", {k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
 
     def root(self, floor: int) -> PsiDO:
         return self.power(1, floor)

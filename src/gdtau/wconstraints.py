@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Mapping, Optional
 
 from .algebra import ParamPoly
@@ -37,15 +37,13 @@ from .bgw import (
     connected_from_disconnected,
     disconnected_from_connected,
     index_multisets,
-    initial_jets,
     series_from_correlators,
     string_residual,
     tau_exp,
     _normalize,
 )
 from .errors import EngineError, InvariantViolated, NotStable, WeightExceeded
-from .hierarchy import lax
-from .psido import frac_power, residue
+from .hierarchy import hierarchy
 
 
 @dataclass(frozen=True)
@@ -212,7 +210,7 @@ def apply_S(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     return TauSeries(series.alphabet, out_cap, out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _current_monomials(alpha: int) -> tuple[tuple[Index, Fraction], ...]:
     """Normal-ordered monomials of the degree-(alpha+1) current power.
 
@@ -318,28 +316,20 @@ def _reduced_raw(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     return total
 
 
-_eigen_cache: dict[int, dict[int, ParamPoly]] = {}
-
-
+@cache
 def _raw_eigenvalues(r: int) -> dict[int, ParamPoly]:
     """Diagonal eigenvalues of the un-normalized reduced operators on the
     density-built tau series, as polynomials in the jet parameters."""
-    got = _eigen_cache.get(r)
-    if got is None:
-        conn = connected_correlators_pde(r, max(r - 1, 2))
-        tau = tau_exp(series_from_correlators(conn))
-        got = {
-            alpha: _reduced_raw(tau, WOperatorSpec(r, alpha, alpha)).get(())
-            * ((-1) ** alpha)
-            for alpha in range(1, r)
-        }
-        _eigen_cache[r] = got
-    return got
+    conn = connected_correlators_pde(r, max(r - 1, 2))
+    tau = tau_exp(series_from_correlators(conn))
+    return {
+        alpha: _reduced_raw(tau, WOperatorSpec(r, alpha, alpha)).get(())
+        * ((-1) ** alpha)
+        for alpha in range(1, r)
+    }
 
 
-_norm_cache: dict[tuple[int, int], dict[Index, Fraction]] = {}
-
-
+@cache
 def _normalization(r: int, alpha: int) -> dict[Index, Fraction]:
     """Mixing constants for the lower-order pieces of the reduced operator.
 
@@ -353,35 +343,31 @@ def _normalization(r: int, alpha: int) -> dict[Index, Fraction]:
     windows.  Single orders suffice through r = 5; from r = 6 the mismatch
     picks up genuinely quadratic jet monomials and products enter.
     """
-    key = (r, alpha)
-    got = _norm_cache.get(key)
-    if got is None:
-        hat = _raw_eigenvalues(r)
-        target = (rho_in_d(r)[alpha] - hat[alpha]) * ((-1) ** alpha)
-        got = {}
-        while not target.is_zero():
-            expts = max(target.terms, key=lambda e: tuple(sorted(
-                (i for i, m in enumerate(e, start=1) for _ in range(m)),
-                reverse=True)))
-            B = tuple(i for i, m in enumerate(expts, start=1) for _ in range(m))
-            if not B or sum(B) > alpha or B[-1] >= alpha:
-                raise EngineError(
-                    f"no window-safe normalization matches rho_{alpha} at "
-                    f"r={r}: left over {target}"
-                )
-            lead = Fraction(1)
-            piece = ParamPoly.const("d", (-1) ** sum(B))
-            for beta in B:
-                lead *= hat[beta].terms.get((0,) * (beta - 1) + (1,), Fraction(0))
-                piece = piece * hat[beta]
-            if not lead:
-                raise EngineError(
-                    f"order pattern {B} misses its leading jet monomial"
-                )
-            h = target.terms[expts] / lead * ((-1) ** sum(B))
-            got[B] = h
-            target = target - piece * h
-        _norm_cache[key] = got
+    hat = _raw_eigenvalues(r)
+    target = (rho_in_d(r)[alpha] - hat[alpha]) * ((-1) ** alpha)
+    got: dict[Index, Fraction] = {}
+    while not target.is_zero():
+        expts = max(target.terms, key=lambda e: tuple(sorted(
+            (i for i, m in enumerate(e, start=1) for _ in range(m)),
+            reverse=True)))
+        B = tuple(i for i, m in enumerate(expts, start=1) for _ in range(m))
+        if not B or sum(B) > alpha or B[-1] >= alpha:
+            raise EngineError(
+                f"no window-safe normalization matches rho_{alpha} at "
+                f"r={r}: left over {target}"
+            )
+        lead = Fraction(1)
+        piece = ParamPoly.const("d", (-1) ** sum(B))
+        for beta in B:
+            lead *= hat[beta].terms.get((0,) * (beta - 1) + (1,), Fraction(0))
+            piece = piece * hat[beta]
+        if not lead:
+            raise EngineError(
+                f"order pattern {B} misses its leading jet monomial"
+            )
+        h = target.terms[expts] / lead * ((-1) ** sum(B))
+        got[B] = h
+        target = target - piece * h
     return got
 
 
@@ -496,12 +482,8 @@ def rho_from_sigma(r: int) -> dict[int, ParamPoly]:
 def c_from_d(r: int) -> dict[int, ParamPoly]:
     """Scaled one-point constants from the jet parameters:
     c_alpha (residue normalization) = res L^(alpha/r) at the initial jets."""
-    jets = initial_jets(r)
-    L = lax(r)
-    return {
-        alpha: jets.evaluate(residue(frac_power(L, alpha, -1)))
-        for alpha in range(1, r)
-    }
+    H = hierarchy(r)
+    return {alpha: H.evaluate(H.residue(alpha)) for alpha in range(1, r)}
 
 
 def d_from_c(r: int) -> dict[int, ParamPoly]:
@@ -559,25 +541,19 @@ class ConstantsDictionary:
     d_c: Mapping[int, ParamPoly]
 
 
-_constants_cache: dict[int, ConstantsDictionary] = {}
-
-
+@cache
 def constants(r: int) -> ConstantsDictionary:
-    got = _constants_cache.get(r)
-    if got is None:
-        sigma_c = solve_sigma_from_c(r)
-        rho_sigma = rho_from_sigma(r)
-        rho_c = {a: p.substitute(sigma_c, "c") for a, p in rho_sigma.items()}
-        got = ConstantsDictionary(
-            r=r,
-            sigma_c=sigma_c,
-            rho_sigma=rho_sigma,
-            rho_c=rho_c,
-            c_d=c_from_d(r),
-            d_c=d_from_c(r),
-        )
-        _constants_cache[r] = got
-    return got
+    sigma_c = solve_sigma_from_c(r)
+    rho_sigma = rho_from_sigma(r)
+    rho_c = {a: p.substitute(sigma_c, "c") for a, p in rho_sigma.items()}
+    return ConstantsDictionary(
+        r=r,
+        sigma_c=sigma_c,
+        rho_sigma=rho_sigma,
+        rho_c=rho_c,
+        c_d=c_from_d(r),
+        d_c=d_from_c(r),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from gdtau import (
     connected_from_disconnected,
     disconnected_from_connected,
     gd_flow,
+    hierarchy,
     index_multisets,
-    initial_jets,
     log_tau,
     pde_correlator,
     series_from_correlators,
@@ -35,34 +35,32 @@ def d(i):
 
 
 def test_jet_values():
-    jets = initial_jets(4, max_k=2)
-    assert jets.value(1, 0) == d(1)
-    assert jets.value(1, 1) == d(1) * 2
-    assert jets.value(2, 2) == d(2) * 12
+    H = hierarchy(4)
+    assert H.jet(1, 0) == d(1)
+    assert H.jet(1, 1) == d(1) * 2
+    assert H.jet(2, 2) == d(2) * 12
 
 
 def test_jet_values_match_symbolic_derivatives():
     # v_a(x) = d_a (1-x)^(-a-1); the k-th derivative at x=0 must agree
     x = sp.Symbol("x")
-    jets = initial_jets(4, max_k=4)
+    H = hierarchy(4)
     for a in (1, 2, 3):
         profile = (1 - x) ** (-a - 1)
         for k in range(5):
             want = int(sp.diff(profile, x, k).subs(x, 0))
-            got = jets.value(a, k)
+            got = H.jet(a, k)
             assert got == d(a) * want, (a, k)
 
 
 def test_jet_variable_range_guard():
-    jets = initial_jets(3)
     with pytest.raises(ValueError):
-        jets.value(3, 0)
+        hierarchy(3).jet(3, 0)
 
 
 def test_jets_evaluate_diffpoly():
-    jets = initial_jets(3)
     p = DiffPoly.jet("d", 1, 1) * DiffPoly.jet("d", 2, 0)
-    assert jets.evaluate(p) == d(1) * d(2) * 2
+    assert hierarchy(3).evaluate(p) == d(1) * d(2) * 2
 
 
 # -- index bookkeeping -----------------------------------------------------------
@@ -100,6 +98,25 @@ def test_seed_pair_independence():
             for sj in range(si + 1, len(I)):
                 got = pde_correlator(r, I, seed_pair=(I[si], I[sj]))
                 assert got == default, (r, I, (I[si], I[sj]))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_density_route_without_integration(r):
+    # d/dx Omega_ij = d/dt_j res_i, and at the initial point d/dx of a
+    # weight-W density evaluates to W times its value, so for every i in I
+    # E(d/dt_(I minus i) res_i) = |I| <tau_I>, with no antiderivative taken
+    H = hierarchy(r)
+    table = conn_table(r, 8)
+    for I in index_multisets(r, 8):
+        if len(I) < 2:
+            continue
+        for i in sorted(set(I)):
+            rest = list(I)
+            rest.remove(i)
+            density = H.residue(i)
+            for k in rest:
+                density = H.t_derivative(density, k)
+            assert H.evaluate(density) == table.value(I) * sum(I), (I, i)
 
 
 def test_seed_pair_must_be_contained():
@@ -230,7 +247,7 @@ def test_string_residual_detects_wrong_normalization():
 
 def test_variable_level_string_relation():
     # at the initial point: -(d/dt_1) v_a + (a+1) v_a = 0 once jets are set
-    jets = initial_jets(4)
+    H = hierarchy(4)
     for a in (1, 2, 3):
         combo = gd_flow(4, 1)[a] * (-1) + DiffPoly.jet("d", a, 0) * (a + 1)
-        assert jets.evaluate(combo).is_zero(), a
+        assert H.evaluate(combo).is_zero(), a

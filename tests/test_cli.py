@@ -59,6 +59,28 @@ def test_correlators_weight_one_single_entry(capsys):
     assert out.splitlines() == ["<t1> = 1/3*d1"]
 
 
+def test_correlators_r4_c_alphabet_uses_density_route(capsys):
+    # the weight recursion gives -6*c2*c1 - 15*c2 here, the density route -12*c2
+    code, out, _ = run(capsys, "correlators", "--r", "4", "--weight", "5")
+    assert code == 0
+    assert "<t3 t2> = -6*c2*c1 - 12*c2" in out.splitlines()
+
+
+def test_correlators_r4_weight_one(capsys):
+    code, out, _ = run(capsys, "correlators", "--r", "4", "--weight", "1")
+    assert code == 0
+    assert out.splitlines() == ["<t1> = c1"]
+
+
+def test_correlators_r4_sigma_alphabet_refused(capsys):
+    code, out, err = run(capsys, "correlators", "--r", "4", "--weight", "3",
+                         "--alphabet", "sigma")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "unverified" in err
+
+
 def test_correlators_set_evaluates_exactly(capsys):
     code, out, _ = run(capsys, "correlators", "--r", "2", "--weight", "3",
                        "--set", "c1=1/2")
@@ -315,10 +337,13 @@ def test_bad_configuration_exits_two(capsys, argv):
 
 def test_invariant_violation_exits_three(capsys, monkeypatch):
     # a c(d) map that is not triangular trips the check inside d_from_c
-    monkeypatch.setattr(wconstraints, "_constants_cache", {})
     monkeypatch.setattr(wconstraints, "c_from_d",
                         lambda r: {a: ParamPoly.var("d", a) ** 2 for a in range(1, r)})
-    code, out, err = run(capsys, "constants", "--r", "3")
+    wconstraints.constants.cache_clear()
+    try:
+        code, out, err = run(capsys, "constants", "--r", "3")
+    finally:
+        wconstraints.constants.cache_clear()
     assert code == 3
     assert out == ""
     assert err.splitlines() == ["error: residue constant is not triangular in d"]

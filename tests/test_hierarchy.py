@@ -6,17 +6,15 @@ import pytest
 
 from gdtau import (
     DiffPoly,
-    FlowTable,
-    OmegaTable,
     ParamPoly,
     diff_x,
     gd_flow,
     grading,
+    hierarchy,
     lax,
     omega,
-    t_derivative,
 )
-from gdtau.errors import IndexDivisible, MissingFlow
+from gdtau.errors import IndexDivisible
 from gdtau.psido import frac_power, residue
 
 
@@ -52,38 +50,31 @@ def test_flow_index_divisible_by_r_rejected():
 
 
 def test_t1_derivative_is_diff_x():
-    flows = FlowTable(3)
+    H = hierarchy(3)
     p = v(1) ** 2 * v(2, 1)
-    assert t_derivative(p, 1, flows) == diff_x(p)
-    assert t_derivative(v(1), 1, flows) == v(1, 1)
+    assert H.t_derivative(p, 1) == diff_x(p)
+    assert H.t_derivative(v(1), 1) == v(1, 1)
 
 
 def test_t_derivative_of_constants_vanishes():
-    flows = FlowTable(3)
+    H = hierarchy(3)
     const = DiffPoly.const("d", ParamPoly.var("d", 2))
-    assert t_derivative(const, 5, flows).is_zero()
+    assert H.t_derivative(const, 5).is_zero()
 
 
 def test_t_derivatives_commute():
-    flows = FlowTable(3)
+    H = hierarchy(3)
     for p in (v(1) * v(2), v(1, 1) + v(2) ** 2, v(1) ** 3):
         for i, j in ((1, 2), (2, 4), (1, 5)):
-            ij = t_derivative(t_derivative(p, i, flows), j, flows)
-            ji = t_derivative(t_derivative(p, j, flows), i, flows)
+            ij = H.t_derivative(H.t_derivative(p, i), j)
+            ji = H.t_derivative(H.t_derivative(p, j), i)
             assert ij == ji, (i, j, str(p))
 
 
-def test_closed_flow_table():
-    flows = FlowTable(3, indices=[1, 2])
-    assert flows.flow(2) == gd_flow(3, 2)
-    with pytest.raises(MissingFlow):
-        flows.flow(4)
-
-
 def test_flow_derivative_caches_x_derivatives():
-    flows = FlowTable(2)
-    assert flows.flow_derivative(3, 1, 0) == gd_flow(2, 3)[1]
-    assert flows.flow_derivative(3, 1, 2) == diff_x(diff_x(gd_flow(2, 3)[1]))
+    H = hierarchy(2)
+    assert H.flow_derivative(3, 1, 0) == gd_flow(2, 3)[1]
+    assert H.flow_derivative(3, 1, 2) == diff_x(diff_x(gd_flow(2, 3)[1]))
 
 
 # -- two-point densities ----------------------------------------------------------
@@ -127,9 +118,9 @@ def test_omega_has_no_constant_term():
 
 
 def test_omega_table_matches_free_function():
-    table = OmegaTable(3)
-    assert table.omega(2, 4) == omega(3, 2, 4)
-    assert table.omega(2, 4) is table.omega(2, 4)  # cached
-    assert table.residue(2) == residue(frac_power(lax(3), 2, -1))
+    H = hierarchy(3)
+    assert H.omega(2, 4) == omega(3, 2, 4)
+    assert H.omega(2, 4) is H.omega(2, 4)  # cached
+    assert H.residue(2) == residue(frac_power(lax(3), 2, -1))
     with pytest.raises(IndexDivisible):
-        table.residue(3)
+        H.residue(3)
