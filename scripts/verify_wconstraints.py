@@ -31,6 +31,8 @@ def main() -> int:
         parser.error(f"bad --orders {args.orders!r}")
     if any(r < 2 for r in orders):
         parser.error("orders must be >= 2")
+    if args.qextra > args.weight:
+        parser.error("--qextra must be <= --weight: the columns past it have empty windows")
 
     failures = 0
     for r in orders:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from functools import cache
+from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import ParamPoly
 from .errors import IndexDivisible, WeightExceeded
@@ -38,23 +39,38 @@ Index = tuple[int, ...]
 # --------------------------------------------------------------------------
 
 
+@cache
+def valid_multisets(r: int, total: int, length: Optional[int] = None) -> tuple[Index, ...]:
+    """Ascending tuples of valid indices (>= 1, not divisible by r) summing
+    to `total`, of the given length (any length when None), in increasing
+    order.  The one enumerator of index multisets."""
+    out: list[Index] = []
+
+    def rec(prefix: Index, start: int, left: int) -> None:
+        if length is None:
+            if not left:
+                out.append(prefix)
+            top = left
+        else:
+            slots = length - len(prefix)
+            if not slots:
+                if not left:
+                    out.append(prefix)
+                return
+            top = left // slots
+        for i in range(start, top + 1):
+            if i % r:
+                rec(prefix + (i,), i, left - i)
+
+    if total >= 0:
+        rec((), 1, total)
+    return tuple(out)
+
+
 def index_multisets(r: int, max_weight: int) -> list[Index]:
     """Nonempty ascending tuples of valid indices with total <= max_weight,
     ordered by (weight, tuple)."""
-    valid = [i for i in range(1, max_weight + 1) if i % r != 0]
-    out: list[Index] = []
-
-    def rec(prefix: Index, start: int, budget: int) -> None:
-        for i in valid:
-            if i < start or i > budget:
-                continue
-            tup = prefix + (i,)
-            out.append(tup)
-            rec(tup, i, budget - i)
-
-    rec((), 1, max_weight)
-    out.sort(key=lambda t: (sum(t), t))
-    return out
+    return [I for w in range(1, max_weight + 1) for I in valid_multisets(r, w)]
 
 
 def _normalize(indices: Iterable[int]) -> Index:
@@ -173,13 +189,6 @@ class TauSeries:
                 else:
                     out[I] = acc
         return TauSeries(self.alphabet, cap, out)
-
-    def eq_through(self, other: "TauSeries", weight: int) -> bool:
-        if weight > self.cap or weight > other.cap:
-            raise WeightExceeded("comparison window exceeds a series cap")
-        keys = {I for I in self.coeffs if sum(I) <= weight}
-        keys |= {I for I in other.coeffs if sum(I) <= weight}
-        return all(self.get(I) == other.get(I) for I in keys)
 
     def __eq__(self, other):
         if not isinstance(other, TauSeries):
@@ -300,14 +309,13 @@ def connected_from_disconnected(table: CorrelatorTable) -> CorrelatorTable:
 # --------------------------------------------------------------------------
 
 
-def pde_correlator(r: int, indices: Iterable[int],
-                   seed_pair: Optional[tuple[int, int]] = None) -> ParamPoly:
+def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     """One connected correlator via the density route.
 
     For a single insertion j this is res(L^(j/r)) at the jets, divided by j.
-    For more insertions, start from Omega of two of them (by default the two
-    smallest; any seed pair gives the same value) and differentiate along the
-    remaining times before evaluating.
+    For more insertions, start from Omega of the two smallest (any pair gives
+    the same value) and differentiate along the remaining times before
+    evaluating.
     """
     I = _normalize(indices)
     if not I:
@@ -318,19 +326,8 @@ def pde_correlator(r: int, indices: Iterable[int],
             raise IndexDivisible(f"index {i} is a multiple of {r}")
     if len(I) == 1:
         return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
-    rest = list(I)
-    if seed_pair is None:
-        i, j = rest.pop(0), rest.pop(0)
-    else:
-        i, j = seed_pair
-        got = Counter(rest)
-        need = Counter(seed_pair)
-        if any(got[v] < n for v, n in need.items()):
-            raise ValueError(f"seed pair {seed_pair} is not contained in {I}")
-        got.subtract(need)
-        rest = sorted(got.elements())
-    density = H.omega(i, j)
-    for k in rest:
+    density = H.omega(I[0], I[1])
+    for k in I[2:]:
         density = H.t_derivative(density, k)
     return H.evaluate(density)
 

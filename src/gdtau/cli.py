@@ -147,6 +147,11 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError("--weight must be >= 2 to verify anything")
         if ns.qextra < 0:
             raise ConfigError("--qextra must be >= 0")
+        # every column with (q - alpha) r >= weight has an empty window, so
+        # scanning past --weight columns would only print vacuous PASS lines
+        if ns.qextra > ns.weight:
+            raise ConfigError("--qextra must be <= --weight: the columns past it "
+                              "have empty windows")
         return RunConfig(command, r=ns.r, weight=ns.weight, qextra=ns.qextra,
                          corrupt=ns.corrupt, out=ns.out)
     if command == "constants":

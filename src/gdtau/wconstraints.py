@@ -13,6 +13,11 @@ Two viewpoints are implemented and cross-checked:
   whose entries can then be rewritten in terms of the one-point constants
   (`c`) or the jet parameters (`d`).
 
+Both read one kernel, `_coefficient_terms`: coefficient I of one
+normal-ordered current monomial applied to a series, as a linear form in the
+correlators.  The plain operator is the leading monomial (alpha + 1 underived
+factors); the reduced operator sums every monomial of the current power.
+
 The `c` alphabet comes in two normalizations.  Tables use the one-point
 value itself (c_alpha = <tau_alpha>); residue formulas produce the scaled
 variant (alpha * c_alpha), which is what `c_from_d`/`d_from_c` speak.  The
@@ -37,9 +42,12 @@ from .bgw import (
     connected_from_disconnected,
     disconnected_from_connected,
     index_multisets,
+    pde_correlator,
     series_from_correlators,
     string_residual,
     tau_exp,
+    valid_multisets,
+    _mult_factorial,
     _normalize,
 )
 from .errors import EngineError, InvariantViolated, NotStable, WeightExceeded
@@ -68,72 +76,27 @@ class WOperatorSpec:
 
 
 # --------------------------------------------------------------------------
-# multiset enumeration helpers
+# the operators on tau series
 # --------------------------------------------------------------------------
 
 
-def _sub_multisets(I: Index, size: int) -> list[Index]:
-    """All ascending sub-multisets of I with the given cardinality."""
-    vals = sorted(set(I))
-    mult = Counter(I)
-    out: list[Index] = []
+def _splits(I: Index, size: int) -> list[tuple[Index, Index]]:
+    """Every way to take a sub-multiset of the given size out of I, as
+    ascending (taken, kept) pairs."""
+    groups = sorted(Counter(I).items())
+    out: list[tuple[Index, Index]] = []
 
-    def rec(idx: int, remaining: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
+    def rec(gi: int, left: int, taken: Index, kept: Index) -> None:
+        if gi == len(groups):
+            if not left:
+                out.append((taken, kept))
             return
-        if idx >= len(vals):
-            return
-        v = vals[idx]
-        for take in range(min(mult[v], remaining) + 1):
-            rec(idx + 1, remaining - take, prefix + [v] * take)
+        v, m = groups[gi]
+        for take in range(min(m, left) + 1):
+            rec(gi + 1, left - take, taken + (v,) * take, kept + (v,) * (m - take))
 
-    rec(0, size, [])
+    rec(0, size, (), ())
     return out
-
-
-def _fixed_multisets(r: int, length: int, total: int) -> list[Index]:
-    """Ascending tuples of `length` valid indices (>=1, not divisible by r)
-    summing to `total`."""
-    out: list[Index] = []
-
-    def rec(prefix: list[int], start: int, length_left: int, total_left: int) -> None:
-        if length_left == 0:
-            if total_left == 0:
-                out.append(tuple(prefix))
-            return
-        for p in range(start, total_left - (length_left - 1) + 1):
-            if p % r == 0:
-                continue
-            rec(prefix + [p], p, length_left - 1, total_left - p)
-
-    rec([], 1, length, total)
-    return out
-
-
-def _bounded_multisets(r: int, length: int, max_total: int) -> list[Index]:
-    """Ascending tuples of `length` valid indices with sum <= max_total."""
-    out: list[Index] = []
-
-    def rec(prefix: list[int], start: int, length_left: int, budget: int) -> None:
-        if length_left == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(start, budget - (length_left - 1) + 1):
-            if p % r == 0:
-                continue
-            rec(prefix + [p], p, length_left - 1, budget - p)
-
-    rec([], 1, length, max_total)
-    return out
-
-
-def _ordered_count(I: Index) -> int:
-    """Number of distinct orderings of a multiset."""
-    n = math.factorial(len(I))
-    for m in Counter(I).values():
-        n //= math.factorial(m)
-    return n
 
 
 def _falling(n: int, j: int) -> int:
@@ -144,70 +107,89 @@ def _falling(n: int, j: int) -> int:
     return out
 
 
-def _rising_ratio(base: Counter, K: Index) -> int:
-    """prod over values m of (mult_base(m)+1)...(mult_base(m)+mult_K(m))."""
-    out = 1
-    for m, add in Counter(K).items():
-        have = base.get(m, 0)
-        for t in range(1, add + 1):
-            out *= have + t
-    return out
+def _coefficient_terms(I: Index, r: int, balance: int,
+                       orders: Index) -> dict[Index, Fraction]:
+    """Coefficient I of one normal-ordered current monomial applied to a
+    series, as a linear form {J: w_J} in the correlators <J> = a_J mult!(J).
+
+    `orders` lists the derivative order j of each factor.  A factor expands
+    into elementary moves: multiply by the k-th variable with weight
+    k (k-1) ... (k-j), differentiate by the k-th variable with weight
+    (-1)^j (k+j) ... (k+1), or (order 0 only) the constant shift sitting at
+    the first variable with weight -1.  Each move carries a formal exponent
+    (k-1-j, -k-1-j, or 0 respectively) and only configurations whose
+    exponents plus `balance` sum to -1 survive the residue, which pins the
+    index sum of the last group's derivatives.  Differentiating t^J down to
+    the kept part of I multiplies by mult!(J) / mult!(kept), so each
+    configuration weighs its coefficient over mult!(kept) on <J>.
+    """
+    groups = sorted(Counter(orders).items())
+    top = sum(I) + balance + 1
+    terms: dict[Index, Fraction] = {}
+
+    def rec(gi: int, rest: Index, K: Index, lam: int, coef: int) -> None:
+        j, n = groups[gi]
+        last = gi == len(groups) - 1
+        for c in range(n + 1 if j == 0 else 1):
+            for tlen in range(n - c + 1):
+                klen = n - c - tlen
+                for L, kept in _splits(rest, tlen):
+                    wl = math.prod(_falling(k, j + 1) for k in L)
+                    if wl == 0:
+                        continue
+                    lam_t = lam + sum(L) - (1 + j) * (tlen + klen)
+                    base = coef * wl * (-1) ** (c + j * klen) * math.factorial(n)
+                    base //= math.factorial(c) * _mult_factorial(L)
+                    if last:
+                        Ks = valid_multisets(r, lam_t + balance + 1, klen)
+                    else:
+                        Ks = [Kg for s in range(top - sum(K) + 1)
+                              for Kg in valid_multisets(r, s, klen)]
+                    for Kg in Ks:
+                        cf = base * math.prod(_falling(k + j, j) for k in Kg)
+                        cf //= _mult_factorial(Kg)
+                        if last:
+                            J = _normalize(kept + K + Kg)
+                            terms[J] = terms.get(J, 0) + Fraction(cf, _mult_factorial(kept))
+                        else:
+                            rec(gi + 1, kept, _normalize(K + Kg), lam_t - sum(Kg), cf)
+
+    rec(0, I, (), 0, 1)
+    return terms
 
 
-def _falling_ratio(whole: Counter, L: Index) -> int:
-    """prod over values m of mult(m) (mult(m)-1) ... down mult_L(m) steps."""
-    out = 1
-    for m, take in Counter(L).items():
-        have = whole.get(m, 0)
-        for t in range(take):
-            out *= have - t
-    return out
+def _out_cap(series: TauSeries, op: WOperatorSpec) -> int:
+    """Weight through which an operator's image of the series is exact."""
+    out_cap = series.cap - op.shift - op.alpha
+    if out_cap < 0:
+        raise WeightExceeded(
+            f"cap {series.cap} leaves no window for (alpha={op.alpha}, q={op.q})"
+        )
+    return out_cap
 
 
-# --------------------------------------------------------------------------
-# the operators on tau series
-# --------------------------------------------------------------------------
+def _apply_current(series: TauSeries, r: int, balance: int, orders: Index,
+                   out_cap: int) -> TauSeries:
+    """One normal-ordered current monomial, applied coefficient-wise."""
+    out: dict[Index, ParamPoly] = {}
+    for I in [()] + index_multisets(r, out_cap):
+        acc = ParamPoly.zero(series.alphabet)
+        for J, w in _coefficient_terms(I, r, balance, orders).items():
+            aJ = series.get(J)
+            if not aJ.is_zero():
+                acc = acc + aJ * (w * _mult_factorial(J))
+        if not acc.is_zero():
+            out[I] = acc
+    return TauSeries(series.alphabet, out_cap, out)
 
 
 def apply_S(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Image of a truncated series under the plain bidegree-(alpha, q)
-    operator, exact through cap - shift - alpha."""
-    alpha, q, r = op.alpha, op.q, op.r
-    shift = op.shift
-    out_cap = series.cap - shift - alpha
-    if out_cap < 0:
-        raise WeightExceeded(
-            f"cap {series.cap} leaves no window for (alpha={alpha}, q={q})"
-        )
-    targets: list[Index] = [()] + index_multisets(r, out_cap)
-    out: dict[Index, ParamPoly] = {}
-    for I in targets:
-        whole = Counter(I)
-        acc = ParamPoly.zero(series.alphabet)
-        for j in range(alpha + 2):
-            for c in range(j + 1):
-                pref = Fraction(
-                    math.comb(alpha + 1, j) * math.comb(j, c) * (-1) ** c,
-                    alpha + 1,
-                )
-                klen = alpha + 1 - j
-                for L in _sub_multisets(I, j - c):
-                    base = whole.copy()
-                    base.subtract(Counter(L))
-                    rest = tuple(sorted(base.elements()))
-                    weight = sum(L) + shift + c
-                    prod_l = math.prod(L) if L else 1
-                    lfac = _ordered_count(L) * prod_l
-                    for K in _fixed_multisets(r, klen, weight):
-                        J = _normalize(rest + K)
-                        aJ = series.get(J)
-                        if aJ.is_zero():
-                            continue
-                        w = pref * lfac * _ordered_count(K) * _rising_ratio(base, K)
-                        acc = acc + aJ * w
-        if not acc.is_zero():
-            out[I] = acc
-    return TauSeries(series.alphabet, out_cap, out)
+    operator, exact through cap - shift - alpha.  It is the leading current
+    monomial: alpha + 1 underived factors."""
+    plain = _apply_current(series, op.r, op.alpha + op.shift, (0,) * (op.alpha + 1),
+                           _out_cap(series, op))
+    return plain.scale(Fraction(1, op.alpha + 1))
 
 
 @cache
@@ -235,80 +217,10 @@ def _current_monomials(alpha: int) -> tuple[tuple[Index, Fraction], ...]:
     return tuple(sorted(P.items()))
 
 
-def _apply_current(series: TauSeries, r: int, balance: int, orders: Index,
-                   out_cap: int) -> TauSeries:
-    """One normal-ordered current monomial, applied coefficient-wise.
-
-    `orders` lists the derivative order j of each factor.  A factor expands
-    into elementary moves: multiply by the k-th variable with weight
-    k (k-1) ... (k-j), differentiate by the k-th variable with weight
-    (-1)^j (k+j) ... (k+1), or (order 0 only) the constant shift sitting at
-    the first variable with weight -1.  Each move carries a formal exponent
-    (k-1-j, -k-1-j, or 0 respectively) and only configurations whose
-    exponents plus `balance` sum to -1 survive the residue.
-    """
-    groups = sorted(Counter(orders).items())
-    out: dict[Index, ParamPoly] = {}
-    cap = series.cap
-    for I in [()] + index_multisets(r, out_cap):
-        acc = ParamPoly.zero(series.alphabet)
-
-        def leaf(rest: Index, K: Index, lam: int, coef: Fraction) -> None:
-            nonlocal acc
-            if lam + balance != -1:
-                return
-            aJ = series.get(rest + K)
-            if aJ.is_zero():
-                return
-            acc = acc + aJ * (coef * _rising_ratio(Counter(rest), K))
-
-        def rec(gi: int, rest: Index, K: Index, lam: int, coef: Fraction) -> None:
-            if gi == len(groups):
-                leaf(rest, K, lam, coef)
-                return
-            j, n = groups[gi]
-            budget = min(cap, sum(I) + balance + 1) - sum(K)
-            for c in range(n + 1 if j == 0 else 1):
-                for tlen in range(n - c + 1):
-                    klen = n - c - tlen
-                    for L in _sub_multisets(rest, tlen):
-                        wl = math.prod(_falling(k, j + 1) for k in L)
-                        if wl == 0:
-                            continue
-                        base = Counter(rest)
-                        base.subtract(Counter(L))
-                        kept = tuple(sorted(base.elements()))
-                        lam_t = lam + sum(L) - (1 + j) * tlen
-                        for Kg in _bounded_multisets(r, klen, budget):
-                            wk = math.prod(_falling(k + j, j) for k in Kg)
-                            count = math.factorial(n) // math.factorial(c)
-                            for m in Counter(L).values():
-                                count //= math.factorial(m)
-                            for m in Counter(Kg).values():
-                                count //= math.factorial(m)
-                            rec(
-                                gi + 1,
-                                kept,
-                                _normalize(K + Kg),
-                                lam_t - sum(Kg) - (1 + j) * klen,
-                                coef * Fraction(count * wl * wk * (-1) ** (c + j * klen)),
-                            )
-            return
-
-        rec(0, I, (), 0, Fraction(1))
-        if not acc.is_zero():
-            out[I] = acc
-    return TauSeries(series.alphabet, out_cap, out)
-
-
 def _reduced_raw(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Reduced operator before the lower-order normalization: the residue of
     the expanded degree-(alpha+1) current power at exponent alpha + shift."""
-    out_cap = series.cap - op.shift - op.alpha
-    if out_cap < 0:
-        raise WeightExceeded(
-            f"cap {series.cap} leaves no window for (alpha={op.alpha}, q={op.q})"
-        )
+    out_cap = _out_cap(series, op)
     total = TauSeries(series.alphabet, out_cap)
     for orders, cf in _current_monomials(op.alpha):
         part = _apply_current(series, op.r, op.alpha + op.shift, orders, out_cap)
@@ -387,7 +299,7 @@ def apply_Wred(series: TauSeries, op: WOperatorSpec) -> TauSeries:
         for beta in B[1:]:
             part = _reduced_raw(part, WOperatorSpec(op.r, beta, beta))
         out = out + part.scale(h)
-    return out.trim(series.cap - op.shift - op.alpha)
+    return out.trim(_out_cap(series, op))
 
 
 # --------------------------------------------------------------------------
@@ -396,45 +308,28 @@ def apply_Wred(series: TauSeries, op: WOperatorSpec) -> TauSeries:
 
 
 def _recursion_values(r: int, max_weight: int) -> dict[Index, ParamPoly]:
-    """Disconnected correlators in the sigma alphabet, empty set included."""
+    """Disconnected correlators in the sigma alphabet, empty set included.
+
+    Each M = A + (nu,), nu its largest index, comes from the plain operator
+    of bidegree (alpha, q) with nu = alpha + (q - alpha) r, read off at
+    coefficient A: it vanishes for q > alpha and is (-1)^alpha sigma_alpha
+    a_A at q = alpha (the kernel's leading monomial is alpha + 1 times that
+    operator).  Of the correlators it involves, only <M> reaches weight |M|,
+    so it is solved for from the lower ones.
+    """
     table: dict[Index, ParamPoly] = {(): ParamPoly.const("sigma", 1)}
     for M in index_multisets(r, max_weight):
-        nu = M[-1]
+        nu, A = M[-1], M[:-1]
         alpha = nu % r
-        q = alpha + (nu - alpha) // r
-        shift = nu - alpha
-        A = M[:-1]
-        whole = Counter(A)
+        terms = _coefficient_terms(A, r, nu, (0,) * (alpha + 1))
+        lead = terms.pop(M)
         val = ParamPoly.zero("sigma")
-        if q == alpha:
-            val = val + table[A] * ParamPoly.var("sigma", alpha)
-        sign = (-1) ** alpha
-        for j in range(alpha + 1):
-            for c in range(j + 1):
-                if j == alpha and c == alpha:
-                    continue
-                pref = Fraction(
-                    math.comb(alpha + 1, j) * math.comb(j, c) * (-1) ** c,
-                    alpha + 1,
-                )
-                klen = alpha + 1 - j
-                for L in _sub_multisets(A, j - c):
-                    base = whole.copy()
-                    base.subtract(Counter(L))
-                    rest = tuple(sorted(base.elements()))
-                    weight = sum(L) + shift + c
-                    lfac = (
-                        _ordered_count(L)
-                        * _falling_ratio(whole, L)
-                        * (math.prod(L) if L else 1)
-                    )
-                    for K in _fixed_multisets(r, klen, weight):
-                        sub = table[_normalize(rest + K)]
-                        if sub.is_zero():
-                            continue
-                        w = sign * pref * lfac * _ordered_count(K)
-                        val = val - sub * w
-        table[M] = val
+        if nu == alpha:
+            eig = Fraction((-1) ** alpha * (alpha + 1), _mult_factorial(A))
+            val = table[A] * ParamPoly.var("sigma", alpha) * eig
+        for J, w in terms.items():
+            val = val - table[J] * w
+        table[M] = val / lead
     return table
 
 
@@ -506,11 +401,6 @@ def d_from_c(r: int) -> dict[int, ParamPoly]:
 def _tab_to_norm(r: int) -> dict[int, ParamPoly]:
     """c (table normalization) -> alpha * c (residue normalization)."""
     return {b: ParamPoly.var("c", b) * b for b in range(1, r)}
-
-
-def _norm_to_tab(polys: Mapping[int, ParamPoly], r: int) -> dict[int, ParamPoly]:
-    bridge = {b: ParamPoly.var("c", b) * Fraction(1, b) for b in range(1, r)}
-    return {a: p.substitute(bridge, "c") for a, p in polys.items()}
 
 
 def d_of_ctab(r: int) -> dict[int, ParamPoly]:
@@ -662,15 +552,14 @@ def _assert_stable(first: ParamPoly, second: ParamPoly, indices: Index) -> Param
 
 def stabilized_correlators(indices: Iterable[int]) -> ParamPoly:
     """Connected correlator in the stable range (r beyond the total weight),
-    as a polynomial in the table-normalized c constants.  Computed from the
-    density route, whose tables this limit belongs to."""
+    as a polynomial in the table-normalized c constants.  Computed entry by
+    entry from the density route, whose tables this limit belongs to."""
     I = _normalize(indices)
     if not I:
         raise ValueError("need at least one insertion")
     if any(i < 1 for i in I):
         raise ValueError("indices must be positive")
     weight = sum(I)
-    samples = []
-    for r in (weight + 1, weight + 2):
-        samples.append(table_in_c(r, max(weight, 2), "pde", "connected").value(I))
+    samples = [pde_correlator(r, I).substitute(d_of_ctab(r), "c")
+               for r in (weight + 1, weight + 2)]
     return _assert_stable(samples[0], samples[1], I)

@@ -1,5 +1,6 @@
 """Initial data, the density-route correlators, and tau-series plumbing."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from gdtau import (
     string_residual,
     tau_exp,
 )
-from gdtau.bgw import correlators_from_series, _mult_factorial
+from gdtau.bgw import correlators_from_series, valid_multisets, _mult_factorial
 from gdtau.errors import IndexDivisible, WeightExceeded
 
 
@@ -72,6 +73,35 @@ def test_index_multisets_order_and_content():
     assert all(i % 3 for I in index_multisets(3, 7) for i in I)
 
 
+def _brute_multisets(r, length, total):
+    """Valid ascending tuples of one length by an independent filter."""
+    valid = [i for i in range(1, total + 1) if i % r]
+    return [K for K in itertools.combinations_with_replacement(valid, length)
+            if sum(K) == total]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_valid_multisets_match_brute_force(r):
+    for total in range(11):
+        every = []
+        for length in range(5):
+            got = valid_multisets(r, total, length)
+            assert list(got) == _brute_multisets(r, length, total), (length, total)
+            every += got
+        # any length: the union over lengths, in increasing order
+        assert [K for K in valid_multisets(r, total) if len(K) <= 4] == sorted(every)
+    # an empty length fits only the empty sum; a negative sum fits nothing
+    assert valid_multisets(r, 0, 0) == ((),)
+    assert valid_multisets(r, 3, 0) == ()
+    assert valid_multisets(r, 0) == ((),)
+    assert valid_multisets(r, -1, 2) == ()
+    # bounded sums: index_multisets is every fixed sum up to the bound
+    for bound in range(9):
+        want = [K for length in range(1, bound + 1) for total in range(bound + 1)
+                for K in _brute_multisets(r, length, total)]
+        assert index_multisets(r, bound) == sorted(want, key=lambda K: (sum(K), K))
+
+
 # -- the density route -------------------------------------------------------------
 
 
@@ -92,11 +122,17 @@ def test_r3_two_point():
 
 
 def test_seed_pair_independence():
+    # Omega of any two insertions, differentiated along the others, gives
+    # the same value as the default seed (the two smallest)
     for r, I in ((3, (1, 1, 2)), (3, (1, 2, 2)), (4, (1, 2, 3)), (3, (1, 1, 2, 2))):
+        H = hierarchy(r)
         default = pde_correlator(r, I)
         for si in range(len(I)):
             for sj in range(si + 1, len(I)):
-                got = pde_correlator(r, I, seed_pair=(I[si], I[sj]))
+                density = H.omega(I[si], I[sj])
+                for k in I[:si] + I[si + 1:sj] + I[sj + 1:]:
+                    density = H.t_derivative(density, k)
+                got = H.evaluate(density)
                 assert got == default, (r, I, (I[si], I[sj]))
 
 
@@ -117,11 +153,6 @@ def test_density_route_without_integration(r):
             for k in rest:
                 density = H.t_derivative(density, k)
             assert H.evaluate(density) == table.value(I) * sum(I), (I, i)
-
-
-def test_seed_pair_must_be_contained():
-    with pytest.raises(ValueError):
-        pde_correlator(3, (1, 1, 2), seed_pair=(2, 2))
 
 
 def test_divisible_index_rejected():

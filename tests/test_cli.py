@@ -236,6 +236,17 @@ def test_verify_out_file(capsys, tmp_path):
     assert "r=2 string window=3 PASS" in target.read_text(encoding="utf-8")
 
 
+def test_verify_qextra_up_to_weight(capsys):
+    code, out, _ = run(capsys, "verify", "--r", "3", "--weight", "3", "--qextra", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 * 4
+    code, out, err = run(capsys, "verify", "--r", "3", "--weight", "3", "--qextra", "4")
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: --qextra must be <= --weight: the columns past it have empty windows"]
+
+
 # -- constants ---------------------------------------------------------------
 
 

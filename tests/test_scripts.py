@@ -29,6 +29,17 @@ def test_verify_script_passes():
     assert all(": all passed in " in line for line in summaries)
 
 
+def test_verify_script_bounds_qextra():
+    ok = run_script("verify_wconstraints.py", "--orders", "2", "--weight", "3",
+                    "--qextra", "3")
+    assert ok.returncode == 0, ok.stderr
+    refused = run_script("verify_wconstraints.py", "--orders", "2", "--weight", "3",
+                         "--qextra", "4")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert sum("error:" in line for line in refused.stderr.splitlines()) == 1
+
+
 def test_build_tables_matches_cli(tmp_path, capsys):
     proc = run_script("build_tables.py", "--orders", "2,3", "--weight", "4",
                       "--formats", "text", "--outdir", str(tmp_path))

@@ -267,6 +267,26 @@ def test_dictionaries_match_pinned_values():
     assert str(four.d_c[3]) == "4/3*c3 + 3*c2 + 2*c1^2 + 10*c1"
 
 
+def test_recursion_dictionaries_above_four_pinned():
+    # sigma(c) and rho(c) come from the weight recursion; captured at r = 6
+    six = constants(6)
+    assert {a: str(p) for a, p in six.sigma_c.items()} == {
+        1: "c1",
+        2: "c2",
+        3: "c3 - 3/2*c1^2 - 3/2*c1",
+        4: "c4 - 4*c2*c1 - 8*c2",
+        5: "c5 - 5*c3*c1 - 25*c3 - 5/2*c2^2 + 10/3*c1^3 + 15*c1^2 + 35/3*c1",
+    }
+    assert {a: str(p) for a, p in six.rho_c.items()} == {
+        1: "c1",
+        2: "c2 + 2/3*c1",
+        3: "c3 - 3/4*c2 - 3/2*c1^2",
+        4: "c4 + 4/5*c3 - 4*c2*c1 - 52/5*c2 - 6/5*c1^2 + 18/5*c1",
+        5: "c5 - 5/6*c4 - 5*c3*c1 - 65/3*c3 - 5/2*c2^2 + 10/3*c2*c1 - 10/3*c2"
+           " + 10/3*c1^3 + 10*c1^2 + 80/3*c1",
+    }
+
+
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_jet_constant_round_trip(r):
     cd = c_from_d(r)
