@@ -16,6 +16,17 @@ Correlators of weight W come in two kinds:
 The tau function is handled as a truncated series in the times: TauSeries
 stores the *monomial* coefficient a_I of prod(t_i for i in I), so the
 disconnected correlator is a_I times the product of multiplicities factorial.
+Keys are multisets of time indices >= 1; t_i has weight i.
+
+exp and log move between the two kinds through the Euler operator
+E = sum_i i t_i d/dt_i, which multiplies a weight-w part by w.  From
+E(tau) = tau E(log tau), with F_k and T_k the weight-k parts of log tau and
+tau and T_0 = 1,
+
+    w T_w = sum_{k=1..w} k F_k T_(w-k),
+
+so with S_w = (1/w) sum_{0<k<w} k F_k T_(w-k) exp sets T_w = F_w + S_w and
+log sets F_w = T_w - S_w, each weight once, in increasing order.
 """
 
 from __future__ import annotations
@@ -94,6 +105,7 @@ class TauSeries:
 
     Keys are ascending index tuples; t^I is the plain monomial (no
     multiplicity factorials — those belong to the correlator dictionary).
+    Indices below 1 are refused; keys naming the same multiset add up.
     """
 
     __slots__ = ("alphabet", "cap", "coeffs")
@@ -108,12 +120,13 @@ class TauSeries:
         if coeffs:
             for I, c in coeffs.items():
                 I = _normalize(I)
+                if I and I[0] < 1:
+                    raise ValueError(f"bad index {I[0]}: time indices start at 1")
                 if sum(I) > cap:
                     continue
                 poly = c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c)
-                if not poly.is_zero():
-                    clean[I] = poly
-        self.coeffs = clean
+                clean[I] = clean[I] + poly if I in clean else poly
+        self.coeffs = {I: c for I, c in clean.items() if not c.is_zero()}
 
     @classmethod
     def one(cls, alphabet: str, cap: int) -> "TauSeries":
@@ -170,26 +183,6 @@ class TauSeries:
         return TauSeries(self.alphabet, self.cap,
                          {I: c * s for I, c in self.coeffs.items()})
 
-    def __mul__(self, other: "TauSeries") -> "TauSeries":
-        cap = min(self.cap, other.cap)
-        out: dict[Index, ParamPoly] = {}
-        for J, a in self.coeffs.items():
-            wj = sum(J)
-            if wj > cap:
-                continue
-            for K, b in other.coeffs.items():
-                if wj + sum(K) > cap:
-                    continue
-                I = _normalize(J + K)
-                acc = out.get(I)
-                term = a * b
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    out.pop(I, None)
-                else:
-                    out[I] = acc
-        return TauSeries(self.alphabet, cap, out)
-
     def __eq__(self, other):
         if not isinstance(other, TauSeries):
             return NotImplemented
@@ -202,33 +195,51 @@ class TauSeries:
         return f"TauSeries(cap={self.cap}: {' + '.join(parts)}{' + ...' if len(self.coeffs) > 4 else ''})"
 
 
+def _graded(series: TauSeries) -> list[dict[Index, ParamPoly]]:
+    """The weight-w parts of a series, w = 0..cap."""
+    parts: list[dict[Index, ParamPoly]] = [{} for _ in range(series.cap + 1)]
+    for I, c in series.coeffs.items():
+        parts[sum(I)][I] = c
+    return parts
+
+
+def _euler_step(F: list[dict[Index, ParamPoly]], T: list[dict[Index, ParamPoly]],
+                w: int, base: dict[Index, ParamPoly], sign: int) -> dict[Index, ParamPoly]:
+    """base + sign * S_w, S_w = (1/w) sum_{0<k<w} k F_k T_(w-k), from the
+    weight parts F_k of log tau and T_k of tau below weight w (module doc)."""
+    out = dict(base)
+    for k in range(1, w):
+        for J, a in F[k].items():
+            ak = a * Fraction(sign * k, w)
+            for K, b in T[w - k].items():
+                I = _normalize(J + K)
+                acc = out.get(I)
+                out[I] = ak * b if acc is None else acc + ak * b
+    return {I: c for I, c in out.items() if not c.is_zero()}
+
+
 def tau_exp(log_series: TauSeries) -> TauSeries:
     """exp of a series with vanishing constant term."""
     if not log_series.constant().is_zero():
         raise ValueError("exp needs a vanishing constant term")
-    acc = TauSeries.one(log_series.alphabet, log_series.cap)
-    power = acc
-    for n in range(1, log_series.cap + 1):
-        power = power * log_series
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, math.factorial(n)))
-    return acc
+    F = _graded(log_series)
+    T = [{(): ParamPoly.const(log_series.alphabet, 1)}]
+    for w in range(1, log_series.cap + 1):
+        T.append(_euler_step(F, T, w, F[w], 1))
+    return TauSeries(log_series.alphabet, log_series.cap,
+                     {I: c for Tw in T for I, c in Tw.items()})
 
 
 def log_tau(tau_series: TauSeries) -> TauSeries:
     """log of a series with constant term 1."""
     if tau_series.constant() != 1:
         raise ValueError("log needs constant term exactly 1")
-    u = tau_series - TauSeries.one(tau_series.alphabet, tau_series.cap)
-    acc = TauSeries(tau_series.alphabet, tau_series.cap)
-    power = TauSeries.one(tau_series.alphabet, tau_series.cap)
-    for n in range(1, tau_series.cap + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (n + 1), n))
-    return acc
+    T = _graded(tau_series)
+    F: list[dict[Index, ParamPoly]] = [{}]
+    for w in range(1, tau_series.cap + 1):
+        F.append(_euler_step(F, T, w, T[w], -1))
+    return TauSeries(tau_series.alphabet, tau_series.cap,
+                     {I: c for Fw in F for I, c in Fw.items()})
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +260,12 @@ class CorrelatorTable:
         self.cap = cap
         self.alphabet = alphabet
         self.kind = kind
-        self.values = {_normalize(I): v for I, v in values.items()}
+        self.values: dict[Index, ParamPoly] = {}
+        for I, v in values.items():
+            I = _normalize(I)
+            if I in self.values:
+                raise ValueError(f"correlator {list(I)} given twice")
+            self.values[I] = v
 
     def value(self, indices: Iterable[int]) -> ParamPoly:
         I = _normalize(indices)

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_assignments(raw: Sequence[str], alphabet: str, r: int) -> tuple[tuple[int, Fraction], ...]:
-    out = []
+    out: dict[int, Fraction] = {}
     for item in raw:
         name, sep, val = item.partition("=")
         if not sep:
@@ -121,12 +121,14 @@ def _parse_assignments(raw: Sequence[str], alphabet: str, r: int) -> tuple[tuple
         idx = int(name[len(alphabet):])
         if not 1 <= idx <= r - 1:
             raise ConfigError(f"parameter index in {name!r} must lie in 1..{r - 1}")
+        if idx in out:
+            raise ConfigError(f"parameter {alphabet}{idx} is set more than once")
         try:
             frac = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational {val!r} in --set {item!r}") from exc
-        out.append((idx, frac))
-    return tuple(out)
+        out[idx] = frac
+    return tuple(out.items())
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:

@@ -344,20 +344,27 @@ def recursion_correlators(r: int, max_weight: int) -> CorrelatorTable:
 # --------------------------------------------------------------------------
 
 
+def _triangular_inverse(images: Mapping[int, ParamPoly], leads: Mapping[int, Fraction],
+                        message: str) -> dict[int, ParamPoly]:
+    """Solve c_alpha = images[alpha] for x_alpha, alpha ascending, where
+    images[alpha] = leads[alpha] x_alpha + (a polynomial in x_beta, beta < alpha);
+    any other shape raises InvariantViolated(message)."""
+    out: dict[int, ParamPoly] = {}
+    for alpha, image in sorted(images.items()):
+        rest = image - ParamPoly.var(image.alphabet, alpha) * leads[alpha]
+        if rest.max_index() >= alpha:
+            raise InvariantViolated(message)
+        out[alpha] = (ParamPoly.var("c", alpha) - rest.substitute(out, "c")) / leads[alpha]
+    return out
+
+
 def solve_sigma_from_c(r: int) -> dict[int, ParamPoly]:
     """sigma_alpha as a polynomial in the one-point constants c (table
     normalization), solved triangularly from <tau_alpha> = c_alpha."""
     singles = _recursion_values(r, r - 1)
-    out: dict[int, ParamPoly] = {}
-    for alpha in range(1, r):
-        expr = singles[(alpha,)]
-        gamma = expr - ParamPoly.var("sigma", alpha)
-        for e in gamma.terms:
-            if len(e) >= alpha and e[alpha - 1]:
-                raise InvariantViolated("one-point value is not triangular in sigma")
-        mapping = {b: out[b] for b in range(1, alpha)}
-        out[alpha] = ParamPoly.var("c", alpha) - gamma.substitute(mapping, "c")
-    return out
+    return _triangular_inverse({a: singles[(a,)] for a in range(1, r)},
+                               {a: Fraction(1) for a in range(1, r)},
+                               "one-point value is not triangular in sigma")
 
 
 def rho_from_sigma(r: int) -> dict[int, ParamPoly]:
@@ -383,19 +390,8 @@ def c_from_d(r: int) -> dict[int, ParamPoly]:
 
 def d_from_c(r: int) -> dict[int, ParamPoly]:
     """Triangular inverse of c_from_d (residue normalization throughout)."""
-    c_d = c_from_d(r)
-    out: dict[int, ParamPoly] = {}
-    for alpha in range(1, r):
-        expr = c_d[alpha]
-        lead = Fraction(alpha, r)
-        rest = expr - ParamPoly.var("d", alpha) * lead
-        for e in rest.terms:
-            if len(e) >= alpha and e[alpha - 1]:
-                raise InvariantViolated("residue constant is not triangular in d")
-        mapping = {b: out[b] for b in range(1, alpha)}
-        rest_c = rest.substitute(mapping, "c") if not rest.is_zero() else ParamPoly.zero("c")
-        out[alpha] = (ParamPoly.var("c", alpha) - rest_c) / lead
-    return out
+    return _triangular_inverse(c_from_d(r), {a: Fraction(a, r) for a in range(1, r)},
+                               "residue constant is not triangular in d")
 
 
 def _tab_to_norm(r: int) -> dict[int, ParamPoly]:

@@ -8,6 +8,9 @@ take the constant shift), tracks the formal exponent by hand, and applies
 the surviving configurations to a plain ``{index multiset: sympy expr}``
 dictionary.  Exponential in the power, so only usable at small caps --
 which is the point: it shares no code path with the implementation.
+
+``exp_log_coefficients`` is the matching oracle for ``tau_exp`` and
+``log_tau``: sympy's own power-series exp and log, not a recurrence.
 """
 
 from fractions import Fraction
@@ -147,3 +150,34 @@ def brute_expanded(td, r, alpha, q, out_cap, lookup_cap):
         for I, v in part.items():
             acc[I] = acc.get(I, sp.Integer(0)) + c * v
     return {I: sp.expand(v) for I, v in acc.items() if sp.expand(v) != 0}
+
+
+def exp_log_coefficients(series, take_log, syms):
+    """Monomial coefficients of exp (or log) of a truncated series, from
+    sympy's own power-series expansion (``rs_exp`` / ``rs_log``).
+
+    A scale variable ``s`` marks weight: the series becomes
+    ``sum_I a_I s^|I| t^I`` and is expanded to order ``s^cap``.
+    Returns ``{index multiset: sympy expr}`` without zero entries.
+    """
+    from sympy.polys.ring_series import rs_exp, rs_log
+
+    s = sp.Symbol("s")
+    times = sorted({i for I in series.coeffs for i in I})
+    tsyms = [sp.Symbol(f"t{i}") for i in times]
+    psyms = list(syms.values())
+    R, s_gen, *_ = sp.ring([s, *tsyms, *psyms], sp.QQ)
+    x = R(sum(poly_to_sym(c, syms) * s ** sum(I)
+              * sp.Mul(*[tsyms[times.index(i)] for i in I])
+              for I, c in series.coeffs.items()))
+    expanded = (rs_log if take_log else rs_exp)(x, s_gen, series.cap + 1)
+    out = {}
+    for mono, cf in expanded.terms():
+        texps, pexps = mono[1:1 + len(times)], mono[1 + len(times):]
+        I = tuple(i for i, e in zip(times, texps) for _ in range(e))
+        assert mono[0] == sum(I)
+        term = sp.QQ.to_sympy(cf)
+        for sym, e in zip(psyms, pexps):
+            term *= sym ** e
+        out[I] = out.get(I, sp.Integer(0)) + term
+    return {I: sp.expand(v) for I, v in out.items() if sp.expand(v) != 0}

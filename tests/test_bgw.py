@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+import oracle
 from conftest import bgw_tau, conn_table
 from gdtau import (
     CorrelatorTable,
@@ -201,6 +202,25 @@ def test_series_drops_overweight_and_zero_coefficients():
     assert s.coeffs == {(2,): ParamPoly.const("d", 5)}
 
 
+def test_series_refuses_indices_below_one():
+    for bad in ((0,), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            TauSeries("d", 2, {bad: 1})
+    with pytest.raises(ValueError):  # refused even past the cap
+        TauSeries("d", 1, {(0, 5): 1})
+
+
+def test_series_adds_reordered_duplicate_keys():
+    s = TauSeries("d", 3, {(1, 2): 1, (2, 1): 1})
+    assert s.coeffs == {(1, 2): ParamPoly.const("d", 2)}
+    assert TauSeries("d", 3, {(1, 2): d(1), (2, 1): -d(1)}).is_zero()
+
+
+def test_correlator_table_refuses_duplicate_keys():
+    with pytest.raises(ValueError):
+        CorrelatorTable(3, 3, "d", "connected", {(1, 2): d(1), (2, 1): d(2)})
+
+
 def test_series_sum_takes_shallower_cap():
     a = TauSeries("d", 5, {(1,): 1})
     b = TauSeries("d", 3, {(1,): 2})
@@ -221,6 +241,43 @@ def test_exp_requires_zero_constant():
         tau_exp(TauSeries.one("d", 3))
     with pytest.raises(ValueError):
         log_tau(TauSeries("d", 3, {(1,): 1}))
+
+
+def _oracle_sample(r, cap, alphabet):
+    """A ParamPoly coefficient at every valid key of weight <= cap."""
+    return TauSeries(alphabet, cap, {
+        I: ParamPoly(alphabet, {(): Fraction(n % 5 - 2, 3), (1,): 1,
+                                (0, n % 2): Fraction(1, n + 1)})
+        for n, I in enumerate(index_multisets(r, cap))
+    })
+
+
+def _assert_matches_oracle(got, series, take_log, syms):
+    want = oracle.exp_log_coefficients(series, take_log, syms)
+    have = oracle.series_to_dict(got, syms)
+    assert got.cap == series.cap
+    assert set(have) == set(want)
+    for I in want:
+        assert sp.expand(have[I] - want[I]) == 0, I
+
+
+@pytest.mark.parametrize(
+    "r, cap, alphabet, coeffs",
+    [
+        (3, 8, "d", None),  # every valid key of weight <= 8
+        (4, 6, "c", None),
+        (3, 0, "d", {}),
+        (3, 7, "d", {(2, 5): ParamPoly.var("d", 2) * Fraction(-3, 4)}),  # top weight only
+    ],
+)
+def test_exp_and_log_match_sympy(r, cap, alphabet, coeffs):
+    syms = oracle.symbols_for(r, alphabet)
+    log_series = (_oracle_sample(r, cap, alphabet) if coeffs is None
+                  else TauSeries(alphabet, cap, coeffs))
+    _assert_matches_oracle(tau_exp(log_series), log_series, False, syms)
+    # log of a generic series with unit constant term, not an exp image
+    tau_series = log_series + TauSeries.one(alphabet, cap)
+    _assert_matches_oracle(log_tau(tau_series), tau_series, True, syms)
 
 
 def test_log_tau_linear_coefficient():

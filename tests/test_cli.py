@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from fractions import Fraction
 
 import pytest
 
@@ -332,6 +333,7 @@ def test_stabilized_latex(capsys):
         ["correlators", "--r", "2", "--weight", "3", "--set", "d1=1/2"],
         ["correlators", "--r", "2", "--weight", "3", "--set", "c1=pi"],
         ["correlators", "--r", "2", "--weight", "3", "--set", "c5=1"],
+        ["correlators", "--r", "2", "--weight", "2", "--set", "c1=1/2", "--set", "c1=1/3"],
         ["verify", "--r", "3", "--weight", "1"],
         ["verify", "--r", "3", "--weight", "6", "--qextra", "-1"],
         ["constants", "--r", "0"],
@@ -347,17 +349,21 @@ def test_bad_configuration_exits_two(capsys, argv):
 
 
 def test_invariant_violation_exits_three(capsys, monkeypatch):
-    # a c(d) map that is not triangular trips the check inside d_from_c
-    monkeypatch.setattr(wconstraints, "c_from_d",
-                        lambda r: {a: ParamPoly.var("d", a) ** 2 for a in range(1, r)})
-    wconstraints.constants.cache_clear()
-    try:
-        code, out, err = run(capsys, "constants", "--r", "3")
-    finally:
+    # c(d) maps that are not triangular trip the check inside d_from_c: a
+    # squared leading parameter, and a fitting leading coefficient with c1
+    # depending on d2 (which must not escape as a bare substitution error)
+    d1, d2 = ParamPoly.var("d", 1), ParamPoly.var("d", 2)
+    for fake in ({1: d1 ** 2, 2: d2 ** 2},
+                 {1: d1 * Fraction(1, 3) + d2, 2: d2 * Fraction(2, 3)}):
+        monkeypatch.setattr(wconstraints, "c_from_d", lambda r, fake=fake: fake)
         wconstraints.constants.cache_clear()
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == ["error: residue constant is not triangular in d"]
+        try:
+            code, out, err = run(capsys, "constants", "--r", "3")
+        finally:
+            wconstraints.constants.cache_clear()
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: residue constant is not triangular in d"]
 
 
 def test_missing_subcommand_exits_two(capsys):
