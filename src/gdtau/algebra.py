@@ -19,6 +19,7 @@ equality and ``str`` output is bit-stable across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import AlphabetMismatch, NotExact, NotHomogeneous
@@ -37,6 +38,58 @@ def _trim(expts: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
+# Sums are built in place: terms go into one dict that the summing code owns
+# (fresh, or a copy of an input's terms, never a dict some polynomial holds),
+# and that dict is wrapped once at the end.  Keys whose sum cancels are
+# deleted on the spot, so the wrapped result stores no zero coefficient.
+
+
+def _add_rat(terms: dict, key, c: Fraction) -> None:
+    """terms[key] += c for a nonzero rational c (ParamPoly terms)."""
+    acc = terms.get(key)
+    if acc is None:
+        terms[key] = c
+    else:
+        acc += c
+        if acc:
+            terms[key] = acc
+        else:
+            del terms[key]
+
+
+def _add_terms(terms: dict, t: Mapping[tuple[int, ...], Fraction], scale: Rat = 1) -> None:
+    """terms += scale * t for ParamPoly term dicts and a nonzero scale."""
+    unit = scale == 1
+    for e, c in t.items():
+        _add_rat(terms, e, c if unit else c * scale)
+
+
+def _add_param_product(terms: dict, t1: Mapping[tuple[int, ...], Fraction],
+                       t2: Mapping[tuple[int, ...], Fraction], scale: Rat = 1) -> None:
+    """terms += scale * t1 * t2 for ParamPoly term dicts and a nonzero scale.
+
+    The factors' exponent tuples are trimmed and nonnegative, so their
+    elementwise sum (the longer tuple's tail appended) needs no trim.
+    """
+    unit = scale == 1
+    for e1, c1 in t1.items():
+        if not unit:
+            c1 = c1 * scale
+        n1 = len(e1)
+        for e2, c2 in t2.items():
+            n2 = len(e2)
+            head = tuple(map(add, e1, e2))
+            key = head + e1[n2:] if n1 > n2 else head + e2[n1:]
+            _add_rat(terms, key, c1 * c2)
+
+
+def _wrap_param(alphabet: str, terms: dict) -> "ParamPoly":
+    """A ParamPoly around a clean term dict that nothing else holds."""
+    res = ParamPoly(alphabet)
+    res.terms = terms
+    return res
+
+
 class ParamPoly:
     """Polynomial in parameters ``<alphabet>1, <alphabet>2, ...``.
 
@@ -53,16 +106,7 @@ class ParamPoly:
             for expts, coef in terms.items():
                 c = Fraction(coef)
                 if c:
-                    key = _trim(expts)
-                    acc = clean.get(key)
-                    if acc is None:
-                        clean[key] = c
-                    else:
-                        acc += c
-                        if acc:
-                            clean[key] = acc
-                        else:
-                            del clean[key]
+                    _add_rat(clean, _trim(expts), c)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -116,15 +160,8 @@ class ParamPoly:
         if o is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            acc = out.get(e, Fraction(0)) + c
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-        res = ParamPoly(self.alphabet)
-        res.terms = out
-        return res
+        _add_terms(out, o.terms)
+        return _wrap_param(self.alphabet, out)
 
     __radd__ = __add__
 
@@ -154,23 +191,8 @@ class ParamPoly:
         if o is NotImplemented:
             return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                n = max(len(e1), len(e2))
-                key = _trim(
-                    tuple(
-                        (e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
-                        for i in range(n)
-                    )
-                )
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        res = ParamPoly(self.alphabet)
-        res.terms = out
-        return res
+        _add_param_product(out, self.terms, o.terms)
+        return _wrap_param(self.alphabet, out)
 
     __rmul__ = __mul__
 
@@ -205,7 +227,7 @@ class ParamPoly:
     def substitute(self, values: Mapping[int, "ParamPoly"], alphabet: str) -> "ParamPoly":
         """Full substitution: every parameter present must be mapped to a
         polynomial over `alphabet`."""
-        out = ParamPoly.zero(alphabet)
+        out: dict[tuple[int, ...], Fraction] = {}
         for expts, coef in self.terms.items():
             term = ParamPoly.const(alphabet, coef)
             for i, e in enumerate(expts):
@@ -218,12 +240,12 @@ class ParamPoly:
                 if val.alphabet != alphabet:
                     raise AlphabetMismatch("substitution values use the wrong alphabet")
                 term = term * val**e
-            out = out + term
-        return out
+            _add_terms(out, term.terms)
+        return _wrap_param(alphabet, out)
 
     def evaluate(self, assignment: Mapping[int, Rat]) -> "ParamPoly":
         """Partial numeric substitution; unassigned parameters survive."""
-        out = ParamPoly.zero(self.alphabet)
+        out: dict[tuple[int, ...], Fraction] = {}
         for expts, coef in self.terms.items():
             c = Fraction(coef)
             rest = list(expts)
@@ -232,8 +254,9 @@ class ParamPoly:
                 if i < len(rest) and rest[i]:
                     c *= Fraction(val) ** rest[i]
                     rest[i] = 0
-            out = out + ParamPoly(self.alphabet, {_trim(rest): c})
-        return out
+            if c:
+                _add_rat(out, _trim(rest), c)
+        return _wrap_param(self.alphabet, out)
 
     # -- printing -----------------------------------------------------------
 
@@ -293,6 +316,54 @@ def _mono_from_dict(d: Mapping[Jet, int]) -> JetMono:
 def jet_weight(jet: Jet) -> int:
     a, k = jet
     return a + 1 + k
+
+
+def _add_coef(terms: dict, key, coef: Mapping[tuple[int, ...], Fraction],
+              scale: Rat = 1) -> None:
+    """terms[key] += scale * coef for a nonzero scale, where terms maps keys
+    (jet monomials, or index tuples of a series) to ParamPoly term dicts
+    that the summing code owns; a coefficient that cancels is removed."""
+    inner = terms.get(key)
+    if inner is None:
+        terms[key] = dict(coef) if scale == 1 else {e: c * scale for e, c in coef.items()}
+        return
+    _add_terms(inner, coef, scale)
+    if not inner:
+        del terms[key]
+
+
+def _add_coef_product(terms: dict, key, t1: Mapping[tuple[int, ...], Fraction],
+                      t2: Mapping[tuple[int, ...], Fraction], scale: Rat = 1) -> None:
+    """terms[key] += scale * t1 * t2, with terms as in :func:`_add_coef`."""
+    inner = terms.get(key)
+    if inner is None:
+        inner = terms[key] = {}
+    _add_param_product(inner, t1, t2, scale)
+    if not inner:
+        del terms[key]
+
+
+def _add_diff_product(terms: dict, p: Mapping[JetMono, "ParamPoly"],
+                      q: Mapping[JetMono, "ParamPoly"], scale: Rat = 1) -> None:
+    """terms += scale * p * q for DiffPoly term maps and a nonzero scale."""
+    for m1, c1 in p.items():
+        d1 = dict(m1)
+        for m2, c2 in q.items():
+            merged = dict(d1)
+            for jet, e in m2:
+                merged[jet] = merged.get(jet, 0) + e
+            _add_coef_product(terms, _mono_from_dict(merged), c1.terms, c2.terms, scale)
+
+
+def _wrap_coefs(alphabet: str, terms: dict) -> dict:
+    """ParamPoly coefficients around the term dicts an accumulator built."""
+    return {key: _wrap_param(alphabet, t) for key, t in terms.items()}
+
+
+def _wrap_diff(alphabet: str, terms: dict) -> "DiffPoly":
+    res = DiffPoly(alphabet)
+    res.terms = _wrap_coefs(alphabet, terms)
+    return res
 
 
 class DiffPoly:
@@ -406,24 +477,9 @@ class DiffPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict[JetMono, ParamPoly] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in o.terms.items():
-                merged = dict(d1)
-                for jet, e in m2:
-                    merged[jet] = merged.get(jet, 0) + e
-                key = _mono_from_dict(merged)
-                prod = c1 * c2
-                acc = out.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        res = DiffPoly(self.alphabet)
-        res.terms = out
-        return res
+        out: dict = {}
+        _add_diff_product(out, self.terms, o.terms)
+        return _wrap_diff(self.alphabet, out)
 
     __rmul__ = __mul__
 
@@ -449,7 +505,7 @@ class DiffPoly:
     def partial(self, a: int, k: int) -> "DiffPoly":
         """Partial derivative with respect to the jet variable (a, k)."""
         jet = (a, k)
-        out: dict[JetMono, ParamPoly] = {}
+        out: dict = {}
         for mono, coef in self.terms.items():
             d = dict(mono)
             e = d.get(jet)
@@ -459,27 +515,18 @@ class DiffPoly:
                 del d[jet]
             else:
                 d[jet] = e - 1
-            key = _mono_from_dict(d)
-            term = coef * e
-            acc = out.get(key)
-            acc = term if acc is None else acc + term
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        res = DiffPoly(self.alphabet)
-        res.terms = out
-        return res
+            _add_coef(out, _mono_from_dict(d), coef.terms, e)
+        return _wrap_diff(self.alphabet, out)
 
     def evaluate(self, value: Callable[[int, int], ParamPoly]) -> ParamPoly:
         """Substitute every jet variable via ``value(a, k)`` (same alphabet)."""
-        out = ParamPoly.zero(self.alphabet)
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, coef in self.terms.items():
             term = coef
             for (a, k), e in mono:
                 term = term * value(a, k) ** e
-            out = out + term
-        return out
+            _add_terms(out, term.terms)
+        return _wrap_param(self.alphabet, out)
 
     # -- printing ----------------------------------------------------------------
 
@@ -545,22 +592,26 @@ class DiffPoly:
 # --------------------------------------------------------------------------
 
 
+def _add_diff_x(terms: dict, mono: JetMono, coef: Mapping[tuple[int, ...], Fraction],
+                scale: Rat = 1) -> None:
+    """terms += scale * d/dx (coef * mono) for a nonzero scale."""
+    base = dict(mono)
+    for (a, k), e in mono:
+        d = dict(base)
+        if e == 1:
+            del d[(a, k)]
+        else:
+            d[(a, k)] = e - 1
+        d[(a, k + 1)] = d.get((a, k + 1), 0) + 1
+        _add_coef(terms, _mono_from_dict(d), coef, scale * e)
+
+
 def diff_x(p: DiffPoly) -> DiffPoly:
     """Total x-derivative: v{a}_{k} -> v{a}_{k+1} plus Leibniz."""
-    out = DiffPoly.zero(p.alphabet)
+    out: dict = {}
     for mono, coef in p.terms.items():
-        base = dict(mono)
-        for (a, k), e in mono:
-            d = dict(base)
-            if e == 1:
-                del d[(a, k)]
-            else:
-                d[(a, k)] = e - 1
-            d[(a, k + 1)] = d.get((a, k + 1), 0) + 1
-            res = DiffPoly(p.alphabet)
-            res.terms = {_mono_from_dict(d): coef * e}
-            out = out + res
-    return out
+        _add_diff_x(out, mono, coef.terms)
+    return _wrap_diff(p.alphabet, out)
 
 
 def _peel_key(mono: JetMono) -> tuple:
@@ -581,11 +632,10 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
     first power, is the only jet of its order, and no jet of order k-1 has a
     larger variable index.  Any violation certifies non-exactness.
     """
-    rem = p
-    out = DiffPoly.zero(p.alphabet)
-    while not rem.is_zero():
-        mono = max(rem.terms, key=_peel_key)
-        coef = rem.terms[mono]
+    rem = {mono: dict(coef.terms) for mono, coef in p.terms.items()}
+    out: dict = {}
+    while rem:
+        mono = max(rem, key=_peel_key)
         if not mono:
             raise NotExact("nonzero constant term cannot be integrated")
         (k, a) = max((k, a) for (a, k), _ in mono)
@@ -600,11 +650,12 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
             raise NotExact("order/index pattern not reachable by differentiation")
         del d[(a, k)]
         d[(a, k - 1)] = d.get((a, k - 1), 0) + 1
-        candidate = DiffPoly(p.alphabet)
-        candidate.terms = {_mono_from_dict(d): coef * Fraction(1, d[(a, k - 1)])}
-        out = out + candidate
-        rem = rem - diff_x(candidate)
-    return out
+        candidate = _mono_from_dict(d)
+        s = Fraction(1, d[(a, k - 1)])
+        coef = {e: c * s for e, c in rem[mono].items()}
+        _add_coef(out, candidate, coef)
+        _add_diff_x(rem, candidate, coef, -1)
+    return _wrap_diff(p.alphabet, out)
 
 
 def degrees(p: DiffPoly) -> set[int]:

@@ -27,6 +27,10 @@ tau and T_0 = 1,
 
 so with S_w = (1/w) sum_{0<k<w} k F_k T_(w-k) exp sets T_w = F_w + S_w and
 log sets F_w = T_w - S_w, each weight once, in increasing order.
+
+The density route takes no flow for an insertion of index 1: t_1 is x, and
+at the initial point d/dx multiplies a weight-W value by W, so
+<tau_1^m tau_J> is |J| (|J|+1) ... (|J|+m-1) <tau_J> (see pde_correlator).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import ParamPoly
+from .algebra import ParamPoly, _add_coef_product, _wrap_coefs
 from .errors import IndexDivisible, WeightExceeded
 from .hierarchy import hierarchy
 
@@ -88,6 +92,14 @@ def _normalize(indices: Iterable[int]) -> Index:
     return tuple(sorted(indices))
 
 
+def _series_key(indices: Iterable[int]) -> Index:
+    """A series key: the ascending tuple of time indices, each >= 1."""
+    I = _normalize(indices)
+    if I and I[0] < 1:
+        raise ValueError(f"bad index {I[0]}: time indices start at 1")
+    return I
+
+
 def _mult_factorial(I: Index) -> int:
     out = 1
     for m in Counter(I).values():
@@ -119,9 +131,7 @@ class TauSeries:
         clean: dict[Index, ParamPoly] = {}
         if coeffs:
             for I, c in coeffs.items():
-                I = _normalize(I)
-                if I and I[0] < 1:
-                    raise ValueError(f"bad index {I[0]}: time indices start at 1")
+                I = _series_key(I)
                 if sum(I) > cap:
                     continue
                 poly = c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c)
@@ -133,7 +143,7 @@ class TauSeries:
         return cls(alphabet, cap, {(): 1})
 
     def get(self, indices: Iterable[int]) -> ParamPoly:
-        I = _normalize(indices)
+        I = _series_key(indices)
         if sum(I) > self.cap:
             raise WeightExceeded(
                 f"weight {sum(I)} coefficient requested from a cap-{self.cap} series"
@@ -204,18 +214,17 @@ def _graded(series: TauSeries) -> list[dict[Index, ParamPoly]]:
 
 
 def _euler_step(F: list[dict[Index, ParamPoly]], T: list[dict[Index, ParamPoly]],
-                w: int, base: dict[Index, ParamPoly], sign: int) -> dict[Index, ParamPoly]:
+                w: int, base: dict[Index, ParamPoly], sign: int,
+                alphabet: str) -> dict[Index, ParamPoly]:
     """base + sign * S_w, S_w = (1/w) sum_{0<k<w} k F_k T_(w-k), from the
     weight parts F_k of log tau and T_k of tau below weight w (module doc)."""
-    out = dict(base)
+    out = {I: dict(c.terms) for I, c in base.items()}
     for k in range(1, w):
+        s = Fraction(sign * k, w)
         for J, a in F[k].items():
-            ak = a * Fraction(sign * k, w)
             for K, b in T[w - k].items():
-                I = _normalize(J + K)
-                acc = out.get(I)
-                out[I] = ak * b if acc is None else acc + ak * b
-    return {I: c for I, c in out.items() if not c.is_zero()}
+                _add_coef_product(out, _normalize(J + K), a.terms, b.terms, s)
+    return _wrap_coefs(alphabet, out)
 
 
 def tau_exp(log_series: TauSeries) -> TauSeries:
@@ -225,7 +234,7 @@ def tau_exp(log_series: TauSeries) -> TauSeries:
     F = _graded(log_series)
     T = [{(): ParamPoly.const(log_series.alphabet, 1)}]
     for w in range(1, log_series.cap + 1):
-        T.append(_euler_step(F, T, w, F[w], 1))
+        T.append(_euler_step(F, T, w, F[w], 1, log_series.alphabet))
     return TauSeries(log_series.alphabet, log_series.cap,
                      {I: c for Tw in T for I, c in Tw.items()})
 
@@ -237,7 +246,7 @@ def log_tau(tau_series: TauSeries) -> TauSeries:
     T = _graded(tau_series)
     F: list[dict[Index, ParamPoly]] = [{}]
     for w in range(1, tau_series.cap + 1):
-        F.append(_euler_step(F, T, w, T[w], -1))
+        F.append(_euler_step(F, T, w, T[w], -1, tau_series.alphabet))
     return TauSeries(tau_series.alphabet, tau_series.cap,
                      {I: c for Fw in F for I, c in Fw.items()})
 
@@ -248,7 +257,11 @@ def log_tau(tau_series: TauSeries) -> TauSeries:
 
 
 class CorrelatorTable:
-    """Exact correlator values <tau_I> for all valid I with weight <= cap."""
+    """Exact correlator values <tau_I> for all valid I with weight <= cap.
+
+    Keys and lookups alike must be nonempty, with every index >= 1 and not
+    a multiple of r (ValueError, IndexDivisible otherwise).
+    """
 
     __slots__ = ("r", "cap", "alphabet", "kind", "values")
 
@@ -262,12 +275,12 @@ class CorrelatorTable:
         self.kind = kind
         self.values: dict[Index, ParamPoly] = {}
         for I, v in values.items():
-            I = _normalize(I)
+            I = self._key(I)
             if I in self.values:
                 raise ValueError(f"correlator {list(I)} given twice")
             self.values[I] = v
 
-    def value(self, indices: Iterable[int]) -> ParamPoly:
+    def _key(self, indices: Iterable[int]) -> Index:
         I = _normalize(indices)
         if not I:
             raise ValueError("correlators need at least one insertion")
@@ -276,6 +289,10 @@ class CorrelatorTable:
                 raise ValueError(f"bad index {i}")
             if i % self.r == 0:
                 raise IndexDivisible(f"index {i} is a multiple of {self.r}")
+        return I
+
+    def value(self, indices: Iterable[int]) -> ParamPoly:
+        I = self._key(indices)
         if sum(I) > self.cap:
             raise WeightExceeded(
                 f"weight {sum(I)} exceeds this table's cap {self.cap}"
@@ -332,6 +349,17 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     For more insertions, start from Omega of the two smallest (any pair gives
     the same value) and differentiate along the remaining times before
     evaluating.
+
+    Insertions of index 1 cost no flow.  The t_1 flow is d/dx, and the jets
+    v_a^(k) -> d_a (a+1)...(a+k) are the x-derivatives at x = 0 of
+    v_a = d_a (1-x)^(-(a+1)), so along x a weight-W value is E (1-x)^(-W)
+    and d/dx multiplies its value at x = 0 by W.  For |J| >= 2, <tau_J> is
+    the value of a density of weight |J|; for J = (j) the same holds, since
+    <tau_1 tau_j> = Omega_{j,1} = res L^(j/r) = j <tau_j>.  Hence, with
+    rising factors,
+
+        <tau_1^m tau_J> = |J| (|J|+1) ... (|J|+m-1) <tau_J>   (J without 1),
+        <tau_1^m>       = (m-1)! <tau_1>                    (J = (1,)).
     """
     I = _normalize(indices)
     if not I:
@@ -340,6 +368,10 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     for i in I:
         if i % r == 0:
             raise IndexDivisible(f"index {i} is a multiple of {r}")
+    J = I[I.count(1):] or I[-1:]
+    if len(J) < len(I):
+        w = sum(J)
+        return pde_correlator(r, J) * math.prod(range(w, w + len(I) - len(J)))
     if len(I) == 1:
         return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
     density = H.omega(I[0], I[1])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .algebra import DiffPoly, ParamPoly, diff_x, integrate_x
+from .algebra import DiffPoly, ParamPoly, _add_diff_product, _wrap_diff, diff_x, integrate_x
 from .errors import IndexDivisible, InvariantViolated
 from .psido import LaxOperator, commutator, frac_power, plus_part, residue
 
@@ -74,13 +74,10 @@ class Hierarchy:
         Chain rule over the jet variables: each v_a^(k) moves with the k-th
         x-derivative of X_a^j.
         """
-        out = DiffPoly.zero(p.alphabet)
+        out: dict = {}
         for (a, k) in sorted(p.jets()):
-            dp = p.partial(a, k)
-            if dp.is_zero():
-                continue
-            out = out + self.flow_derivative(j, a, k) * dp
-        return out
+            _add_diff_product(out, self.flow_derivative(j, a, k).terms, p.partial(a, k).terms)
+        return _wrap_diff(p.alphabet, out)
 
     def residue(self, i: int) -> DiffPoly:
         """res L^(i/r), the coefficient of D^-1."""

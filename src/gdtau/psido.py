@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .algebra import DiffPoly, ParamPoly, diff_x
+from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff_product, _wrap_coefs, _wrap_diff,
+                      diff_x)
 from .errors import InsufficientDepth, InvariantViolated
 
 Rat = Union[int, Fraction]
@@ -216,7 +217,7 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
             f"inputs only guarantee floor {guaranteed:.0f}, requested {floor}"
         )
 
-    out: dict[int, DiffPoly] = {}
+    out: dict[int, dict] = {}
     for i, ai in A.coeffs.items():
         for j, bj in B.coeffs.items():
             k = 0
@@ -230,17 +231,10 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
                     break
                 c = _binom(i, k)
                 if c:
-                    term = ai * deriv * c
-                    e = i + j - k
-                    acc = out.get(e)
-                    acc = term if acc is None else acc + term
-                    if acc.is_zero():
-                        out.pop(e, None)
-                    else:
-                        out[e] = acc
+                    _add_diff_product(out.setdefault(i + j - k, {}), ai.terms, deriv.terms, c)
                 k += 1
                 deriv = diff_x(deriv)
-    return PsiDO(alphabet, out, floor)
+    return PsiDO(alphabet, {e: _wrap_diff(alphabet, acc) for e, acc in out.items()}, floor)
 
 
 def plus_part(A: PsiDO) -> PsiDO:
@@ -297,17 +291,18 @@ class LaxOperator:
         """Row t of R^k less its u_(t-1) term, from `above` = row t of R^(k-1):
         above + sum C(k-1-s, j) row_s(R^(k-1)) u_n^(j) over s+j+n = t-1, n >= 1."""
         prev = self._rows[k - 1]
-        acc = above
+        acc = {mono: dict(coef.terms) for mono, coef in above.terms.items()}
         for s in range(t - 1):
             if prev[s].is_zero():
                 continue
-            inner = DiffPoly.zero("d")
+            inner: dict = {}
             for j in range(0 if s else 1, t - 1 - s):
                 c = _binom(k - 1 - s, j)
                 if c:
-                    inner = inner + self._deriv(t - 1 - s - j, j) * c
-            acc = acc + prev[s] * inner
-        return acc
+                    for mono, coef in self._deriv(t - 1 - s - j, j).terms.items():
+                        _add_coef(inner, mono, coef.terms, c)
+            _add_diff_product(acc, prev[s].terms, _wrap_coefs("d", inner))
+        return _wrap_diff("d", acc)
 
     def _grow_root(self, depth: int) -> None:
         """Fill R^1..R^r down to row `depth`, one root coefficient per row."""

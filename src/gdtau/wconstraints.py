@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Optional
 
-from .algebra import ParamPoly
+from .algebra import ParamPoly, _add_coef, _add_param_product, _add_terms, _wrap_coefs, _wrap_param
 from .bgw import (
     CorrelatorTable,
     Index,
@@ -168,28 +168,27 @@ def _out_cap(series: TauSeries, op: WOperatorSpec) -> int:
     return out_cap
 
 
-def _apply_current(series: TauSeries, r: int, balance: int, orders: Index,
-                   out_cap: int) -> TauSeries:
-    """One normal-ordered current monomial, applied coefficient-wise."""
-    out: dict[Index, ParamPoly] = {}
+def _add_current(terms: dict, series: TauSeries, r: int, balance: int, orders: Index,
+                 out_cap: int, scale: Fraction) -> None:
+    """terms += scale * (one normal-ordered current monomial applied to the
+    series), coefficient-wise through out_cap; terms maps index tuples to
+    ParamPoly term dicts (algebra._add_coef)."""
     for I in [()] + index_multisets(r, out_cap):
-        acc = ParamPoly.zero(series.alphabet)
         for J, w in _coefficient_terms(I, r, balance, orders).items():
             aJ = series.get(J)
-            if not aJ.is_zero():
-                acc = acc + aJ * (w * _mult_factorial(J))
-        if not acc.is_zero():
-            out[I] = acc
-    return TauSeries(series.alphabet, out_cap, out)
+            if w and aJ.terms:
+                _add_coef(terms, I, aJ.terms, scale * w * _mult_factorial(J))
 
 
 def apply_S(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Image of a truncated series under the plain bidegree-(alpha, q)
     operator, exact through cap - shift - alpha.  It is the leading current
     monomial: alpha + 1 underived factors."""
-    plain = _apply_current(series, op.r, op.alpha + op.shift, (0,) * (op.alpha + 1),
-                           _out_cap(series, op))
-    return plain.scale(Fraction(1, op.alpha + 1))
+    out_cap = _out_cap(series, op)
+    terms: dict = {}
+    _add_current(terms, series, op.r, op.alpha + op.shift, (0,) * (op.alpha + 1), out_cap,
+                 Fraction(1, op.alpha + 1))
+    return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
 
 
 @cache
@@ -221,11 +220,30 @@ def _reduced_raw(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Reduced operator before the lower-order normalization: the residue of
     the expanded degree-(alpha+1) current power at exponent alpha + shift."""
     out_cap = _out_cap(series, op)
-    total = TauSeries(series.alphabet, out_cap)
+    terms: dict = {}
     for orders, cf in _current_monomials(op.alpha):
-        part = _apply_current(series, op.r, op.alpha + op.shift, orders, out_cap)
-        total = total + part.scale(cf / (op.alpha + 1))
-    return total
+        _add_current(terms, series, op.r, op.alpha + op.shift, orders, out_cap,
+                     cf / (op.alpha + 1))
+    return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
+
+
+def _raw_images(series: TauSeries, r: int):
+    """Raw reduced images of one series, each computed once.
+
+    The returned function maps a chain ((alpha, q), (beta, beta), ...) of
+    bidegrees to the raw reduced operators applied to the series in turn,
+    the first innermost; every prefix of a chain is itself remembered.
+    """
+    memo: dict[tuple[tuple[int, int], ...], TauSeries] = {}
+
+    def image(chain: tuple[tuple[int, int], ...]) -> TauSeries:
+        got = memo.get(chain)
+        if got is None:
+            inner = image(chain[:-1]) if len(chain) > 1 else series
+            got = memo[chain] = _reduced_raw(inner, WOperatorSpec(r, *chain[-1]))
+        return got
+
+    return image
 
 
 @cache
@@ -256,17 +274,17 @@ def _normalization(r: int, alpha: int) -> dict[Index, Fraction]:
     picks up genuinely quadratic jet monomials and products enter.
     """
     hat = _raw_eigenvalues(r)
-    target = (rho_in_d(r)[alpha] - hat[alpha]) * ((-1) ** alpha)
+    target = dict(((rho_in_d(r)[alpha] - hat[alpha]) * ((-1) ** alpha)).terms)
     got: dict[Index, Fraction] = {}
-    while not target.is_zero():
-        expts = max(target.terms, key=lambda e: tuple(sorted(
+    while target:
+        expts = max(target, key=lambda e: tuple(sorted(
             (i for i, m in enumerate(e, start=1) for _ in range(m)),
             reverse=True)))
         B = tuple(i for i, m in enumerate(expts, start=1) for _ in range(m))
         if not B or sum(B) > alpha or B[-1] >= alpha:
             raise EngineError(
                 f"no window-safe normalization matches rho_{alpha} at "
-                f"r={r}: left over {target}"
+                f"r={r}: left over {ParamPoly('d', target)}"
             )
         lead = Fraction(1)
         piece = ParamPoly.const("d", (-1) ** sum(B))
@@ -277,9 +295,9 @@ def _normalization(r: int, alpha: int) -> dict[Index, Fraction]:
             raise EngineError(
                 f"order pattern {B} misses its leading jet monomial"
             )
-        h = target.terms[expts] / lead * ((-1) ** sum(B))
+        h = target[expts] / lead * ((-1) ** sum(B))
         got[B] = h
-        target = target - piece * h
+        _add_terms(target, piece.terms, -h)
     return got
 
 
@@ -290,16 +308,24 @@ def apply_Wred(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     constants pin the diagonal (q = alpha) eigenvalues to the rho
     dictionary.  Exact through cap - shift - alpha.
     """
-    out = _reduced_raw(series, op)
+    return _wred(_raw_images(series, op.r), op)
+
+
+def _wred(image, op: WOperatorSpec) -> TauSeries:
+    """apply_Wred on the series behind `image` (see _raw_images).  Every
+    piece's order pattern sums to at most alpha, so each raw image reaches
+    at least the cap of the operator's own one."""
+    raw = image(((op.alpha, op.q),))
+    terms = {I: dict(c.terms) for I, c in raw.coeffs.items()}
     qshift = op.q - op.alpha
     for B, h in sorted(_normalization(op.r, op.alpha).items()):
         if not h:
             continue
-        part = _reduced_raw(series, WOperatorSpec(op.r, B[0], B[0] + qshift))
-        for beta in B[1:]:
-            part = _reduced_raw(part, WOperatorSpec(op.r, beta, beta))
-        out = out + part.scale(h)
-    return out.trim(_out_cap(series, op))
+        chain = ((B[0], B[0] + qshift),) + tuple((beta, beta) for beta in B[1:])
+        for I, c in image(chain).coeffs.items():
+            if sum(I) <= raw.cap:
+                _add_coef(terms, I, c.terms, h)
+    return TauSeries(raw.alphabet, raw.cap, _wrap_coefs(raw.alphabet, terms))
 
 
 # --------------------------------------------------------------------------
@@ -323,13 +349,14 @@ def _recursion_values(r: int, max_weight: int) -> dict[Index, ParamPoly]:
         alpha = nu % r
         terms = _coefficient_terms(A, r, nu, (0,) * (alpha + 1))
         lead = terms.pop(M)
-        val = ParamPoly.zero("sigma")
+        val: dict = {}
         if nu == alpha:
             eig = Fraction((-1) ** alpha * (alpha + 1), _mult_factorial(A))
-            val = table[A] * ParamPoly.var("sigma", alpha) * eig
+            _add_param_product(val, table[A].terms, ParamPoly.var("sigma", alpha).terms, eig)
         for J, w in terms.items():
-            val = val - table[J] * w
-        table[M] = val / lead
+            if w:
+                _add_terms(val, table[J].terms, -w)
+        table[M] = _wrap_param("sigma", val) / lead
     return table
 
 
@@ -371,13 +398,12 @@ def rho_from_sigma(r: int) -> dict[int, ParamPoly]:
     """Eigenvalue constants of the reduced operators in terms of sigma."""
     out: dict[int, ParamPoly] = {}
     for alpha in range(1, r):
-        val = ParamPoly.var("sigma", alpha)
+        terms = {(0,) * (alpha - 1) + (1,): Fraction(1)}
         for beta in range(1, alpha):
-            coeff = -Fraction(math.factorial(alpha), alpha + 1) * Fraction(
-                (-1) ** beta, math.factorial(beta)
+            terms[(0,) * (beta - 1) + (1,)] = -Fraction(math.factorial(alpha), alpha + 1) * (
+                Fraction((-1) ** beta, math.factorial(beta))
             )
-            val = val + ParamPoly.var("sigma", beta) * coeff
-        out[alpha] = val
+        out[alpha] = ParamPoly("sigma", terms)
     return out
 
 
@@ -503,6 +529,7 @@ def verify_constraints(r: int, max_weight: int, qextra: int = 2,
     if tau.alphabet != "d":
         raise ValueError("verification expects a tau series over the d alphabet")
     rho = rho_in_d(r)
+    image = _raw_images(tau, r)
     lines: list[str] = []
     all_ok = True
 
@@ -524,7 +551,7 @@ def verify_constraints(r: int, max_weight: int, qextra: int = 2,
             if window < 0:
                 check(label, window, None)
                 continue
-            res = apply_Wred(tau, WOperatorSpec(r, alpha, q))
+            res = _wred(image, WOperatorSpec(r, alpha, q))
             if q == alpha:
                 eig = rho[alpha] * ((-1) ** alpha)
                 res = res - tau.trim(window).scale(eig)

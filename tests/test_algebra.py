@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from gdtau import DiffPoly, ParamPoly, diff_x, grading, integrate_x
+from gdtau import (
+    DiffPoly,
+    Hierarchy,
+    ParamPoly,
+    PsiDO,
+    bgw,
+    compose,
+    connected_correlators_pde,
+    diff_x,
+    grading,
+    integrate_x,
+)
 from gdtau.algebra import degrees, jet_weight
 from gdtau.errors import AlphabetMismatch, NotExact, NotHomogeneous
 
@@ -206,3 +217,77 @@ def test_diffpoly_partial():
     assert p.partial(1, 0) == v(1) * v(2, 1) * 2
     assert p.partial(2, 1) == v(1) ** 2
     assert p.partial(3, 0).is_zero()
+
+
+# -- sums built in place: invariants --------------------------------------------
+
+
+def dp(i):
+    return ParamPoly.var("d", i)
+
+
+def assert_clean(p: DiffPoly) -> None:
+    for coef in p.terms.values():
+        assert coef.terms and all(coef.terms.values()), p
+
+
+def test_sums_store_no_zero_coefficient_when_terms_cancel():
+    # the v1_1*v2_1 terms cancel in every parameter but d2
+    p = v(1, 1) * v(2) * (dp(1) + dp(2)) - v(1) * v(2, 1) * dp(1)
+    dx = diff_x(p)
+    assert_clean(dx)
+    assert dx.terms[(((1, 1), 1), ((2, 1), 1))] == dp(2)
+    assert diff_x(v(1, 1) * v(2) - v(1) * v(2, 1)) == v(1, 2) * v(2) - v(1) * v(2, 2)
+
+    back = integrate_x(dx)
+    assert_clean(back)
+    assert back == p
+
+    # the first flow is d/dx: the chain rule terms cancel across jets
+    q = v(1, 1) * v(2) - v(1) * v(2, 1)
+    dt = Hierarchy(3).t_derivative(q, 1)
+    assert_clean(dt)
+    assert dt == v(1, 2) * v(2) - v(1) * v(2, 2)
+
+    A = PsiDO("d", {1: 1, 0: v(1)})
+    B = PsiDO("d", {1: 1, 0: -v(1)})
+    AB = compose(A, B)
+    assert 1 not in AB.coeffs
+    for coef in AB.coeffs.values():
+        assert_clean(coef)
+    assert AB == PsiDO("d", {2: 1, 0: -v(1, 1) - v(1) ** 2})
+
+    def jets(a, k):
+        return dp(a)
+
+    assert (v(1) + v(2) - dp(1)).evaluate(jets).terms == {(0, 1): Fraction(1)}
+    assert (v(1) - dp(1)).evaluate(jets).terms == {}
+
+
+def test_sums_never_mutate_shared_objects(monkeypatch):
+    # a private hierarchy, so the weight-10 table must grow the shared
+    # tables (power rows, root derivatives, flows) past what weight 8 built
+    H = Hierarchy(4)
+    monkeypatch.setattr(bgw, "hierarchy", lambda r: H)
+
+    def snapshot():
+        return {
+            "residues": {i: str(p) for i, p in H._residues.items()},
+            "flows": {i: {a: str(p) for a, p in f.items()} for i, f in H._flows.items()},
+            "flow_derivs": {key: str(p) for key, p in H._flow_derivs.items()},
+            "omegas": {key: str(p) for key, p in H._omegas.items()},
+            "rows": [[str(p) for p in row] for row in H.L._rows],
+            "derivs": {n: [str(p) for p in chain] for n, chain in H.L._derivs.items()},
+        }
+
+    connected_correlators_pde(4, 8)
+    before = snapshot()
+    connected_correlators_pde(4, 10)
+    after = snapshot()
+    for name in ("residues", "flows", "flow_derivs", "omegas"):
+        assert {key: after[name][key] for key in before[name]} == before[name], name
+    assert after["rows"] != before["rows"]  # the power rows did grow
+    for old, new in zip(before["rows"], after["rows"]):
+        assert new[:len(old)] == old
+    for n, chain in before["derivs"].items():
+        assert after["derivs"][n][:len(chain)] == chain

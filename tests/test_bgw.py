@@ -156,6 +156,24 @@ def test_density_route_without_integration(r):
             assert H.evaluate(density) == table.value(I) * sum(I), (I, i)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_index_one_entries_match_flow_one(r):
+    # the table takes every entry with an index 1 from the rising-factor
+    # rule; here each one goes through Omega_{1,j} and the t-derivatives
+    H = hierarchy(r)
+    table = conn_table(r, 10)
+    checked = 0
+    for I in index_multisets(r, 10):
+        if I[0] != 1 or len(I) < 2:
+            continue
+        density = H.omega(1, I[1])
+        for k in I[2:]:
+            density = H.t_derivative(density, k)
+        assert H.evaluate(density) == table.value(I), I
+        checked += 1
+    assert checked > 0
+
+
 def test_divisible_index_rejected():
     with pytest.raises(IndexDivisible):
         pde_correlator(3, (3,))
@@ -210,6 +228,13 @@ def test_series_refuses_indices_below_one():
         TauSeries("d", 1, {(0, 5): 1})
 
 
+def test_series_lookup_refuses_indices_below_one():
+    s = TauSeries("d", 3, {(1,): 1})
+    for bad in ((0, 1), (0,), (-2, 3)):
+        with pytest.raises(ValueError):
+            s.get(bad)
+
+
 def test_series_adds_reordered_duplicate_keys():
     s = TauSeries("d", 3, {(1, 2): 1, (2, 1): 1})
     assert s.coeffs == {(1, 2): ParamPoly.const("d", 2)}
@@ -219,6 +244,14 @@ def test_series_adds_reordered_duplicate_keys():
 def test_correlator_table_refuses_duplicate_keys():
     with pytest.raises(ValueError):
         CorrelatorTable(3, 3, "d", "connected", {(1, 2): d(1), (2, 1): d(2)})
+
+
+def test_correlator_table_refuses_invalid_keys():
+    with pytest.raises(IndexDivisible):
+        CorrelatorTable(3, 4, "d", "connected", {(3,): ParamPoly.const("d", 5)})
+    for bad in ((0, 2), (-1,), ()):
+        with pytest.raises(ValueError):
+            CorrelatorTable(3, 4, "d", "connected", {bad: ParamPoly.const("d", 1)})
 
 
 def test_series_sum_takes_shallower_cap():

@@ -369,6 +369,26 @@ def test_verification_detects_corruption():
     assert bad and all("residual=" in line for line in bad)
 
 
+def test_verification_builds_each_raw_image_once(monkeypatch):
+    # the normalization pieces reuse the raw images the sweep's own checks
+    # build on the same series; warm the per-r caches first
+    from gdtau import wconstraints
+
+    tau = bgw_tau(4, 10)
+    for alpha in (2, 3):
+        wconstraints._normalization(4, alpha)
+    seen = []
+    real = wconstraints._reduced_raw
+
+    def counting(series, op):
+        seen.append((str(sorted(series.coeffs.items())), op))
+        return real(series, op)
+
+    monkeypatch.setattr(wconstraints, "_reduced_raw", counting)
+    assert verify_constraints(4, 10, tau=tau).ok
+    assert len(seen) == len(set(seen)) == 8  # one per non-vacuous (alpha, q)
+
+
 def test_verification_rejects_wrong_alphabet():
     stub = TauSeries("c", 2, {(): ParamPoly.const("c", 1)})
     with pytest.raises(ValueError):
