@@ -19,6 +19,7 @@ equality and ``str`` output is bit-stable across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
@@ -615,13 +616,17 @@ def diff_x(p: DiffPoly) -> DiffPoly:
 
 
 def _peel_key(mono: JetMono) -> tuple:
-    """Monomial order used by the exactness peeling: jets compared by
-    (derivative order, variable index), monomials by their descending jet
-    sequence."""
+    """Heap key of the exactness peeling, smallest first for the largest
+    monomial.  Monomials are ordered by their descending jet sequence, jets
+    compared by (derivative order, variable index); the key negates each
+    jet and ends with (1,), which beats every negated jet, so that a proper
+    prefix (a smaller monomial) gets the larger key."""
     seq: list[tuple[int, int]] = []
     for (a, k), e in mono:
-        seq.extend([(k, a)] * e)
-    return tuple(sorted(seq, reverse=True))
+        seq.extend([(-k, -a)] * e)
+    seq.sort()
+    seq.append((1,))
+    return tuple(seq)
 
 
 def integrate_x(p: DiffPoly) -> DiffPoly:
@@ -630,12 +635,17 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
     Works by repeatedly peeling the largest monomial: if the input is a total
     derivative, that monomial's highest jet has order k >= 1, appears to the
     first power, is the only jet of its order, and no jet of order k-1 has a
-    larger variable index.  Any violation certifies non-exactness.
+    larger variable index.  Any violation certifies non-exactness.  The
+    remainder's monomials wait in a heap, each keyed once when it enters.
     """
     rem = {mono: dict(coef.terms) for mono, coef in p.terms.items()}
+    heap = [(_peel_key(mono), mono) for mono in rem]
+    heapify(heap)
     out: dict = {}
     while rem:
-        mono = max(rem, key=_peel_key)
+        mono = heappop(heap)[1]
+        if mono not in rem:
+            continue  # cancelled after it was queued
         if not mono:
             raise NotExact("nonzero constant term cannot be integrated")
         (k, a) = max((k, a) for (a, k), _ in mono)
@@ -654,7 +664,12 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
         s = Fraction(1, d[(a, k - 1)])
         coef = {e: c * s for e, c in rem[mono].items()}
         _add_coef(out, candidate, coef)
-        _add_diff_x(rem, candidate, coef, -1)
+        peeled: dict = {}
+        _add_diff_x(peeled, candidate, coef, -1)
+        for m, c in peeled.items():
+            if m not in rem:
+                heappush(heap, (_peel_key(m), m))
+            _add_coef(rem, m, c)
     return _wrap_diff(p.alphabet, out)
 
 

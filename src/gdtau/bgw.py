@@ -342,13 +342,22 @@ def connected_from_disconnected(table: CorrelatorTable) -> CorrelatorTable:
 # --------------------------------------------------------------------------
 
 
+def _without_ones(I: Index) -> tuple[Index, int]:
+    """(J, f) with <I> = f <J>: J is I without its indices 1 (J = (1,) when I
+    has no other index) and f the rising factor of pde_correlator."""
+    J = I[I.count(1):] or I[-1:]
+    w = sum(J)
+    return J, math.prod(range(w, w + len(I) - len(J)))
+
+
 def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     """One connected correlator via the density route.
 
     For a single insertion j this is res(L^(j/r)) at the jets, divided by j.
     For more insertions, start from Omega of the two smallest (any pair gives
     the same value) and differentiate along the remaining times before
-    evaluating.
+    evaluating: the density of I less its last index (`Hierarchy.density`)
+    moved along one more flow.
 
     Insertions of index 1 cost no flow.  The t_1 flow is d/dx, and the jets
     v_a^(k) -> d_a (a+1)...(a+k) are the x-derivatives at x = 0 of
@@ -368,16 +377,15 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     for i in I:
         if i % r == 0:
             raise IndexDivisible(f"index {i} is a multiple of {r}")
-    J = I[I.count(1):] or I[-1:]
-    if len(J) < len(I):
-        w = sum(J)
-        return pde_correlator(r, J) * math.prod(range(w, w + len(I) - len(J)))
+    J, rising = _without_ones(I)
+    if J != I:
+        return pde_correlator(r, J) * rising
     if len(I) == 1:
         return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
-    density = H.omega(I[0], I[1])
-    for k in I[2:]:
-        density = H.t_derivative(density, k)
-    return H.evaluate(density)
+    if len(I) == 2:
+        return H.evaluate(H.omega(*I))
+    # the prefix density is memoised; the entry's own is used once and dropped
+    return H.evaluate(H.t_derivative(H.density(I[:-1]), I[-1]))
 
 
 def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:
@@ -386,7 +394,9 @@ def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:
         raise ValueError("the table needs max_weight >= 2")
     values: dict[Index, ParamPoly] = {}
     for I in index_multisets(r, max_weight):
-        values[I] = pde_correlator(r, I)
+        J, rising = _without_ones(I)
+        # J weighs less than I unless J == I, so the sweep has reached it
+        values[I] = pde_correlator(r, I) if J == I else values[J] * rising
     return CorrelatorTable(r, max_weight, "d", "connected", values)
 
 

@@ -291,7 +291,7 @@ def _correlator_table(cfg: RunConfig) -> CorrelatorTable:
         conn = connected_correlators_pde(cfg.r, max(cfg.weight, 2))
         return conn if cfg.kind == "connected" else disconnected_from_connected(conn)
     # the weight recursion disagrees with the density route from r = 4 on
-    # (ROADMAP item 3), so only the density route serves those orders
+    # (ROADMAP item 1), so only the density route serves those orders
     if cfg.r >= 4:
         if cfg.alphabet == "sigma":
             raise ConfigError("the sigma alphabet comes from the weight recursion, "

@@ -15,11 +15,18 @@ v_a^(k) takes the value d_a (a+1)(a+2)...(a+k).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache
 
-from .algebra import DiffPoly, ParamPoly, _add_diff_product, _wrap_diff, diff_x, integrate_x
+from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product, _trim,
+                      _wrap_diff, _wrap_param, diff_x, integrate_x)
 from .errors import IndexDivisible, InvariantViolated
 from .psido import LaxOperator, commutator, frac_power, plus_part, residue
+
+
+def _rising(a: int, k: int) -> int:
+    """(a+1)(a+2)...(a+k), the factor of d_a in the value of v_a^(k)."""
+    return math.factorial(a + k) // math.factorial(a)
 
 
 class Hierarchy:
@@ -27,7 +34,9 @@ class Hierarchy:
 
     Owns the Lax operator (with its power table), the flow components and
     their x-derivatives, the residues res L^(i/r), the densities Omega_{i,j}
-    and the jet values; each is computed once.
+    and the densities of index prefixes (Omega_{i,j} moved along further
+    flows); each is computed once.  Values at the initial point are formed
+    directly (`jet`, `evaluate`).
     """
 
     def __init__(self, r: int):
@@ -37,7 +46,7 @@ class Hierarchy:
         self._flow_derivs: dict[tuple[int, int, int], DiffPoly] = {}
         self._residues: dict[int, DiffPoly] = {}
         self._omegas: dict[tuple[int, int], DiffPoly] = {}
-        self._jets: dict[tuple[int, int], ParamPoly] = {}
+        self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
     def flow(self, i: int) -> dict[int, DiffPoly]:
         """Components a -> X_a^i of the i-th flow."""
@@ -103,19 +112,43 @@ class Hierarchy:
             got = self._omegas[key] = integrate_x(self.t_derivative(self.residue(i), j))
         return got
 
-    def jet(self, a: int, k: int) -> ParamPoly:
-        """Value of v_a^(k) at the initial point: d_a * (a+1)...(a+k)."""
-        got = self._jets.get((a, k))
+    def density(self, I: tuple[int, ...]) -> DiffPoly:
+        """Omega_{I0,I1} moved along t_i for each further index i of I, in
+        order; memoised per index tuple, so a longer tuple extends the
+        density of its prefix by one flow."""
+        if len(I) < 2:
+            raise ValueError("a density needs at least two indices")
+        if len(I) == 2:
+            return self.omega(*I)
+        got = self._densities.get(I)
         if got is None:
-            if not 1 <= a <= self.r - 1:
-                raise ValueError(f"no variable v{a} for r={self.r}")
-            rising = math.factorial(a + k) // math.factorial(a)
-            got = self._jets[(a, k)] = ParamPoly.var("d", a) * rising
+            got = self._densities[I] = self.t_derivative(self.density(I[:-1]), I[-1])
         return got
 
+    def jet(self, a: int, k: int) -> ParamPoly:
+        """Value of v_a^(k) at the initial point: d_a * (a+1)...(a+k)."""
+        if not 1 <= a <= self.r - 1:
+            raise ValueError(f"no variable v{a} for r={self.r}")
+        return ParamPoly.var("d", a) * _rising(a, k)
+
     def evaluate(self, p: DiffPoly) -> ParamPoly:
-        """A differential polynomial at the initial point."""
-        return p.evaluate(self.jet)
+        """A differential polynomial at the initial point, in one pass.
+
+        Same value as ``p.evaluate(self.jet)``: each jet monomial
+        prod (v_a^(k))^e becomes the single d-monomial prod d_a^e with the
+        integer factor prod ((a+1)...(a+k))^e.
+        """
+        out: dict[tuple[int, ...], Fraction] = {}
+        for mono, coef in p.terms.items():
+            expts = [0] * (self.r - 1)
+            factor = 1
+            for (a, k), e in mono:
+                if not 1 <= a <= self.r - 1:
+                    raise ValueError(f"no variable v{a} for r={self.r}")
+                expts[a - 1] += e
+                factor *= _rising(a, k) ** e
+            _add_param_product(out, coef.terms, {_trim(expts): Fraction(factor)})
+        return _wrap_param(p.alphabet, out)
 
 
 @cache

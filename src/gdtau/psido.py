@@ -21,8 +21,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff_product, _wrap_coefs, _wrap_diff,
-                      diff_x)
+from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff_product, _mono_from_dict,
+                      _wrap_coefs, _wrap_diff, diff_x)
 from .errors import InsufficientDepth, InvariantViolated
 
 Rat = Union[int, Fraction]
@@ -218,22 +218,24 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
         )
 
     out: dict[int, dict] = {}
+    chains = {j: [bj] for j, bj in B.coeffs.items()}  # j -> [b_j, b_j', ...]
     for i, ai in A.coeffs.items():
-        for j, bj in B.coeffs.items():
+        for j, chain in chains.items():
             k = 0
-            deriv = bj
             while True:
                 if i >= 0 and k > i:
                     break
                 if floor is not None and i + j - k < floor:
                     break
+                if k == len(chain):
+                    chain.append(diff_x(chain[-1]))
+                deriv = chain[k]
                 if deriv.is_zero():
                     break
                 c = _binom(i, k)
                 if c:
                     _add_diff_product(out.setdefault(i + j - k, {}), ai.terms, deriv.terms, c)
                 k += 1
-                deriv = diff_x(deriv)
     return PsiDO(alphabet, {e: _wrap_diff(alphabet, acc) for e, acc in out.items()}, floor)
 
 
@@ -265,9 +267,16 @@ def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
 class LaxOperator:
     """D^r + v1 D^(r-2) + ... + v(r-1), with a lazily filled power table.
 
-    Row t of R^k (R = L^(1/r)) is its coefficient at D^(k-t), built once from
-    R^k = R^(k-1) R.  Row t of R^1 is the root coefficient u_(t-1); it enters
-    row t of R^k only as k * u_(t-1) and is solved from row t of R^r against L.
+    Row t of R^k (R = L^(1/r)) is its coefficient at D^(k-t), each built
+    once.  For k <= r rows come from R^k = R^(k-1) R: row t of R^1 is the
+    root coefficient u_(t-1), which enters row t of R^k only as k * u_(t-1)
+    and is solved from row t of R^r against L.  Above r, L commutes with its
+    fractional powers, so R^k = R^(k-r) L; with rho_s = row s of R^(k-r),
+
+        row t of R^k = rho_t + sum_a sum_{s+j=t-1-a} C(k-r-s, j) rho_s v_a^(j),
+
+    each product a row times one jet.  Only root coefficients and jets are
+    ever x-differentiated.
     """
 
     def __init__(self, r: int):
@@ -278,7 +287,8 @@ class LaxOperator:
         for a in range(1, r):
             coeffs[r - 1 - a] = DiffPoly.jet("d", a, 0)
         self.op = PsiDO("d", coeffs)
-        self._rows: list[list[DiffPoly]] = [[DiffPoly.const("d", 1)] for _ in range(r + 1)]
+        one = DiffPoly.const("d", 1)
+        self._rows: dict[int, list[DiffPoly]] = {k: [one] for k in range(1, r + 1)}
         self._derivs: dict[int, list[DiffPoly]] = {}  # n -> [u_n, u_n', u_n'', ...]
 
     def _deriv(self, n: int, j: int) -> DiffPoly:
@@ -288,8 +298,9 @@ class LaxOperator:
         return chain[j]
 
     def _row(self, k: int, t: int, above: DiffPoly) -> DiffPoly:
-        """Row t of R^k less its u_(t-1) term, from `above` = row t of R^(k-1):
-        above + sum C(k-1-s, j) row_s(R^(k-1)) u_n^(j) over s+j+n = t-1, n >= 1."""
+        """Row t of R^k, k <= r, less its u_(t-1) term, from `above` = row t of
+        R^(k-1): above + sum C(k-1-s, j) row_s(R^(k-1)) u_n^(j) over
+        s+j+n = t-1, n >= 1."""
         prev = self._rows[k - 1]
         acc = {mono: dict(coef.terms) for mono, coef in above.terms.items()}
         for s in range(t - 1):
@@ -304,6 +315,26 @@ class LaxOperator:
             _add_diff_product(acc, prev[s].terms, _wrap_coefs("d", inner))
         return _wrap_diff("d", acc)
 
+    def _lifted_row(self, k: int, t: int) -> DiffPoly:
+        """Row t of R^k, k > r, from the rows rho_s of R^(k-r) (class doc)."""
+        r = self.r
+        rho = self._rows[k - r]
+        acc = {mono: dict(coef.terms) for mono, coef in rho[t].terms.items()}
+        for s in range(t - 1):
+            jets = []  # (v_a^(j), C(k-r-s, j)) with s+j = t-1-a
+            for a in range(1, min(r, t - s)):
+                j = t - 1 - s - a
+                c = _binom(k - r - s, j)
+                if c:
+                    jets.append(((a, j), c))
+            for mono, coef in rho[s].terms.items():
+                base = dict(mono)
+                for jet, c in jets:
+                    d = dict(base)
+                    d[jet] = d.get(jet, 0) + 1
+                    _add_coef(acc, _mono_from_dict(d), coef.terms, c)
+        return _wrap_diff("d", acc)
+
     def _grow_root(self, depth: int) -> None:
         """Fill R^1..R^r down to row `depth`, one root coefficient per row."""
         for t in range(len(self._rows[1]), depth + 1):
@@ -316,19 +347,22 @@ class LaxOperator:
             for k, p in enumerate(partial, start=1):
                 self._rows[k].append(p + u * k)
 
+    def _fill(self, k: int, depth: int) -> None:
+        """Rows 0..depth of R^k (and of R^(k-r), R^(k-2r), ... below it)."""
+        if k <= self.r:
+            self._grow_root(depth)
+            return
+        self._fill(k - self.r, depth)
+        rows = self._rows.setdefault(k, [self._rows[1][0]])
+        for t in range(len(rows), depth + 1):
+            rows.append(self._lifted_row(k, t))
+
     def power(self, k: int, floor: int) -> PsiDO:
         """R^k exact at every power >= floor (needs the root down to floor-k+1)."""
         if floor - k + 1 > -1:
             raise InsufficientDepth("the root is only defined down to floor <= -1")
         depth = k - floor
-        self._grow_root(depth)
-        root = self._rows[1]
-        for m in range(self.r + 1, k + 1):
-            if m == len(self._rows):
-                self._rows.append([root[0]])
-            above, rows = self._rows[m - 1], self._rows[m]
-            for t in range(len(rows), depth + 1):
-                rows.append(self._row(m, t, above[t]) + root[t])
+        self._fill(k, depth)
         return PsiDO("d", {k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
 
     def root(self, floor: int) -> PsiDO:

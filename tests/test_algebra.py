@@ -266,7 +266,8 @@ def test_sums_store_no_zero_coefficient_when_terms_cancel():
 
 def test_sums_never_mutate_shared_objects(monkeypatch):
     # a private hierarchy, so the weight-10 table must grow the shared
-    # tables (power rows, root derivatives, flows) past what weight 8 built
+    # tables (power rows, root derivatives, flows, prefix densities) past
+    # what weight 8 built
     H = Hierarchy(4)
     monkeypatch.setattr(bgw, "hierarchy", lambda r: H)
 
@@ -276,7 +277,8 @@ def test_sums_never_mutate_shared_objects(monkeypatch):
             "flows": {i: {a: str(p) for a, p in f.items()} for i, f in H._flows.items()},
             "flow_derivs": {key: str(p) for key, p in H._flow_derivs.items()},
             "omegas": {key: str(p) for key, p in H._omegas.items()},
-            "rows": [[str(p) for p in row] for row in H.L._rows],
+            "densities": {I: str(p) for I, p in H._densities.items()},
+            "rows": {k: [str(p) for p in row] for k, row in H.L._rows.items()},
             "derivs": {n: [str(p) for p in chain] for n, chain in H.L._derivs.items()},
         }
 
@@ -284,10 +286,12 @@ def test_sums_never_mutate_shared_objects(monkeypatch):
     before = snapshot()
     connected_correlators_pde(4, 10)
     after = snapshot()
-    for name in ("residues", "flows", "flow_derivs", "omegas"):
+    for name in ("residues", "flows", "flow_derivs", "omegas", "densities"):
         assert {key: after[name][key] for key in before[name]} == before[name], name
+    assert before["densities"] and len(after["densities"]) > len(before["densities"])
+    assert any(k > 4 for k in before["rows"])  # rows filled from R^(k-r) L
     assert after["rows"] != before["rows"]  # the power rows did grow
-    for old, new in zip(before["rows"], after["rows"]):
-        assert new[:len(old)] == old
+    for k, old in before["rows"].items():
+        assert after["rows"][k][:len(old)] == old
     for n, chain in before["derivs"].items():
         assert after["derivs"][n][:len(chain)] == chain

@@ -11,8 +11,10 @@ from conftest import bgw_tau, conn_table
 from gdtau import (
     CorrelatorTable,
     DiffPoly,
+    Hierarchy,
     ParamPoly,
     TauSeries,
+    bgw,
     connected_correlators_pde,
     connected_from_disconnected,
     disconnected_from_connected,
@@ -172,6 +174,19 @@ def test_index_one_entries_match_flow_one(r):
         assert H.evaluate(density) == table.value(I), I
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_entries_in_reverse_order_match_the_table(r, monkeypatch):
+    # a cold private hierarchy asked for the heaviest entries first: each
+    # builds the densities of its index prefixes on the way, and no value
+    # may depend on the order the table sweeps in
+    table = conn_table(r, 10)
+    H = Hierarchy(r)
+    monkeypatch.setattr(bgw, "hierarchy", lambda order: H)
+    for I in reversed(table.keys()):
+        assert pde_correlator(r, I) == table.value(I), I
+    assert H._densities  # prefix densities were built and kept
 
 
 def test_divisible_index_rejected():

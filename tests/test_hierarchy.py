@@ -6,11 +6,13 @@ import pytest
 
 from gdtau import (
     DiffPoly,
+    Hierarchy,
     ParamPoly,
     diff_x,
     gd_flow,
     grading,
     hierarchy,
+    index_multisets,
     lax,
     omega,
 )
@@ -124,3 +126,26 @@ def test_omega_table_matches_free_function():
     assert H.residue(2) == residue(frac_power(lax(3), 2, -1))
     with pytest.raises(IndexDivisible):
         H.residue(3)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_one_pass_evaluation_matches_the_reference(r):
+    # Hierarchy.evaluate turns each jet monomial into one d-monomial;
+    # DiffPoly.evaluate through the jet values is the reference
+    H = Hierarchy(r)
+    polys = [H.residue(i) for i in range(1, 10) if i % r]
+    polys += [H.density(I) for I in index_multisets(r, 9) if len(I) >= 2 and 1 not in I]
+    polys.append(H.residue(1) * ParamPoly.var("d", 1) * 3)  # parameters in a coefficient
+    assert H._densities  # longer prefixes are among them
+    for p in polys:
+        assert H.evaluate(p) == p.evaluate(H.jet), str(p)
+
+
+def test_prefix_densities_are_built_once():
+    H = Hierarchy(3)
+    D = H.density((2, 2, 4))
+    assert D == H.t_derivative(H.omega(2, 2), 4)
+    assert H.density((2, 2, 4)) is D
+    assert H.density((2, 4)) is H.omega(2, 4)
+    with pytest.raises(ValueError):
+        H.density((2,))

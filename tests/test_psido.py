@@ -168,9 +168,10 @@ def test_residue_degree_after_shift():
 # from -1 down to `deepest` for i < r, and down to `deepest_lifted` for i > r.
 # The oracle builds R^m, m < r, as R R ... R by compose from rth_root, and
 # R^(r+m) as L R^m, an identity the table (which fills R^k, k > r, from
-# R^(k-1) R) never uses.  At r = 6 the rows for i > r stop at floor -2: the
-# table alone needs ~18 s for floor -6 there on a 2-vCPU host, and the oracle
-# several times more.
+# R^(k-r) L) never uses; it also checks that R^m commutes with L, the fact
+# the table does use.  At r = 6 the rows for i > r stop at floor -2: for
+# floor -6 there the table alone needs 4-6 s on a 2-vCPU host (Python 3.11),
+# and the oracle about 16 s more (the root down to floor -16, R^2..R^5).
 @pytest.mark.parametrize("r, deepest, deepest_lifted", [
     (2, -6, -6), (3, -6, -6), (4, -6, -6), (5, -6, -6), (6, -6, -2),
 ])
@@ -186,6 +187,7 @@ def test_power_table_matches_repeated_composition(r, deepest, deepest_lifted):
     L = LaxOperator(r)
     for m in range(1, r):
         lifted = compose(L.op, chain[m], deepest_lifted)
+        assert compose(chain[m], L.op, deepest_lifted) == lifted, m
         for floor in range(-1, deepest - 1, -1):
             assert frac_power(L, m, floor) == chain[m].trim(floor), (m, floor)
         for floor in range(-1, deepest_lifted - 1, -1):
