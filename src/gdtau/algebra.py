@@ -8,7 +8,8 @@ both canonical-printing so that string comparison is a legitimate test:
   coordinates ``c1, c2, ...``.  The parameter with index ``a`` carries weight
   ``a + 1``.
 * :class:`DiffPoly` -- polynomial in jet variables with ParamPoly
-  coefficients.  The jet variable ``v{a}_{k}`` stands for the k-th
+  coefficients over the jet parameters ``d``, the only alphabet the operator
+  layer sees.  The jet variable ``v{a}_{k}`` stands for the k-th
   x-derivative of the a-th dependent variable and carries weight
   ``a + 1 + k``.
 
@@ -361,25 +362,32 @@ def _wrap_coefs(alphabet: str, terms: dict) -> dict:
     return {key: _wrap_param(alphabet, t) for key, t in terms.items()}
 
 
-def _wrap_diff(alphabet: str, terms: dict) -> "DiffPoly":
-    res = DiffPoly(alphabet)
-    res.terms = _wrap_coefs(alphabet, terms)
+def _wrap_diff(terms: dict) -> "DiffPoly":
+    res = DiffPoly()
+    res.terms = _wrap_coefs("d", terms)
     return res
 
 
+def _jet_coef(value: ParamPoly | Rat) -> ParamPoly:
+    """A caller's coefficient or scalar as a ParamPoly over ``d``."""
+    if not isinstance(value, ParamPoly):
+        return ParamPoly.const("d", value)
+    if value.alphabet != "d":
+        raise AlphabetMismatch(f"jet coefficients are over 'd', not {value.alphabet!r}")
+    return value
+
+
 class DiffPoly:
-    """Differential polynomial: jet monomials with ParamPoly coefficients."""
+    """Differential polynomial: jet monomials with ParamPoly coefficients,
+    all over the jet parameters ``d``."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, alphabet: str, terms: Mapping[JetMono, ParamPoly | Rat] | None = None):
-        self.alphabet = alphabet
+    def __init__(self, terms: Mapping[JetMono, ParamPoly | Rat] | None = None):
         clean: dict[JetMono, ParamPoly] = {}
         if terms:
             for mono, coef in terms.items():
-                c = coef if isinstance(coef, ParamPoly) else ParamPoly.const(alphabet, coef)
-                if c.alphabet != alphabet:
-                    raise AlphabetMismatch("coefficient alphabet differs from polynomial alphabet")
+                c = _jet_coef(coef)
                 if c.is_zero():
                     continue
                 acc = clean.get(mono)
@@ -391,18 +399,18 @@ class DiffPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, alphabet: str) -> "DiffPoly":
-        return cls(alphabet)
+    def zero(cls) -> "DiffPoly":
+        return cls()
 
     @classmethod
-    def const(cls, alphabet: str, value: ParamPoly | Rat) -> "DiffPoly":
-        return cls(alphabet, {(): value})
+    def const(cls, value: ParamPoly | Rat) -> "DiffPoly":
+        return cls({(): value})
 
     @classmethod
-    def jet(cls, alphabet: str, a: int, k: int = 0) -> "DiffPoly":
+    def jet(cls, a: int, k: int = 0) -> "DiffPoly":
         if a < 1 or k < 0:
             raise ValueError("jet variables need a >= 1, k >= 0")
-        return cls(alphabet, {(((a, k), 1),): 1})
+        return cls({(((a, k), 1),): 1})
 
     # -- predicates ----------------------------------------------------------
 
@@ -419,13 +427,9 @@ class DiffPoly:
 
     def _coerce(self, other) -> "DiffPoly":
         if isinstance(other, DiffPoly):
-            if other.alphabet != self.alphabet:
-                raise AlphabetMismatch(
-                    f"cannot mix alphabets {self.alphabet!r} and {other.alphabet!r}"
-                )
             return other
         if isinstance(other, (int, Fraction, ParamPoly)):
-            return DiffPoly.const(self.alphabet, other)
+            return DiffPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
@@ -440,14 +444,14 @@ class DiffPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = acc
-        res = DiffPoly(self.alphabet)
+        res = DiffPoly()
         res.terms = out
         return res
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = DiffPoly(self.alphabet)
+        res = DiffPoly()
         res.terms = {m: -c for m, c in self.terms.items()}
         return res
 
@@ -462,12 +466,10 @@ class DiffPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ParamPoly)):
-            c = other if isinstance(other, ParamPoly) else ParamPoly.const(self.alphabet, other)
-            if c.alphabet != self.alphabet:
-                raise AlphabetMismatch("scalar alphabet differs")
+            c = _jet_coef(other)
             if c.is_zero():
-                return DiffPoly.zero(self.alphabet)
-            res = DiffPoly(self.alphabet)
+                return DiffPoly.zero()
+            res = DiffPoly()
             terms = {}
             for m, k in self.terms.items():
                 prod = k * c
@@ -480,24 +482,24 @@ class DiffPoly:
             return NotImplemented
         out: dict = {}
         _add_diff_product(out, self.terms, o.terms)
-        return _wrap_diff(self.alphabet, out)
+        return _wrap_diff(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = DiffPoly.const(self.alphabet, 1)
+        out = DiffPoly.const(1)
         for _ in range(n):
             out = out * self
         return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ParamPoly)):
-            other = DiffPoly.const(self.alphabet, other)
+            other = DiffPoly.const(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
+        return self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -517,17 +519,17 @@ class DiffPoly:
             else:
                 d[jet] = e - 1
             _add_coef(out, _mono_from_dict(d), coef.terms, e)
-        return _wrap_diff(self.alphabet, out)
+        return _wrap_diff(out)
 
     def evaluate(self, value: Callable[[int, int], ParamPoly]) -> ParamPoly:
-        """Substitute every jet variable via ``value(a, k)`` (same alphabet)."""
+        """Substitute every jet variable via ``value(a, k)`` (over ``d``)."""
         out: dict[tuple[int, ...], Fraction] = {}
         for mono, coef in self.terms.items():
             term = coef
             for (a, k), e in mono:
                 term = term * value(a, k) ** e
             _add_terms(out, term.terms)
-        return _wrap_param(self.alphabet, out)
+        return _wrap_param("d", out)
 
     # -- printing ----------------------------------------------------------------
 
@@ -585,7 +587,7 @@ class DiffPoly:
         return " ".join(pieces)
 
     def __repr__(self) -> str:
-        return f"DiffPoly({self.alphabet!r}: {self})"
+        return f"DiffPoly('d': {self})"
 
 
 # --------------------------------------------------------------------------
@@ -612,7 +614,7 @@ def diff_x(p: DiffPoly) -> DiffPoly:
     out: dict = {}
     for mono, coef in p.terms.items():
         _add_diff_x(out, mono, coef.terms)
-    return _wrap_diff(p.alphabet, out)
+    return _wrap_diff(out)
 
 
 def _peel_key(mono: JetMono) -> tuple:
@@ -650,7 +652,7 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
             raise NotExact("nonzero constant term cannot be integrated")
         (k, a) = max((k, a) for (a, k), _ in mono)
         if k == 0:
-            raise NotExact(f"monomial {DiffPoly(p.alphabet, {mono: 1})} is not a total derivative")
+            raise NotExact(f"monomial {DiffPoly({mono: 1})} is not a total derivative")
         d = dict(mono)
         if d[(a, k)] != 1:
             raise NotExact("highest jet occurs with exponent > 1")
@@ -670,7 +672,7 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
             if m not in rem:
                 heappush(heap, (_peel_key(m), m))
             _add_coef(rem, m, c)
-    return _wrap_diff(p.alphabet, out)
+    return _wrap_diff(out)
 
 
 def degrees(p: DiffPoly) -> set[int]:

@@ -59,6 +59,8 @@ def valid_multisets(r: int, total: int, length: Optional[int] = None) -> tuple[I
     """Ascending tuples of valid indices (>= 1, not divisible by r) summing
     to `total`, of the given length (any length when None), in increasing
     order.  The one enumerator of index multisets."""
+    if r < 2:
+        raise ValueError("the operator order r must be >= 2")
     out: list[Index] = []
 
     def rec(prefix: Index, start: int, left: int) -> None:
@@ -375,6 +377,8 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
         raise ValueError("correlators need at least one insertion")
     H = hierarchy(r)
     for i in I:
+        if i < 1:
+            raise ValueError(f"bad index {i}")
         if i % r == 0:
             raise IndexDivisible(f"index {i} is a multiple of {r}")
     J, rising = _without_ones(I)

@@ -33,10 +33,10 @@ class Hierarchy:
     """The order-r hierarchy at its initial point, built on demand.
 
     Owns the Lax operator (with its power table), the flow components and
-    their x-derivatives, the residues res L^(i/r), the densities Omega_{i,j}
-    and the densities of index prefixes (Omega_{i,j} moved along further
-    flows); each is computed once.  Values at the initial point are formed
-    directly (`jet`, `evaluate`).
+    their x-derivatives, the residues res L^(i/r), and one memo of densities:
+    Omega_{i,j} and the densities of index prefixes (Omega_{i,j} moved along
+    further flows); each is computed once.  Values at the initial point are
+    formed directly (`jet`, `evaluate`).
     """
 
     def __init__(self, r: int):
@@ -45,7 +45,6 @@ class Hierarchy:
         self._flows: dict[int, dict[int, DiffPoly]] = {}
         self._flow_derivs: dict[tuple[int, int, int], DiffPoly] = {}
         self._residues: dict[int, DiffPoly] = {}
-        self._omegas: dict[tuple[int, int], DiffPoly] = {}
         self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
     def flow(self, i: int) -> dict[int, DiffPoly]:
@@ -86,7 +85,7 @@ class Hierarchy:
         out: dict = {}
         for (a, k) in sorted(p.jets()):
             _add_diff_product(out, self.flow_derivative(j, a, k).terms, p.partial(a, k).terms)
-        return _wrap_diff(p.alphabet, out)
+        return _wrap_diff(out)
 
     def residue(self, i: int) -> DiffPoly:
         """res L^(i/r), the coefficient of D^-1."""
@@ -104,13 +103,7 @@ class Hierarchy:
         the antiderivative ever failed to close (it does close for every
         valid pair).
         """
-        key = (i, j)
-        got = self._omegas.get(key)
-        if got is None:
-            if i % self.r == 0 or j % self.r == 0:
-                raise IndexDivisible(f"indices {i},{j} must avoid multiples of {self.r}")
-            got = self._omegas[key] = integrate_x(self.t_derivative(self.residue(i), j))
-        return got
+        return self.density((i, j))
 
     def density(self, I: tuple[int, ...]) -> DiffPoly:
         """Omega_{I0,I1} moved along t_i for each further index i of I, in
@@ -118,17 +111,24 @@ class Hierarchy:
         density of its prefix by one flow."""
         if len(I) < 2:
             raise ValueError("a density needs at least two indices")
-        if len(I) == 2:
-            return self.omega(*I)
         got = self._densities.get(I)
         if got is None:
-            got = self._densities[I] = self.t_derivative(self.density(I[:-1]), I[-1])
+            if len(I) > 2:
+                got = self.t_derivative(self.density(I[:-1]), I[-1])
+            else:
+                i, j = I
+                if i % self.r == 0 or j % self.r == 0:
+                    raise IndexDivisible(f"indices {i},{j} must avoid multiples of {self.r}")
+                got = integrate_x(self.t_derivative(self.residue(i), j))
+            self._densities[I] = got
         return got
 
     def jet(self, a: int, k: int) -> ParamPoly:
         """Value of v_a^(k) at the initial point: d_a * (a+1)...(a+k)."""
         if not 1 <= a <= self.r - 1:
             raise ValueError(f"no variable v{a} for r={self.r}")
+        if k < 0:
+            raise ValueError(f"no derivative of order {k}")
         return ParamPoly.var("d", a) * _rising(a, k)
 
     def evaluate(self, p: DiffPoly) -> ParamPoly:
@@ -148,7 +148,7 @@ class Hierarchy:
                 expts[a - 1] += e
                 factor *= _rising(a, k) ** e
             _add_param_product(out, coef.terms, {_trim(expts): Fraction(factor)})
-        return _wrap_param(p.alphabet, out)
+        return _wrap_param("d", out)
 
 
 @cache

@@ -1,11 +1,12 @@
 """Pseudo-differential operator calculus over differential polynomials.
 
 An operator is a formal sum ``sum_e a_e * D^e`` (``D`` = d/dx) with
-:class:`~gdtau.algebra.DiffPoly` coefficients.  Truncation is explicit: an
-operator either knows *all* its coefficients (``floor is None``; finitely many
-are nonzero) or only those at powers ``>= floor``.  Every operation computes
-the depth it can honestly guarantee and raises
-:class:`~gdtau.errors.InsufficientDepth` instead of silently truncating.
+:class:`~gdtau.algebra.DiffPoly` coefficients, whose parameters are the jet
+parameters ``d``.  Truncation is explicit: an operator either knows *all* its
+coefficients (``floor is None``; finitely many are nonzero) or only those at
+powers ``>= floor``.  Every operation computes the depth it can honestly
+guarantee and raises :class:`~gdtau.errors.InsufficientDepth` instead of
+silently truncating.
 
 Composition uses the extended Leibniz rule
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff_product, _mono_from_dict,
-                      _wrap_coefs, _wrap_diff, diff_x)
+                      _wrap_diff, diff_x)
 from .errors import InsufficientDepth, InvariantViolated
 
 Rat = Union[int, Fraction]
@@ -39,22 +40,21 @@ def _binom(n: int, k: int) -> int:
 
 
 class PsiDO:
-    """Truncated formal sum of powers of D with DiffPoly coefficients."""
+    """Truncated formal sum of powers of D with DiffPoly coefficients (over
+    the jet parameters ``d``)."""
 
-    __slots__ = ("alphabet", "coeffs", "floor")
+    __slots__ = ("coeffs", "floor")
 
     def __init__(
         self,
-        alphabet: str,
         coeffs: Mapping[int, DiffPoly | ParamPoly | Rat] | None = None,
         floor: Optional[int] = None,
     ):
-        self.alphabet = alphabet
         self.floor = floor
         clean: dict[int, DiffPoly] = {}
         if coeffs:
             for e, c in coeffs.items():
-                poly = c if isinstance(c, DiffPoly) else DiffPoly.const(alphabet, c)
+                poly = c if isinstance(c, DiffPoly) else DiffPoly.const(c)
                 if poly.is_zero():
                     continue
                 if floor is not None and e < floor:
@@ -65,17 +65,17 @@ class PsiDO:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, alphabet: str) -> "PsiDO":
-        return cls(alphabet)
+    def zero(cls) -> "PsiDO":
+        return cls()
 
     @classmethod
-    def d(cls, alphabet: str, power: int = 1) -> "PsiDO":
-        return cls(alphabet, {power: 1})
+    def d(cls, power: int = 1) -> "PsiDO":
+        return cls({power: 1})
 
     @classmethod
     def from_diffpoly(cls, p: DiffPoly) -> "PsiDO":
         """Multiplication operator by p."""
-        return cls(p.alphabet, {0: p})
+        return cls({0: p})
 
     # -- accessors --------------------------------------------------------------
 
@@ -95,7 +95,7 @@ class PsiDO:
             raise InsufficientDepth(
                 f"coefficient at D^{e} is below the truncation floor {self.floor}"
             )
-        return DiffPoly.zero(self.alphabet)
+        return DiffPoly.zero()
 
     def trim(self, floor: int) -> "PsiDO":
         """Restrict to powers >= floor (may only shallow an exact operator)."""
@@ -103,7 +103,7 @@ class PsiDO:
             raise InsufficientDepth(
                 f"cannot deepen a floor-{self.floor} operator to floor {floor}"
             )
-        return PsiDO(self.alphabet, {e: c for e, c in self.coeffs.items() if e >= floor}, floor)
+        return PsiDO({e: c for e, c in self.coeffs.items() if e >= floor}, floor)
 
     # effective bounds used by the composition window rule ----------------------
 
@@ -137,10 +137,10 @@ class PsiDO:
                 out.pop(e, None)
             else:
                 out[e] = acc
-        return PsiDO(self.alphabet, out, floor)
+        return PsiDO(out, floor)
 
     def __neg__(self) -> "PsiDO":
-        return PsiDO(self.alphabet, {e: -c for e, c in self.coeffs.items()}, self.floor)
+        return PsiDO({e: -c for e, c in self.coeffs.items()}, self.floor)
 
     def __sub__(self, other: "PsiDO") -> "PsiDO":
         return self + (-other)
@@ -148,18 +148,14 @@ class PsiDO:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction, ParamPoly)):
             return NotImplemented
-        return PsiDO(self.alphabet, {e: c * scalar for e, c in self.coeffs.items()}, self.floor)
+        return PsiDO({e: c * scalar for e, c in self.coeffs.items()}, self.floor)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, PsiDO):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.floor == other.floor
-            and self.coeffs == other.coeffs
-        )
+        return self.floor == other.floor and self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -194,13 +190,10 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
     both inputs exact and a finite Leibniz expansion (A purely differential,
     or B with constant coefficients).
     """
-    if A.alphabet != B.alphabet:
-        raise ValueError("operators over different alphabets")
-    alphabet = A.alphabet
     if A.is_zero() and A.floor is None:
-        return PsiDO.zero(alphabet)
+        return PsiDO.zero()
     if B.is_zero() and B.floor is None:
-        return PsiDO.zero(alphabet)
+        return PsiDO.zero()
 
     guaranteed = max(A._wfloor() + B._wtop(), B._wfloor() + A._wtop())
     if floor is None:
@@ -236,18 +229,18 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
                 if c:
                     _add_diff_product(out.setdefault(i + j - k, {}), ai.terms, deriv.terms, c)
                 k += 1
-    return PsiDO(alphabet, {e: _wrap_diff(alphabet, acc) for e, acc in out.items()}, floor)
+    return PsiDO({e: _wrap_diff(acc) for e, acc in out.items()}, floor)
 
 
 def plus_part(A: PsiDO) -> PsiDO:
     """Projection onto powers >= 0.  Exact whenever A's floor reaches 0."""
     floor = None if (A.floor is None or A.floor <= 0) else A.floor
-    return PsiDO(A.alphabet, {e: c for e, c in A.coeffs.items() if e >= 0}, floor)
+    return PsiDO({e: c for e, c in A.coeffs.items() if e >= 0}, floor)
 
 
 def minus_part(A: PsiDO) -> PsiDO:
     """Projection onto powers < 0; keeps A's floor."""
-    return PsiDO(A.alphabet, {e: c for e, c in A.coeffs.items() if e < 0}, A.floor)
+    return PsiDO({e: c for e, c in A.coeffs.items() if e < 0}, A.floor)
 
 
 def residue(A: PsiDO) -> DiffPoly:
@@ -285,9 +278,9 @@ class LaxOperator:
         self.r = r
         coeffs: dict[int, DiffPoly | int] = {r: 1}
         for a in range(1, r):
-            coeffs[r - 1 - a] = DiffPoly.jet("d", a, 0)
-        self.op = PsiDO("d", coeffs)
-        one = DiffPoly.const("d", 1)
+            coeffs[r - 1 - a] = DiffPoly.jet(a, 0)
+        self.op = PsiDO(coeffs)
+        one = DiffPoly.const(1)
         self._rows: dict[int, list[DiffPoly]] = {k: [one] for k in range(1, r + 1)}
         self._derivs: dict[int, list[DiffPoly]] = {}  # n -> [u_n, u_n', u_n'', ...]
 
@@ -312,8 +305,8 @@ class LaxOperator:
                 if c:
                     for mono, coef in self._deriv(t - 1 - s - j, j).terms.items():
                         _add_coef(inner, mono, coef.terms, c)
-            _add_diff_product(acc, prev[s].terms, _wrap_coefs("d", inner))
-        return _wrap_diff("d", acc)
+            _add_diff_product(acc, prev[s].terms, _wrap_diff(inner).terms)
+        return _wrap_diff(acc)
 
     def _lifted_row(self, k: int, t: int) -> DiffPoly:
         """Row t of R^k, k > r, from the rows rho_s of R^(k-r) (class doc)."""
@@ -333,12 +326,12 @@ class LaxOperator:
                     d = dict(base)
                     d[jet] = d.get(jet, 0) + 1
                     _add_coef(acc, _mono_from_dict(d), coef.terms, c)
-        return _wrap_diff("d", acc)
+        return _wrap_diff(acc)
 
     def _grow_root(self, depth: int) -> None:
         """Fill R^1..R^r down to row `depth`, one root coefficient per row."""
         for t in range(len(self._rows[1]), depth + 1):
-            partial = [DiffPoly.zero("d")]
+            partial = [DiffPoly.zero()]
             for k in range(2, self.r + 1):
                 partial.append(self._row(k, t, partial[-1]))
             u = (self.op.coeff(self.r - t) - partial[-1]) * Fraction(1, self.r)
@@ -359,11 +352,13 @@ class LaxOperator:
 
     def power(self, k: int, floor: int) -> PsiDO:
         """R^k exact at every power >= floor (needs the root down to floor-k+1)."""
+        if k < 1:
+            raise ValueError("the power index must be >= 1")
         if floor - k + 1 > -1:
             raise InsufficientDepth("the root is only defined down to floor <= -1")
         depth = k - floor
         self._fill(k, depth)
-        return PsiDO("d", {k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
+        return PsiDO({k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
 
     def root(self, floor: int) -> PsiDO:
         return self.power(1, floor)

@@ -230,13 +230,13 @@ def test_criterion_10_calculus_backbone():
     # integration inverts differentiation, in bulk
     rng = random.Random(20240817)
     for _ in range(1000):
-        poly = DiffPoly.const("d", 0)
+        poly = DiffPoly.const(0)
         for _ in range(rng.randint(1, 4)):
-            term = DiffPoly.const("d", Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            term = DiffPoly.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             if rng.random() < 0.3:
                 term = term * ParamPoly.var("d", rng.randint(1, 3))
             for _ in range(rng.randint(1, 3)):
-                jet = DiffPoly.jet("d", rng.randint(1, 3), rng.randint(0, 3))
+                jet = DiffPoly.jet(rng.randint(1, 3), rng.randint(0, 3))
                 term = term * jet ** rng.randint(1, 2)
             if rng.random() < 0.5:
                 term = -term

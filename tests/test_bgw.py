@@ -23,6 +23,7 @@ from gdtau import (
     index_multisets,
     log_tau,
     pde_correlator,
+    recursion_correlators,
     series_from_correlators,
     string_residual,
     tau_exp,
@@ -58,12 +59,13 @@ def test_jet_values_match_symbolic_derivatives():
 
 
 def test_jet_variable_range_guard():
-    with pytest.raises(ValueError):
-        hierarchy(3).jet(3, 0)
+    for a, k in ((3, 0), (1, -1), (2, -2)):
+        with pytest.raises(ValueError):
+            hierarchy(3).jet(a, k)
 
 
 def test_jets_evaluate_diffpoly():
-    p = DiffPoly.jet("d", 1, 1) * DiffPoly.jet("d", 2, 0)
+    p = DiffPoly.jet(1, 1) * DiffPoly.jet(2, 0)
     assert hierarchy(3).evaluate(p) == d(1) * d(2) * 2
 
 
@@ -103,6 +105,16 @@ def test_valid_multisets_match_brute_force(r):
         want = [K for length in range(1, bound + 1) for total in range(bound + 1)
                 for K in _brute_multisets(r, length, total)]
         assert index_multisets(r, bound) == sorted(want, key=lambda K: (sum(K), K))
+
+
+def test_enumerator_refuses_orders_below_two():
+    for r in (0, 1):
+        for enumerate_indices in (lambda: valid_multisets(r, 3),
+                                  lambda: index_multisets(r, 3),
+                                  lambda: connected_correlators_pde(r, 3),
+                                  lambda: recursion_correlators(r, 3)):
+            with pytest.raises(ValueError, match="r must be >= 2"):
+                enumerate_indices()
 
 
 # -- the density route -------------------------------------------------------------
@@ -192,6 +204,12 @@ def test_entries_in_reverse_order_match_the_table(r, monkeypatch):
 def test_divisible_index_rejected():
     with pytest.raises(IndexDivisible):
         pde_correlator(3, (3,))
+
+
+def test_index_below_one_rejected():
+    for bad in ((0,), (0, 2), (-1, 2), (-1, 1, 4)):
+        with pytest.raises(ValueError, match=f"bad index {bad[0]}"):
+            pde_correlator(3, bad)
 
 
 def test_correlator_degrees_are_bounded():
@@ -385,5 +403,5 @@ def test_variable_level_string_relation():
     # at the initial point: -(d/dt_1) v_a + (a+1) v_a = 0 once jets are set
     H = hierarchy(4)
     for a in (1, 2, 3):
-        combo = gd_flow(4, 1)[a] * (-1) + DiffPoly.jet("d", a, 0) * (a + 1)
+        combo = gd_flow(4, 1)[a] * (-1) + DiffPoly.jet(a, 0) * (a + 1)
         assert H.evaluate(combo).is_zero(), a

@@ -21,7 +21,7 @@ from gdtau.psido import frac_power, residue
 
 
 def v(a, k=0):
-    return DiffPoly.jet("d", a, k)
+    return DiffPoly.jet(a, k)
 
 
 def test_first_flow_is_x_translation():
@@ -60,7 +60,7 @@ def test_t1_derivative_is_diff_x():
 
 def test_t_derivative_of_constants_vanishes():
     H = hierarchy(3)
-    const = DiffPoly.const("d", ParamPoly.var("d", 2))
+    const = DiffPoly.const(ParamPoly.var("d", 2))
     assert H.t_derivative(const, 5).is_zero()
 
 

@@ -48,13 +48,13 @@ param_polys = st.builds(_param_from_spec, param_specs)
 
 
 def _diff_from_spec(spec, constant_free=False):
-    poly = DiffPoly.const("d", 0)
+    poly = DiffPoly.const(0)
     for coef, factors in spec:
         if constant_free and not factors:
             continue
-        term = DiffPoly.const("d", coef)
+        term = DiffPoly.const(coef)
         for a, k, e in factors:
-            term = term * DiffPoly.jet("d", a, k) ** e
+            term = term * DiffPoly.jet(a, k) ** e
         poly = poly + term
     return poly
 
@@ -123,11 +123,9 @@ monomial_specs = st.tuples(
 
 def _monomial(spec):
     factors, param_idx = spec
-    term = DiffPoly.const(
-        "d", ParamPoly.var("d", param_idx) if param_idx else Fraction(3, 2)
-    )
+    term = DiffPoly.const(ParamPoly.var("d", param_idx) if param_idx else Fraction(3, 2))
     for a, k, e in factors:
-        term = term * DiffPoly.jet("d", a, k) ** e
+        term = term * DiffPoly.jet(a, k) ** e
     return term
 
 
@@ -140,11 +138,11 @@ def test_grading_is_additive_on_monomials(m, n):
 
 
 def _diff_operator(coeff_list):
-    op = PsiDO("d")
+    op = PsiDO()
     for e, p in enumerate(coeff_list):
         if p.is_zero():
             continue
-        op = op + compose(PsiDO.from_diffpoly(p), PsiDO.d("d", e))
+        op = op + compose(PsiDO.from_diffpoly(p), PsiDO.d(e))
     return op
 
 
@@ -161,7 +159,7 @@ def test_compose_is_associative_on_differential_operators(A, B, C):
 @given(diff_operators, st.integers(min_value=1, max_value=4))
 def test_plus_and_minus_parts_partition(A, depth):
     # glue a finite negative tail onto a differential operator
-    tail = compose(PsiDO.from_diffpoly(DiffPoly.jet("d", 1)), PsiDO.d("d", -depth))
+    tail = compose(PsiDO.from_diffpoly(DiffPoly.jet(1)), PsiDO.d(-depth))
     B = A + tail
     assert plus_part(B) + minus_part(B) == B
     assert plus_part(B) == plus_part(A) + plus_part(tail)

@@ -22,7 +22,7 @@ from gdtau.errors import InsufficientDepth, InvariantViolated
 
 
 def v(a, k=0):
-    return DiffPoly.jet("d", a, k)
+    return DiffPoly.jet(a, k)
 
 
 def mult(p):
@@ -30,7 +30,7 @@ def mult(p):
 
 
 def D(e=1):
-    return PsiDO.d("d", e)
+    return PsiDO.d(e)
 
 
 # -- composition ---------------------------------------------------------------
@@ -104,6 +104,15 @@ def test_root_depth_guard():
         assert frac_power(L, i, i - 2).floor == i - 2
         with pytest.raises(InsufficientDepth):
             frac_power(L, i, i - 1)
+
+
+def test_power_index_must_be_positive():
+    L = LaxOperator(3)
+    for k, floor in ((-1, -5), (0, -2)):
+        with pytest.raises(ValueError, match="the power index must be >= 1"):
+            L.power(k, floor)
+    with pytest.raises(ValueError, match="the power index must be >= 1"):
+        frac_power(L, 0, -1)
 
 
 # -- fractional powers -----------------------------------------------------------
@@ -211,7 +220,7 @@ def test_request_order_does_not_matter(r):
 
 def test_subleading_term_violates_root_invariant():
     L = LaxOperator(3)
-    L.op = L.op + PsiDO("d", {2: v(1)})  # D^3 + v1 D^2 + ... has no such root
+    L.op = L.op + PsiDO({2: v(1)})  # D^3 + v1 D^2 + ... has no such root
     with pytest.raises(InvariantViolated):
         rth_root(L, -1)
 
@@ -221,7 +230,7 @@ def test_subleading_term_violates_root_invariant():
 
 def test_plus_minus_split():
     A = compose(D(-1), mult(v(1)), floor=-3) + D(2)
-    assert plus_part(A).coeffs == {2: DiffPoly.const("d", 1)}
+    assert plus_part(A).coeffs == {2: DiffPoly.const(1)}
     assert minus_part(A).floor == -3
     total = plus_part(A) + minus_part(A)
     assert total.coeffs == A.coeffs
@@ -232,7 +241,7 @@ def test_minus_part_of_differential_operator_is_zero():
 
 
 def test_residue_below_floor_raises():
-    A = PsiDO("d", {0: 1}, floor=0)
+    A = PsiDO({0: 1}, floor=0)
     with pytest.raises(InsufficientDepth):
         residue(A)
 
@@ -267,18 +276,18 @@ def test_flow_commutator_stays_differential():
 
 
 def test_trim_cannot_deepen():
-    A = PsiDO("d", {0: 1}, floor=-2)
+    A = PsiDO({0: 1}, floor=-2)
     assert A.trim(-1).floor == -1
     with pytest.raises(InsufficientDepth):
         A.trim(-3)
 
 
 def test_dump_of_zero():
-    assert PsiDO.zero("d").dump() == "0"
+    assert PsiDO.zero().dump() == "0"
 
 
 def test_dump_descending_powers():
-    A = PsiDO("d", {2: 1, 0: v(1), -1: v(2)}, floor=-1)
+    A = PsiDO({2: 1, 0: v(1), -1: v(2)}, floor=-1)
     assert A.dump() == "∂^2 : 1\n∂^0 : v1\n∂^-1 : v2"
 
 
