@@ -368,12 +368,13 @@ def _wrap_diff(terms: dict) -> "DiffPoly":
     return res
 
 
-def _jet_coef(value: ParamPoly | Rat) -> ParamPoly:
-    """A caller's coefficient or scalar as a ParamPoly over ``d``."""
+def _coef_over(alphabet: str, value: ParamPoly | Rat) -> ParamPoly:
+    """A caller's coefficient or scalar as a ParamPoly over `alphabet`: the
+    one check of every container that holds ParamPoly coefficients."""
     if not isinstance(value, ParamPoly):
-        return ParamPoly.const("d", value)
-    if value.alphabet != "d":
-        raise AlphabetMismatch(f"jet coefficients are over 'd', not {value.alphabet!r}")
+        return ParamPoly.const(alphabet, value)
+    if value.alphabet != alphabet:
+        raise AlphabetMismatch(f"coefficients are over {alphabet!r}, not {value.alphabet!r}")
     return value
 
 
@@ -387,7 +388,7 @@ class DiffPoly:
         clean: dict[JetMono, ParamPoly] = {}
         if terms:
             for mono, coef in terms.items():
-                c = _jet_coef(coef)
+                c = _coef_over("d", coef)
                 if c.is_zero():
                     continue
                 acc = clean.get(mono)
@@ -466,7 +467,7 @@ class DiffPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ParamPoly)):
-            c = _jet_coef(other)
+            c = _coef_over("d", other)
             if c.is_zero():
                 return DiffPoly.zero()
             res = DiffPoly()
@@ -495,6 +496,8 @@ class DiffPoly:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, ParamPoly) and other.alphabet != "d":
+            return False  # as ParamPoly answers across alphabets
         if isinstance(other, (int, Fraction, ParamPoly)):
             other = DiffPoly.const(other)
         if not isinstance(other, DiffPoly):
@@ -615,6 +618,14 @@ def diff_x(p: DiffPoly) -> DiffPoly:
     for mono, coef in p.terms.items():
         _add_diff_x(out, mono, coef.terms)
     return _wrap_diff(out)
+
+
+def nth_diff_x(chain: list[DiffPoly], k: int) -> DiffPoly:
+    """chain[k], the k-th x-derivative of chain[0], where the memo list
+    chain = [p, p', p'', ...] is grown as far as needed."""
+    while len(chain) <= k:
+        chain.append(diff_x(chain[-1]))
+    return chain[k]
 
 
 def _peel_key(mono: JetMono) -> tuple:

@@ -16,7 +16,13 @@ Correlators of weight W come in two kinds:
 The tau function is handled as a truncated series in the times: TauSeries
 stores the *monomial* coefficient a_I of prod(t_i for i in I), so the
 disconnected correlator is a_I times the product of multiplicities factorial.
-Keys are multisets of time indices >= 1; t_i has weight i.
+Keys are multisets of time indices >= 1; t_i has weight i.  Series and
+tables are listed in one entry order, by weight and then by index tuple.
+
+A correlator's insertions obey the one index rule of the hierarchy
+(`hierarchy.check_index`: i >= 1, r not dividing i), whether it is computed
+(`pde_correlator`), stored in a table or looked up.  Tables start at weight 1:
+the weight-1 table holds <tau_1> = d_1 / r alone.
 
 exp and log move between the two kinds through the Euler operator
 E = sum_i i t_i d/dt_i, which multiplies a weight-w part by w.  From
@@ -41,9 +47,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import ParamPoly, _add_coef_product, _wrap_coefs
-from .errors import IndexDivisible, WeightExceeded
-from .hierarchy import hierarchy
+from .algebra import ParamPoly, _add_coef, _add_coef_product, _coef_over, _wrap_coefs
+from .errors import WeightExceeded
+from .hierarchy import check_index, hierarchy
 
 Rat = Union[int, Fraction]
 Index = tuple[int, ...]
@@ -86,12 +92,30 @@ def valid_multisets(r: int, total: int, length: Optional[int] = None) -> tuple[I
 
 def index_multisets(r: int, max_weight: int) -> list[Index]:
     """Nonempty ascending tuples of valid indices with total <= max_weight,
-    ordered by (weight, tuple)."""
+    in entry order."""
+    if r < 2:
+        raise ValueError("the operator order r must be >= 2")
     return [I for w in range(1, max_weight + 1) for I in valid_multisets(r, w)]
+
+
+def entry_order(I: Index) -> tuple[int, Index]:
+    """Sort key of series and table entries: weight, then the tuple."""
+    return sum(I), I
 
 
 def _normalize(indices: Iterable[int]) -> Index:
     return tuple(sorted(indices))
+
+
+def correlator_key(r: int, indices: Iterable[int]) -> Index:
+    """The ascending tuple of a correlator's insertions: nonempty, each index
+    valid for order r (`check_index`)."""
+    I = _normalize(indices)
+    if not I:
+        raise ValueError("correlators need at least one insertion")
+    for i in I:
+        check_index(r, i)
+    return I
 
 
 def _series_key(indices: Iterable[int]) -> Index:
@@ -134,10 +158,9 @@ class TauSeries:
         if coeffs:
             for I, c in coeffs.items():
                 I = _series_key(I)
-                if sum(I) > cap:
-                    continue
-                poly = c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c)
-                clean[I] = clean[I] + poly if I in clean else poly
+                poly = _coef_over(alphabet, c)
+                if sum(I) <= cap:
+                    clean[I] = clean[I] + poly if I in clean else poly
         self.coeffs = {I: c for I, c in clean.items() if not c.is_zero()}
 
     @classmethod
@@ -156,7 +179,7 @@ class TauSeries:
         return self.coeffs.get((), ParamPoly.zero(self.alphabet))
 
     def keys(self) -> list[Index]:
-        return sorted(self.coeffs, key=lambda t: (sum(t), t))
+        return sorted(self.coeffs, key=entry_order)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -173,17 +196,12 @@ class TauSeries:
 
     def __add__(self, other: "TauSeries") -> "TauSeries":
         cap = min(self.cap, other.cap)
-        out: dict[Index, ParamPoly] = {I: c for I, c in self.coeffs.items() if sum(I) <= cap}
-        for I, c in other.coeffs.items():
-            if sum(I) > cap:
-                continue
-            acc = out.get(I)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(I, None)
-            else:
-                out[I] = acc
-        return TauSeries(self.alphabet, cap, out)
+        terms: dict = {}
+        for series in (self, other):
+            for I, c in series.coeffs.items():
+                if sum(I) <= cap:
+                    _add_coef(terms, I, _coef_over(self.alphabet, c).terms)
+        return TauSeries(self.alphabet, cap, _wrap_coefs(self.alphabet, terms))
 
     def __neg__(self) -> "TauSeries":
         return TauSeries(self.alphabet, self.cap, {I: -c for I, c in self.coeffs.items()})
@@ -261,8 +279,8 @@ def log_tau(tau_series: TauSeries) -> TauSeries:
 class CorrelatorTable:
     """Exact correlator values <tau_I> for all valid I with weight <= cap.
 
-    Keys and lookups alike must be nonempty, with every index >= 1 and not
-    a multiple of r (ValueError, IndexDivisible otherwise).
+    Keys and lookups alike go through `correlator_key`, and values must be
+    over the table's alphabet (AlphabetMismatch otherwise).
     """
 
     __slots__ = ("r", "cap", "alphabet", "kind", "values")
@@ -277,24 +295,13 @@ class CorrelatorTable:
         self.kind = kind
         self.values: dict[Index, ParamPoly] = {}
         for I, v in values.items():
-            I = self._key(I)
+            I = correlator_key(r, I)
             if I in self.values:
                 raise ValueError(f"correlator {list(I)} given twice")
-            self.values[I] = v
-
-    def _key(self, indices: Iterable[int]) -> Index:
-        I = _normalize(indices)
-        if not I:
-            raise ValueError("correlators need at least one insertion")
-        for i in I:
-            if i < 1:
-                raise ValueError(f"bad index {i}")
-            if i % self.r == 0:
-                raise IndexDivisible(f"index {i} is a multiple of {self.r}")
-        return I
+            self.values[I] = _coef_over(alphabet, v)
 
     def value(self, indices: Iterable[int]) -> ParamPoly:
-        I = self._key(indices)
+        I = correlator_key(self.r, indices)
         if sum(I) > self.cap:
             raise WeightExceeded(
                 f"weight {sum(I)} exceeds this table's cap {self.cap}"
@@ -302,7 +309,7 @@ class CorrelatorTable:
         return self.values.get(I, ParamPoly.zero(self.alphabet))
 
     def keys(self) -> list[Index]:
-        return sorted(self.values, key=lambda t: (sum(t), t))
+        return sorted(self.values, key=entry_order)
 
 
 def series_from_correlators(table: CorrelatorTable) -> TauSeries:
@@ -372,18 +379,11 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
         <tau_1^m tau_J> = |J| (|J|+1) ... (|J|+m-1) <tau_J>   (J without 1),
         <tau_1^m>       = (m-1)! <tau_1>                    (J = (1,)).
     """
-    I = _normalize(indices)
-    if not I:
-        raise ValueError("correlators need at least one insertion")
-    H = hierarchy(r)
-    for i in I:
-        if i < 1:
-            raise ValueError(f"bad index {i}")
-        if i % r == 0:
-            raise IndexDivisible(f"index {i} is a multiple of {r}")
+    I = correlator_key(r, indices)
     J, rising = _without_ones(I)
     if J != I:
         return pde_correlator(r, J) * rising
+    H = hierarchy(r)
     if len(I) == 1:
         return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
     if len(I) == 2:
@@ -394,8 +394,8 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
 
 def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:
     """Connected correlators through the given weight, all in the d alphabet."""
-    if max_weight < 2:
-        raise ValueError("the table needs max_weight >= 2")
+    if max_weight < 1:
+        raise ValueError("the table needs max_weight >= 1")
     values: dict[Index, ParamPoly] = {}
     for I in index_multisets(r, max_weight):
         J, rising = _without_ones(I)
@@ -436,7 +436,7 @@ def string_residual(tau: TauSeries, r: int) -> TauSeries:
     for I in tau.coeffs:
         if I and I[0] == 1 and sum(I) <= tau.cap:
             candidates.add(I[1:])
-    for I in sorted(candidates, key=lambda t: (sum(t), t)):
+    for I in sorted(candidates, key=entry_order):
         if sum(I) > tau.cap - 1:
             continue
         m1 = sum(1 for x in I if x == 1)

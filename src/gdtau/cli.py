@@ -288,7 +288,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _correlator_table(cfg: RunConfig) -> CorrelatorTable:
     if cfg.alphabet == "d":
-        conn = connected_correlators_pde(cfg.r, max(cfg.weight, 2))
+        conn = connected_correlators_pde(cfg.r, cfg.weight)
         return conn if cfg.kind == "connected" else disconnected_from_connected(conn)
     # the weight recursion disagrees with the density route from r = 4 on
     # (ROADMAP item 1), so only the density route serves those orders
@@ -296,7 +296,7 @@ def _correlator_table(cfg: RunConfig) -> CorrelatorTable:
         if cfg.alphabet == "sigma":
             raise ConfigError("the sigma alphabet comes from the weight recursion, "
                               "which is unverified for r >= 4; use --alphabet c or d")
-        return table_in_c(cfg.r, max(cfg.weight, 2), "pde", cfg.kind)
+        return table_in_c(cfg.r, cfg.weight, "pde", cfg.kind)
     if cfg.alphabet == "sigma":
         disc = recursion_correlators(cfg.r, cfg.weight)
         return disc if cfg.kind == "disconnected" else connected_from_disconnected(disc)
@@ -308,12 +308,8 @@ def _run_correlators(cfg: RunConfig) -> str:
     assignment = dict(cfg.assignments)
     entries = []
     for I in table.keys():
-        if sum(I) > cfg.weight:
-            continue
         v = table.values[I]
-        if assignment:
-            v = v.evaluate(assignment)
-        entries.append((I, v))
+        entries.append((I, v.evaluate(assignment) if assignment else v))
     return _render_entries(cfg, table, entries)
 
 
@@ -322,7 +318,7 @@ def _run_verify(cfg: RunConfig) -> tuple[bool, str]:
     if cfg.corrupt:
         conn = connected_correlators_pde(cfg.r, cfg.weight)
         tau = tau_exp(series_from_correlators(conn))
-        key = max(tau.coeffs, key=lambda t: (sum(t), t))
+        key = tau.keys()[-1]
         bumped = dict(tau.coeffs)
         bumped[key] = bumped[key] + Fraction(1, 7)
         tau = TauSeries("d", tau.cap, bumped)

@@ -1,7 +1,13 @@
 """Commuting flows of the order-r reduced hierarchy.
 
 The time variables are t_i with i >= 1 and i not divisible by r (t_1 is x
-itself).  The i-th flow moves the operator L = D^r + v1 D^(r-2) + ... by
+itself).  `check_index` is that rule, the one check of every entry point
+that takes an insertion index: flows, residues and densities here, and
+through `bgw.correlator_key` the correlators, their tables and the stabilized
+values.  An index below 1 raises ValueError("bad index i"), a multiple of r
+IndexDivisible("index i is a multiple of r").
+
+The i-th flow moves the operator L = D^r + v1 D^(r-2) + ... by
 
     dL/dt_i = [ (L^(i/r))_+ , L ]
 
@@ -19,9 +25,21 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product, _trim,
-                      _wrap_diff, _wrap_param, diff_x, integrate_x)
+                      _wrap_diff, _wrap_param, integrate_x, nth_diff_x)
 from .errors import IndexDivisible, InvariantViolated
 from .psido import LaxOperator, commutator, frac_power, plus_part, residue
+
+
+def check_index(r: int, i: int) -> None:
+    """Refuse i unless t_i is a time of the order-r hierarchy: i >= 1 and r
+    does not divide i.  The index is checked first, so a bad index is named
+    whatever r is; an order below 2 has no times at all."""
+    if i < 1:
+        raise ValueError(f"bad index {i}")
+    if r < 2:
+        raise ValueError("the operator order r must be >= 2")
+    if i % r == 0:
+        raise IndexDivisible(f"index {i} is a multiple of {r}")
 
 
 def _rising(a: int, k: int) -> int:
@@ -43,7 +61,7 @@ class Hierarchy:
         self.r = r
         self.L = LaxOperator(r)
         self._flows: dict[int, dict[int, DiffPoly]] = {}
-        self._flow_derivs: dict[tuple[int, int, int], DiffPoly] = {}
+        self._flow_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (i, a) -> [X, X', ...]
         self._residues: dict[int, DiffPoly] = {}
         self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
@@ -52,10 +70,7 @@ class Hierarchy:
         got = self._flows.get(i)
         if got is None:
             r = self.r
-            if i < 1:
-                raise ValueError("flow index must be >= 1")
-            if i % r == 0:
-                raise IndexDivisible(f"t_{i} acts trivially: {i} is a multiple of {r}")
+            check_index(r, i)
             P = plus_part(frac_power(self.L, i, -1))
             C = commutator(P, self.L.op)  # both purely differential, stays exact
             top = C.top
@@ -66,15 +81,7 @@ class Hierarchy:
 
     def flow_derivative(self, i: int, a: int, k: int) -> DiffPoly:
         """k-th x-derivative of X_a^i."""
-        key = (i, a, k)
-        got = self._flow_derivs.get(key)
-        if got is None:
-            if k == 0:
-                got = self.flow(i)[a]
-            else:
-                got = diff_x(self.flow_derivative(i, a, k - 1))
-            self._flow_derivs[key] = got
-        return got
+        return nth_diff_x(self._flow_derivs.setdefault((i, a), [self.flow(i)[a]]), k)
 
     def t_derivative(self, p: DiffPoly, j: int) -> DiffPoly:
         """Derivative of a differential polynomial along the t_j flow.
@@ -91,8 +98,7 @@ class Hierarchy:
         """res L^(i/r), the coefficient of D^-1."""
         got = self._residues.get(i)
         if got is None:
-            if i % self.r == 0:
-                raise IndexDivisible(f"no residue density at index {i} for r={self.r}")
+            check_index(self.r, i)
             got = self._residues[i] = residue(frac_power(self.L, i, -1))
         return got
 
@@ -113,13 +119,12 @@ class Hierarchy:
             raise ValueError("a density needs at least two indices")
         got = self._densities.get(I)
         if got is None:
+            for i in I:
+                check_index(self.r, i)
             if len(I) > 2:
                 got = self.t_derivative(self.density(I[:-1]), I[-1])
             else:
-                i, j = I
-                if i % self.r == 0 or j % self.r == 0:
-                    raise IndexDivisible(f"indices {i},{j} must avoid multiples of {self.r}")
-                got = integrate_x(self.t_derivative(self.residue(i), j))
+                got = integrate_x(self.t_derivative(self.residue(I[0]), I[1]))
             self._densities[I] = got
         return got
 

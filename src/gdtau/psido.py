@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff_product, _mono_from_dict,
-                      _wrap_diff, diff_x)
+                      _wrap_diff, nth_diff_x)
 from .errors import InsufficientDepth, InvariantViolated
 
 Rat = Union[int, Fraction]
@@ -220,9 +220,7 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
                     break
                 if floor is not None and i + j - k < floor:
                     break
-                if k == len(chain):
-                    chain.append(diff_x(chain[-1]))
-                deriv = chain[k]
+                deriv = nth_diff_x(chain, k)
                 if deriv.is_zero():
                     break
                 c = _binom(i, k)
@@ -285,10 +283,7 @@ class LaxOperator:
         self._derivs: dict[int, list[DiffPoly]] = {}  # n -> [u_n, u_n', u_n'', ...]
 
     def _deriv(self, n: int, j: int) -> DiffPoly:
-        chain = self._derivs.setdefault(n, [self._rows[1][n + 1]])
-        while len(chain) <= j:
-            chain.append(diff_x(chain[-1]))
-        return chain[j]
+        return nth_diff_x(self._derivs.setdefault(n, [self._rows[1][n + 1]]), j)
 
     def _row(self, k: int, t: int, above: DiffPoly) -> DiffPoly:
         """Row t of R^k, k <= r, less its u_(t-1) term, from `above` = row t of

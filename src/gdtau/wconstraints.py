@@ -250,7 +250,7 @@ def _raw_images(series: TauSeries, r: int):
 def _raw_eigenvalues(r: int) -> dict[int, ParamPoly]:
     """Diagonal eigenvalues of the un-normalized reduced operators on the
     density-built tau series, as polynomials in the jet parameters."""
-    conn = connected_correlators_pde(r, max(r - 1, 2))
+    conn = connected_correlators_pde(r, r - 1)
     tau = tau_exp(series_from_correlators(conn))
     return {
         alpha: _reduced_raw(tau, WOperatorSpec(r, alpha, alpha)).get(())
@@ -576,12 +576,10 @@ def _assert_stable(first: ParamPoly, second: ParamPoly, indices: Index) -> Param
 def stabilized_correlators(indices: Iterable[int]) -> ParamPoly:
     """Connected correlator in the stable range (r beyond the total weight),
     as a polynomial in the table-normalized c constants.  Computed entry by
-    entry from the density route, whose tables this limit belongs to."""
+    entry from the density route, whose tables this limit belongs to; the
+    indices are checked there (`bgw.correlator_key`).  Both orders exceed
+    every valid index, so only an empty entry or an index below 1 fails."""
     I = _normalize(indices)
-    if not I:
-        raise ValueError("need at least one insertion")
-    if any(i < 1 for i in I):
-        raise ValueError("indices must be positive")
     weight = sum(I)
     samples = [pde_correlator(r, I).substitute(d_of_ctab(r), "c")
                for r in (weight + 1, weight + 2)]

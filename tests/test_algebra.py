@@ -93,6 +93,12 @@ def test_alphabet_mismatch_rejected():
         v(1) * c(1)
     with pytest.raises(AlphabetMismatch):
         v(1) + ParamPoly.var("sigma", 1)
+    # equality answers across alphabets, as ParamPoly's does
+    assert (v(1) == c(1)) is False
+    assert (DiffPoly.const(2) == ParamPoly.const("c", 2)) is False
+    assert v(1) != ParamPoly.var("sigma", 1)
+    assert (c(1) == ParamPoly.var("d", 1)) is False
+    assert DiffPoly.const(2) == ParamPoly.const("d", 2)
     assert not hasattr(v(1), "alphabet") and not hasattr(PsiDO.d(), "alphabet")
 
 
@@ -285,7 +291,7 @@ def test_sums_never_mutate_shared_objects(monkeypatch):
         return {
             "residues": {i: str(p) for i, p in H._residues.items()},
             "flows": {i: {a: str(p) for a, p in f.items()} for i, f in H._flows.items()},
-            "flow_derivs": {key: str(p) for key, p in H._flow_derivs.items()},
+            "flow_derivs": {key: [str(p) for p in chain] for key, chain in H._flow_derivs.items()},
             "densities": {I: str(p) for I, p in H._densities.items()},
             "rows": {k: [str(p) for p in row] for k, row in H.L._rows.items()},
             "derivs": {n: [str(p) for p in chain] for n, chain in H.L._derivs.items()},
@@ -295,12 +301,13 @@ def test_sums_never_mutate_shared_objects(monkeypatch):
     before = snapshot()
     connected_correlators_pde(4, 10)
     after = snapshot()
-    for name in ("residues", "flows", "flow_derivs", "densities"):
+    for name in ("residues", "flows", "densities"):
         assert {key: after[name][key] for key in before[name]} == before[name], name
     assert before["densities"] and len(after["densities"]) > len(before["densities"])
     assert any(k > 4 for k in before["rows"])  # rows filled from R^(k-r) L
     assert after["rows"] != before["rows"]  # the power rows did grow
     for k, old in before["rows"].items():
         assert after["rows"][k][:len(old)] == old
-    for n, chain in before["derivs"].items():
-        assert after["derivs"][n][:len(chain)] == chain
+    for name in ("derivs", "flow_derivs"):  # x-derivative chains only grow
+        for key, chain in before[name].items():
+            assert after[name][key][:len(chain)] == chain, name

@@ -25,11 +25,12 @@ from gdtau import (
     pde_correlator,
     recursion_correlators,
     series_from_correlators,
+    stabilized_correlators,
     string_residual,
     tau_exp,
 )
 from gdtau.bgw import correlators_from_series, valid_multisets, _mult_factorial
-from gdtau.errors import IndexDivisible, WeightExceeded
+from gdtau.errors import AlphabetMismatch, IndexDivisible, WeightExceeded
 
 
 def d(i):
@@ -111,6 +112,9 @@ def test_enumerator_refuses_orders_below_two():
     for r in (0, 1):
         for enumerate_indices in (lambda: valid_multisets(r, 3),
                                   lambda: index_multisets(r, 3),
+                                  lambda: index_multisets(r, 1),
+                                  lambda: index_multisets(r, 0),
+                                  lambda: index_multisets(r, -1),
                                   lambda: connected_correlators_pde(r, 3),
                                   lambda: recursion_correlators(r, 3)):
             with pytest.raises(ValueError, match="r must be >= 2"):
@@ -221,9 +225,52 @@ def test_correlator_degrees_are_bounded():
         assert degs and min(degs) >= 2 and max(degs) <= sum(I) + 1, (I, degs)
 
 
-def test_table_needs_weight_two():
-    with pytest.raises(ValueError):
-        connected_correlators_pde(3, 1)
+def test_table_starts_at_weight_one():
+    for r in (2, 3, 5):
+        table = connected_correlators_pde(r, 1)
+        assert table.cap == 1
+        assert table.values == {(1,): d(1) * Fraction(1, r)}
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_weight >= 1"):
+            connected_correlators_pde(3, bad)
+
+
+# -- the one index rule -----------------------------------------------------------
+
+# every entry point that takes insertion indices, called with one bad index
+# b next to a good one; r = 3 throughout
+INDEX_ENTRIES = {
+    "Hierarchy.flow": lambda b: hierarchy(3).flow(b),
+    "Hierarchy.residue": lambda b: hierarchy(3).residue(b),
+    "Hierarchy.density": lambda b: hierarchy(3).density((2, b)),
+    "pde_correlator": lambda b: pde_correlator(3, (2, b)),
+    "CorrelatorTable": lambda b: CorrelatorTable(3, 6, "d", "connected", {(2, b): d(1)}),
+    "CorrelatorTable.value": lambda b: CorrelatorTable(3, 6, "d", "connected", {}).value((2, b)),
+    "stabilized_correlators": lambda b: stabilized_correlators((2, b)),
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry in sorted(INDEX_ENTRIES) for bad in (0, -1, 3, 6)
+    # the stable orders exceed the total weight, so they divide no index
+    if bad < 1 or entry != "stabilized_correlators"
+])
+def test_one_index_rule_for_every_entry_point(entry, bad):
+    expected = ((ValueError, f"bad index {bad}") if bad < 1
+                else (IndexDivisible, f"index {bad} is a multiple of 3"))
+    with pytest.raises(Exception) as err:
+        INDEX_ENTRIES[entry](bad)
+    assert (type(err.value), str(err.value)) == expected
+
+
+def test_orders_below_two_have_no_times():
+    for r in (0, 1):
+        with pytest.raises(ValueError, match="r must be >= 2"):
+            pde_correlator(r, (1,))
+        with pytest.raises(ValueError, match="r must be >= 2"):
+            CorrelatorTable(r, 3, "d", "connected", {(1,): d(1)})
+        with pytest.raises(ValueError, match="bad index 0"):  # the index is named first
+            pde_correlator(r, (0,))
 
 
 def test_table_guards():
@@ -285,6 +332,19 @@ def test_correlator_table_refuses_invalid_keys():
     for bad in ((0, 2), (-1,), ()):
         with pytest.raises(ValueError):
             CorrelatorTable(3, 4, "d", "connected", {bad: ParamPoly.const("d", 1)})
+
+
+def test_containers_refuse_coefficients_over_another_alphabet():
+    c = TauSeries("c", 3, {(1,): ParamPoly.var("c", 1)})
+    other = TauSeries("d", 3, {(2,): d(1)})  # no key in common with c
+    for build in (lambda: TauSeries("c", 3, {(1,): d(1)}),
+                  lambda: TauSeries("c", 1, {(2,): d(1)}),  # refused past the cap too
+                  lambda: c + other,
+                  lambda: other + c,
+                  lambda: CorrelatorTable(3, 3, "c", "connected", {(1,): d(2)})):
+        with pytest.raises(AlphabetMismatch):
+            build()
+    assert (c + c).get((1,)) == ParamPoly.var("c", 1) * 2
 
 
 def test_series_sum_takes_shallower_cap():
