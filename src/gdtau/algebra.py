@@ -13,8 +13,11 @@ both canonical-printing so that string comparison is a legitimate test:
   x-derivative of the a-th dependent variable and carries weight
   ``a + 1 + k``.
 
-No zero coefficients are ever stored, so ``p.terms == q.terms`` is exact
-equality and ``str`` output is bit-stable across runs.
+Both share one ring skeleton (``_Ring``: subtraction, negation, powers and
+the reflected operators, all from each class's own ``+`` and ``*``), and one
+printer joins signed terms (``_join_signed``) for them and for the LaTeX
+output.  No zero coefficients are ever stored, so ``p.terms == q.terms`` is
+exact equality and ``str`` output is bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -92,14 +95,77 @@ def _wrap_param(alphabet: str, terms: dict) -> "ParamPoly":
     return res
 
 
-class ParamPoly:
+def _signed_term(coef: Fraction, mono: str, fmt: Callable[[Fraction], str] = str,
+                 times: str = "*") -> tuple[bool, str]:
+    """A rational multiple of a printed monomial as a (negative, body) pair:
+    the magnitude alone, the monomial alone (magnitude 1), or both."""
+    mag = abs(coef)
+    if not mono:
+        return coef < 0, fmt(mag)
+    return coef < 0, mono if mag == 1 else f"{fmt(mag)}{times}{mono}"
+
+
+def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
+    """``a - b + c`` from (negative, body) pairs, a leading minus bare; "0"
+    when there are no terms."""
+    out: list[str] = []
+    for negative, body in pieces:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
+
+
+class _Ring:
+    """What ParamPoly and DiffPoly share.  ``terms`` stores no zero
+    coefficient; each subclass supplies ``_coerce`` (an operand of its own
+    type, or NotImplemented), ``__add__``, ``__mul__``, ``__eq__`` and
+    ``_one``."""
+
+    __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        out = self._one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class ParamPoly(_Ring):
     """Polynomial in parameters ``<alphabet>1, <alphabet>2, ...``.
 
     terms maps an exponent tuple (position i = parameter index i+1, trailing
     zeros stripped) to a nonzero Fraction.
     """
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet",)
 
     def __init__(self, alphabet: str, terms: Mapping[tuple[int, ...], Rat] | None = None):
         self.alphabet = alphabet
@@ -129,9 +195,6 @@ class ParamPoly:
 
     # -- basic predicates ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {()}
 
@@ -157,6 +220,9 @@ class ParamPoly:
             return ParamPoly.const(self.alphabet, other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _one(self) -> "ParamPoly":
+        return ParamPoly.const(self.alphabet, 1)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -165,30 +231,11 @@ class ParamPoly:
         _add_terms(out, o.terms)
         return _wrap_param(self.alphabet, out)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = ParamPoly(self.alphabet)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return ParamPoly.zero(self.alphabet)
-            res = ParamPoly(self.alphabet)
-            res.terms = {e: k * c for e, k in self.terms.items()}
-            return res
+            return _wrap_param(self.alphabet, {e: k * other for e, k in self.terms.items()})
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -196,18 +243,8 @@ class ParamPoly:
         _add_param_product(out, self.terms, o.terms)
         return _wrap_param(self.alphabet, out)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, scalar: Rat):
         return self * (Fraction(1) / Fraction(scalar))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = ParamPoly.const(self.alphabet, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -215,8 +252,6 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             return NotImplemented
         return self.alphabet == other.alphabet and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     # -- grading ------------------------------------------------------------
 
@@ -247,6 +282,8 @@ class ParamPoly:
 
     def evaluate(self, assignment: Mapping[int, Rat]) -> "ParamPoly":
         """Partial numeric substitution; unassigned parameters survive."""
+        if any(idx < 1 for idx in assignment):
+            raise ValueError("parameter indices start at 1")
         out: dict[tuple[int, ...], Fraction] = {}
         for expts, coef in self.terms.items():
             c = Fraction(coef)
@@ -283,21 +320,8 @@ class ParamPoly:
         return "*".join(factors)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for n, (expts, coef) in enumerate(self._sorted_terms()):
-            mono = self._monomial_str(expts)
-            mag = abs(coef)
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if n == 0:
-                pieces.append(body if coef > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if coef > 0 else "- ") + body)
-        return " ".join(pieces)
+        return _join_signed(_signed_term(coef, self._monomial_str(expts))
+                            for expts, coef in self._sorted_terms())
 
     def __repr__(self) -> str:
         return f"ParamPoly({self.alphabet!r}: {self})"
@@ -324,10 +348,12 @@ def _add_coef(terms: dict, key, coef: Mapping[tuple[int, ...], Fraction],
               scale: Rat = 1) -> None:
     """terms[key] += scale * coef for a nonzero scale, where terms maps keys
     (jet monomials, or index tuples of a series) to ParamPoly term dicts
-    that the summing code owns; a coefficient that cancels is removed."""
+    that the summing code owns; a zero coefficient is never stored, and one
+    that cancels is removed."""
     inner = terms.get(key)
     if inner is None:
-        terms[key] = dict(coef) if scale == 1 else {e: c * scale for e, c in coef.items()}
+        if coef:
+            terms[key] = dict(coef) if scale == 1 else {e: c * scale for e, c in coef.items()}
         return
     _add_terms(inner, coef, scale)
     if not inner:
@@ -343,6 +369,12 @@ def _add_coef_product(terms: dict, key, t1: Mapping[tuple[int, ...], Fraction],
     _add_param_product(inner, t1, t2, scale)
     if not inner:
         del terms[key]
+
+
+def _add_diff(terms: dict, p: Mapping[JetMono, "ParamPoly"], scale: Rat = 1) -> None:
+    """terms += scale * p for a DiffPoly term map and a nonzero scale."""
+    for mono, coef in p.items():
+        _add_coef(terms, mono, coef.terms, scale)
 
 
 def _add_diff_product(terms: dict, p: Mapping[JetMono, "ParamPoly"],
@@ -378,24 +410,18 @@ def _coef_over(alphabet: str, value: ParamPoly | Rat) -> ParamPoly:
     return value
 
 
-class DiffPoly:
+class DiffPoly(_Ring):
     """Differential polynomial: jet monomials with ParamPoly coefficients,
     all over the jet parameters ``d``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[JetMono, ParamPoly | Rat] | None = None):
-        clean: dict[JetMono, ParamPoly] = {}
+        out: dict = {}
         if terms:
             for mono, coef in terms.items():
-                c = _coef_over("d", coef)
-                if c.is_zero():
-                    continue
-                acc = clean.get(mono)
-                clean[mono] = c if acc is None else acc + c
-                if clean[mono].is_zero():
-                    del clean[mono]
-        self.terms = clean
+                _add_coef(out, mono, _coef_over("d", coef).terms)
+        self.terms = _wrap_coefs("d", out)
 
     # -- constructors ------------------------------------------------------
 
@@ -415,9 +441,6 @@ class DiffPoly:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def jets(self) -> set[Jet]:
         out: set[Jet] = set()
         for mono in self.terms:
@@ -433,50 +456,25 @@ class DiffPoly:
             return DiffPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _one(self) -> "DiffPoly":
+        return DiffPoly.const(1)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in o.terms.items():
-            acc = out.get(mono)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        res = DiffPoly()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = DiffPoly()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        out: dict = {}
+        _add_diff(out, self.terms)
+        _add_diff(out, o.terms)
+        return _wrap_diff(out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            c = _coef_over("d", other)
-            if c.is_zero():
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales each coefficient, no product needed
+            if not other:
                 return DiffPoly.zero()
             res = DiffPoly()
-            terms = {}
-            for m, k in self.terms.items():
-                prod = k * c
-                if not prod.is_zero():
-                    terms[m] = prod
-            res.terms = terms
+            res.terms = {m: k * other for m, k in self.terms.items()}
             return res
         o = self._coerce(other)
         if o is NotImplemented:
@@ -484,16 +482,6 @@ class DiffPoly:
         out: dict = {}
         _add_diff_product(out, self.terms, o.terms)
         return _wrap_diff(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = DiffPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly) and other.alphabet != "d":
@@ -503,8 +491,6 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     # -- calculus --------------------------------------------------------------
 
@@ -567,27 +553,13 @@ class DiffPoly:
         return "*".join(factors)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for n, (mono, coef) in enumerate(self._sorted_terms()):
+        def term(mono: JetMono, coef: ParamPoly) -> tuple[bool, str]:
             mstr = self._monomial_str(mono)
             if coef.is_constant():
-                c = coef.constant_value()
-                mag = abs(c)
-                neg = c < 0
-                if mstr:
-                    body = mstr if mag == 1 else f"{mag}*{mstr}"
-                else:
-                    body = str(mag)
-            else:
-                neg = False
-                body = f"({coef})*{mstr}" if mstr else f"({coef})"
-            if n == 0:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+                return _signed_term(coef.constant_value(), mstr)
+            return False, f"({coef})*{mstr}" if mstr else f"({coef})"
+
+        return _join_signed(term(mono, coef) for mono, coef in self._sorted_terms())
 
     def __repr__(self) -> str:
         return f"DiffPoly('d': {self})"

@@ -154,14 +154,14 @@ class TauSeries:
             raise ValueError("the weight cap must be >= 0")
         self.alphabet = alphabet
         self.cap = cap
-        clean: dict[Index, ParamPoly] = {}
+        terms: dict = {}
         if coeffs:
             for I, c in coeffs.items():
                 I = _series_key(I)
                 poly = _coef_over(alphabet, c)
                 if sum(I) <= cap:
-                    clean[I] = clean[I] + poly if I in clean else poly
-        self.coeffs = {I: c for I, c in clean.items() if not c.is_zero()}
+                    _add_coef(terms, I, poly.terms)
+        self.coeffs: dict[Index, ParamPoly] = _wrap_coefs(alphabet, terms)
 
     @classmethod
     def one(cls, alphabet: str, cap: int) -> "TauSeries":
@@ -195,13 +195,12 @@ class TauSeries:
         return TauSeries(self.alphabet, cap, self.coeffs)
 
     def __add__(self, other: "TauSeries") -> "TauSeries":
-        cap = min(self.cap, other.cap)
         terms: dict = {}
         for series in (self, other):
             for I, c in series.coeffs.items():
-                if sum(I) <= cap:
-                    _add_coef(terms, I, _coef_over(self.alphabet, c).terms)
-        return TauSeries(self.alphabet, cap, _wrap_coefs(self.alphabet, terms))
+                _add_coef(terms, I, _coef_over(self.alphabet, c).terms)
+        return TauSeries(self.alphabet, min(self.cap, other.cap),
+                         _wrap_coefs(self.alphabet, terms))
 
     def __neg__(self) -> "TauSeries":
         return TauSeries(self.alphabet, self.cap, {I: -c for I, c in self.coeffs.items()})
@@ -280,7 +279,8 @@ class CorrelatorTable:
     """Exact correlator values <tau_I> for all valid I with weight <= cap.
 
     Keys and lookups alike go through `correlator_key`, and values must be
-    over the table's alphabet (AlphabetMismatch otherwise).
+    over the table's alphabet (AlphabetMismatch otherwise).  The cap is at
+    least 1, and an entry above it raises WeightExceeded, as its lookup does.
     """
 
     __slots__ = ("r", "cap", "alphabet", "kind", "values")
@@ -289,6 +289,8 @@ class CorrelatorTable:
                  values: Mapping[Index, ParamPoly]):
         if kind not in ("connected", "disconnected"):
             raise ValueError(f"unknown correlator kind {kind!r}")
+        if cap < 1:
+            raise ValueError("the table needs max_weight >= 1")
         self.r = r
         self.cap = cap
         self.alphabet = alphabet
@@ -298,14 +300,15 @@ class CorrelatorTable:
             I = correlator_key(r, I)
             if I in self.values:
                 raise ValueError(f"correlator {list(I)} given twice")
-            self.values[I] = _coef_over(alphabet, v)
+            self.values[self._capped(I)] = _coef_over(alphabet, v)
+
+    def _capped(self, I: Index) -> Index:
+        if sum(I) > self.cap:
+            raise WeightExceeded(f"weight {sum(I)} exceeds this table's cap {self.cap}")
+        return I
 
     def value(self, indices: Iterable[int]) -> ParamPoly:
-        I = correlator_key(self.r, indices)
-        if sum(I) > self.cap:
-            raise WeightExceeded(
-                f"weight {sum(I)} exceeds this table's cap {self.cap}"
-            )
+        I = self._capped(correlator_key(self.r, indices))
         return self.values.get(I, ParamPoly.zero(self.alphabet))
 
     def keys(self) -> list[Index]:
@@ -394,8 +397,6 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
 
 def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:
     """Connected correlators through the given weight, all in the d alphabet."""
-    if max_weight < 1:
-        raise ValueError("the table needs max_weight >= 1")
     values: dict[Index, ParamPoly] = {}
     for I in index_multisets(r, max_weight):
         J, rising = _without_ones(I)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import ParamPoly
+from .algebra import ParamPoly, _join_signed, _signed_term
 from .bgw import (
     CorrelatorTable,
     TauSeries,
@@ -187,36 +187,21 @@ _LATEX_SYMBOL = {"d": "d", "c": "c", "sigma": "\\sigma"}
 
 
 def _latex_coeff(q: Fraction) -> str:
+    """A magnitude: an integer, or a \\tfrac."""
     if q.denominator == 1:
         return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    return f"\\tfrac{{{q.numerator}}}{{{q.denominator}}}"
 
 
 def _latex_poly(p: ParamPoly) -> str:
-    if p.is_zero():
-        return "0"
     sym = _LATEX_SYMBOL.get(p.alphabet, p.alphabet)
-    chunks = []
-    for expts, coeff in p._sorted_terms():
-        factors = []
-        for pos in range(len(expts) - 1, -1, -1):
-            e = expts[pos]
-            if not e:
-                continue
-            factors.append(f"{sym}_{{{pos + 1}}}" + (f"^{{{e}}}" if e > 1 else ""))
-        mono = " ".join(factors)
-        if not mono:
-            body = _latex_coeff(coeff)
-        elif abs(coeff) == 1:
-            body = ("-" if coeff < 0 else "") + mono
-        else:
-            body = f"{_latex_coeff(coeff)} {mono}"
-        chunks.append(body)
-    out = chunks[0]
-    for body in chunks[1:]:
-        out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
-    return out
+
+    def term(expts: tuple[int, ...], coeff: Fraction) -> tuple[bool, str]:
+        mono = " ".join(f"{sym}_{{{pos + 1}}}" + (f"^{{{e}}}" if e > 1 else "")
+                        for pos, e in reversed(list(enumerate(expts))) if e)
+        return _signed_term(coeff, mono, _latex_coeff, " ")
+
+    return _join_signed(term(expts, coeff) for expts, coeff in p._sorted_terms())
 
 
 def _latex_bracket(I: tuple[int, ...]) -> str:

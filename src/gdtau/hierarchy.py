@@ -42,11 +42,6 @@ def check_index(r: int, i: int) -> None:
         raise IndexDivisible(f"index {i} is a multiple of {r}")
 
 
-def _rising(a: int, k: int) -> int:
-    """(a+1)(a+2)...(a+k), the factor of d_a in the value of v_a^(k)."""
-    return math.factorial(a + k) // math.factorial(a)
-
-
 class Hierarchy:
     """The order-r hierarchy at its initial point, built on demand.
 
@@ -89,6 +84,7 @@ class Hierarchy:
         Chain rule over the jet variables: each v_a^(k) moves with the k-th
         x-derivative of X_a^j.
         """
+        check_index(self.r, j)
         out: dict = {}
         for (a, k) in sorted(p.jets()):
             _add_diff_product(out, self.flow_derivative(j, a, k).terms, p.partial(a, k).terms)
@@ -134,7 +130,7 @@ class Hierarchy:
             raise ValueError(f"no variable v{a} for r={self.r}")
         if k < 0:
             raise ValueError(f"no derivative of order {k}")
-        return ParamPoly.var("d", a) * _rising(a, k)
+        return ParamPoly.var("d", a) * math.perm(a + k, k)
 
     def evaluate(self, p: DiffPoly) -> ParamPoly:
         """A differential polynomial at the initial point, in one pass.
@@ -151,7 +147,7 @@ class Hierarchy:
                 if not 1 <= a <= self.r - 1:
                     raise ValueError(f"no variable v{a} for r={self.r}")
                 expts[a - 1] += e
-                factor *= _rising(a, k) ** e
+                factor *= math.perm(a + k, k) ** e
             _add_param_product(out, coef.terms, {_trim(expts): Fraction(factor)})
         return _wrap_param("d", out)
 

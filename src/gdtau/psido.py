@@ -22,8 +22,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff_product, _mono_from_dict,
-                      _wrap_diff, nth_diff_x)
+from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff, _add_diff_product,
+                      _mono_from_dict, _wrap_diff, nth_diff_x)
 from .errors import InsufficientDepth, InvariantViolated
 
 Rat = Union[int, Fraction]
@@ -128,16 +128,11 @@ class PsiDO:
     def __add__(self, other: "PsiDO") -> "PsiDO":
         if not isinstance(other, PsiDO):
             return NotImplemented
-        floor = self._merge_floor(other)
-        out: dict[int, DiffPoly] = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc = out.get(e)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = acc
-        return PsiDO(out, floor)
+        out: dict[int, dict] = {}
+        for op in (self, other):
+            for e, c in op.coeffs.items():
+                _add_diff(out.setdefault(e, {}), c.terms)
+        return PsiDO({e: _wrap_diff(acc) for e, acc in out.items()}, self._merge_floor(other))
 
     def __neg__(self) -> "PsiDO":
         return PsiDO({e: -c for e, c in self.coeffs.items()}, self.floor)
@@ -290,7 +285,8 @@ class LaxOperator:
         R^(k-1): above + sum C(k-1-s, j) row_s(R^(k-1)) u_n^(j) over
         s+j+n = t-1, n >= 1."""
         prev = self._rows[k - 1]
-        acc = {mono: dict(coef.terms) for mono, coef in above.terms.items()}
+        acc: dict = {}
+        _add_diff(acc, above.terms)
         for s in range(t - 1):
             if prev[s].is_zero():
                 continue
@@ -298,8 +294,7 @@ class LaxOperator:
             for j in range(0 if s else 1, t - 1 - s):
                 c = _binom(k - 1 - s, j)
                 if c:
-                    for mono, coef in self._deriv(t - 1 - s - j, j).terms.items():
-                        _add_coef(inner, mono, coef.terms, c)
+                    _add_diff(inner, self._deriv(t - 1 - s - j, j).terms, c)
             _add_diff_product(acc, prev[s].terms, _wrap_diff(inner).terms)
         return _wrap_diff(acc)
 
@@ -307,7 +302,8 @@ class LaxOperator:
         """Row t of R^k, k > r, from the rows rho_s of R^(k-r) (class doc)."""
         r = self.r
         rho = self._rows[k - r]
-        acc = {mono: dict(coef.terms) for mono, coef in rho[t].terms.items()}
+        acc: dict = {}
+        _add_diff(acc, rho[t].terms)
         for s in range(t - 1):
             jets = []  # (v_a^(j), C(k-r-s, j)) with s+j = t-1-a
             for a in range(1, min(r, t - s)):

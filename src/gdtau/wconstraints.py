@@ -99,14 +99,6 @@ def _splits(I: Index, size: int) -> list[tuple[Index, Index]]:
     return out
 
 
-def _falling(n: int, j: int) -> int:
-    """Falling factorial n (n-1) ... (n-j+1)."""
-    out = 1
-    for s in range(j):
-        out *= n - s
-    return out
-
-
 def _coefficient_terms(I: Index, r: int, balance: int,
                        orders: Index) -> dict[Index, Fraction]:
     """Coefficient I of one normal-ordered current monomial applied to a
@@ -134,7 +126,7 @@ def _coefficient_terms(I: Index, r: int, balance: int,
             for tlen in range(n - c + 1):
                 klen = n - c - tlen
                 for L, kept in _splits(rest, tlen):
-                    wl = math.prod(_falling(k, j + 1) for k in L)
+                    wl = math.prod(math.perm(k, j + 1) for k in L)
                     if wl == 0:
                         continue
                     lam_t = lam + sum(L) - (1 + j) * (tlen + klen)
@@ -146,7 +138,7 @@ def _coefficient_terms(I: Index, r: int, balance: int,
                         Ks = [Kg for s in range(top - sum(K) + 1)
                               for Kg in valid_multisets(r, s, klen)]
                     for Kg in Ks:
-                        cf = base * math.prod(_falling(k + j, j) for k in Kg)
+                        cf = base * math.prod(math.perm(k + j, j) for k in Kg)
                         cf //= _mult_factorial(Kg)
                         if last:
                             J = _normalize(kept + K + Kg)

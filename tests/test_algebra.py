@@ -79,6 +79,13 @@ def test_evaluate_is_partial():
     assert p.evaluate({1: Fraction(1, 2), 2: 3}).constant_value() == Fraction(13, 4)
 
 
+def test_evaluate_refuses_indices_below_one():
+    # a list position below 0 would name another parameter
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="parameter indices start at 1"):
+            (c(1) * c(2)).evaluate({bad: 5})
+
+
 def test_alphabet_mismatch_rejected():
     with pytest.raises(AlphabetMismatch):
         c(1) + ParamPoly.var("d", 1)
@@ -108,6 +115,11 @@ def test_canonical_string_output():
     assert str(ParamPoly.zero("c")) == "0"
     assert str(c(2) - c(1)) == "c2 - c1"
     assert str(ParamPoly.const("c", Fraction(-1, 4))) == "-1/4"
+    # a negative leading term, negative fractions after the first term
+    assert str(c(1) - c(2) * 3) == "-3*c2 + c1"
+    assert str(-c(1) ** 2 - c(2)) == "-c2 - c1^2"
+    assert str(c(2) - c(1) * Fraction(3, 4)) == "c2 - 3/4*c1"
+    assert str(c(1) ** 2 - Fraction(5, 2)) == "c1^2 - 5/2"
 
 
 def test_no_zero_terms_stored():
@@ -226,6 +238,14 @@ def test_diffpoly_string_canonical():
     p = v(1, 3) * Fraction(1, 4) + v(1, 1) * v(1) * Fraction(3, 2)
     assert str(p) == "1/4*v1_3 + 3/2*v1_1*v1"
     assert str(DiffPoly.zero()) == "0"
+    # a non-constant coefficient prints in parentheses, never with a sign
+    d1 = ParamPoly.var("d", 1)
+    assert str(v(1) * d1) == "(d1)*v1"
+    assert str(v(1) * (d1 - 2) - v(2) * Fraction(1, 3)) == "-1/3*v2 + (d1 - 2)*v1"
+    assert str(DiffPoly.const(ParamPoly.var("d", 2)) - v(1, 2) * Fraction(2, 3)) == \
+        "-2/3*v1_2 + (d2)"
+    # a negative leading term
+    assert str(3 - v(1, 2) - v(1) * v(1) * Fraction(1, 2)) == "-v1_2 - 1/2*v1^2 + 3"
 
 
 def test_diffpoly_partial():
@@ -258,6 +278,15 @@ def test_sums_store_no_zero_coefficient_when_terms_cancel():
     back = integrate_x(dx)
     assert_clean(back)
     assert back == p
+
+    # constructors and container sums cancel through the same kernels
+    m = (((1, 0), 1),)
+    assert DiffPoly({m: dp(1), (): 0}).terms == {m: dp(1)}
+    assert (v(1) * dp(1) + v(1) * -dp(1)).terms == {}
+    op = PsiDO({1: v(1) * dp(1), 0: 1}) + PsiDO({1: -v(1) * dp(1), 0: v(2)})
+    assert op.coeffs == {0: v(2) + 1}
+    for coef in op.coeffs.values():
+        assert_clean(coef)
 
     # the first flow is d/dx: the chain rule terms cancel across jets
     q = v(1, 1) * v(2) - v(1) * v(2, 1)

@@ -243,6 +243,7 @@ INDEX_ENTRIES = {
     "Hierarchy.flow": lambda b: hierarchy(3).flow(b),
     "Hierarchy.residue": lambda b: hierarchy(3).residue(b),
     "Hierarchy.density": lambda b: hierarchy(3).density((2, b)),
+    "Hierarchy.t_derivative": lambda b: hierarchy(3).t_derivative(DiffPoly.const(5), b),
     "pde_correlator": lambda b: pde_correlator(3, (2, b)),
     "CorrelatorTable": lambda b: CorrelatorTable(3, 6, "d", "connected", {(2, b): d(1)}),
     "CorrelatorTable.value": lambda b: CorrelatorTable(3, 6, "d", "connected", {}).value((2, b)),
@@ -271,6 +272,16 @@ def test_orders_below_two_have_no_times():
             CorrelatorTable(r, 3, "d", "connected", {(1,): d(1)})
         with pytest.raises(ValueError, match="bad index 0"):  # the index is named first
             pde_correlator(r, (0,))
+
+
+def test_table_holds_nothing_above_its_cap():
+    with pytest.raises(WeightExceeded, match="weight 5 exceeds this table's cap 2"):
+        CorrelatorTable(3, 2, "d", "connected", {(5,): d(1)})
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_weight >= 1"):
+            CorrelatorTable(3, bad, "d", "connected", {})
+        with pytest.raises(ValueError, match="max_weight >= 1"):
+            recursion_correlators(3, bad)
 
 
 def test_table_guards():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gdtau import ParamPoly, wconstraints
-from gdtau.cli import main
+from gdtau.cli import _latex_poly, main
 
 
 def run(capsys, *argv):
@@ -119,6 +119,18 @@ def test_correlators_latex(capsys):
     assert out.startswith("\\begin{align*}")
     assert "\\langle \\tau_{3} \\rangle &= \\tfrac{1}{2} c_{1}^{2} + \\tfrac{1}{2} c_{1}" in out
     assert out.rstrip().endswith("\\end{align*}")
+
+
+def test_latex_poly_signs():
+    c1, c2 = ParamPoly.var("c", 1), ParamPoly.var("c", 2)
+    assert _latex_poly(ParamPoly.zero("c")) == "0"
+    assert _latex_poly(ParamPoly.const("c", -3)) == "-3"
+    assert _latex_poly(c1 * Fraction(-3, 4) - c2 * Fraction(1, 2) + Fraction(5, 3)) == \
+        "-\\tfrac{1}{2} c_{2} - \\tfrac{3}{4} c_{1} + \\tfrac{5}{3}"
+    assert _latex_poly(-c1 - c1 ** 2 * Fraction(7, 2) - 4) == \
+        "-\\tfrac{7}{2} c_{1}^{2} - c_{1} - 4"
+    sigma = ParamPoly.var("sigma", 1)
+    assert _latex_poly(sigma ** 2 - Fraction(3, 2)) == "\\sigma_{1}^{2} - \\tfrac{3}{2}"
 
 
 def test_correlators_out_file(capsys, tmp_path):
