@@ -162,7 +162,9 @@ class ParamPoly(_Ring):
     """Polynomial in parameters ``<alphabet>1, <alphabet>2, ...``.
 
     terms maps an exponent tuple (position i = parameter index i+1, trailing
-    zeros stripped) to a nonzero Fraction.
+    zeros stripped) to a nonzero Fraction.  The constructor refuses a
+    negative exponent; the kernels, which only add and multiply such keys,
+    wrap their sums unchecked (`_wrap_param`).
     """
 
     __slots__ = ("alphabet",)
@@ -172,6 +174,8 @@ class ParamPoly(_Ring):
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expts, coef in terms.items():
+                if any(e < 0 for e in expts):
+                    raise ValueError("parameter exponents must be >= 0")
                 c = Fraction(coef)
                 if c:
                     _add_rat(clean, _trim(expts), c)
@@ -412,7 +416,9 @@ def _coef_over(alphabet: str, value: ParamPoly | Rat) -> ParamPoly:
 
 class DiffPoly(_Ring):
     """Differential polynomial: jet monomials with ParamPoly coefficients,
-    all over the jet parameters ``d``."""
+    all over the jet parameters ``d``.  The constructor refuses a jet
+    (a, k) with a < 1 or k < 0, the one check behind `jet`; the kernels
+    wrap their sums unchecked (`_wrap_diff`)."""
 
     __slots__ = ()
 
@@ -420,6 +426,8 @@ class DiffPoly(_Ring):
         out: dict = {}
         if terms:
             for mono, coef in terms.items():
+                if any(a < 1 or k < 0 for (a, k), _ in mono):
+                    raise ValueError("jet variables need a >= 1, k >= 0")
                 _add_coef(out, mono, _coef_over("d", coef).terms)
         self.terms = _wrap_coefs("d", out)
 
@@ -435,8 +443,6 @@ class DiffPoly(_Ring):
 
     @classmethod
     def jet(cls, a: int, k: int = 0) -> "DiffPoly":
-        if a < 1 or k < 0:
-            raise ValueError("jet variables need a >= 1, k >= 0")
         return cls({(((a, k), 1),): 1})
 
     # -- predicates ----------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Union
 
 from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff, _add_diff_product,
@@ -250,6 +251,28 @@ def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
 # --------------------------------------------------------------------------
 
 
+@cache
+def _row_plan(k: int, t: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """The terms by which row t of R^k, 2 <= k <= r, exceeds row t of R^(k-1)
+    and k u_(t-1) (R = L^(1/r), R^k = R^(k-1) R, u_n the root coefficient
+    at D^-n):
+
+        sum over s+j+n = t-1, n >= 1, (s, j) != (0, 0) of
+            C(k-1-s, j) row_s(R^(k-1)) u_n^(j),
+
+    grouped by s as (s, ((j, n, C(k-1-s, j)), ...)), zero binomials left
+    out.  The one statement of the root recurrence, read by
+    `LaxOperator._row` on differential polynomials and by the value ring of
+    `wconstraints.c_from_d` on values at the initial point."""
+    out = []
+    for s in range(t - 1):
+        terms = tuple((j, t - 1 - s - j, c) for j in range(0 if s else 1, t - 1 - s)
+                      if (c := _binom(k - 1 - s, j)))
+        if terms:
+            out.append((s, terms))
+    return tuple(out)
+
+
 class LaxOperator:
     """D^r + v1 D^(r-2) + ... + v(r-1), with a lazily filled power table.
 
@@ -282,19 +305,16 @@ class LaxOperator:
 
     def _row(self, k: int, t: int, above: DiffPoly) -> DiffPoly:
         """Row t of R^k, k <= r, less its u_(t-1) term, from `above` = row t of
-        R^(k-1): above + sum C(k-1-s, j) row_s(R^(k-1)) u_n^(j) over
-        s+j+n = t-1, n >= 1."""
+        R^(k-1), along `_row_plan(k, t)`."""
         prev = self._rows[k - 1]
         acc: dict = {}
         _add_diff(acc, above.terms)
-        for s in range(t - 1):
+        for s, plan in _row_plan(k, t):
             if prev[s].is_zero():
                 continue
             inner: dict = {}
-            for j in range(0 if s else 1, t - 1 - s):
-                c = _binom(k - 1 - s, j)
-                if c:
-                    _add_diff(inner, self._deriv(t - 1 - s - j, j).terms, c)
+            for j, n, c in plan:
+                _add_diff(inner, self._deriv(n, j).terms, c)
             _add_diff_product(acc, prev[s].terms, _wrap_diff(inner).terms)
         return _wrap_diff(acc)
 

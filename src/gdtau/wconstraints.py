@@ -41,6 +41,7 @@ from .bgw import (
     connected_correlators_pde,
     connected_from_disconnected,
     disconnected_from_connected,
+    entry_order,
     index_multisets,
     pde_correlator,
     series_from_correlators,
@@ -51,7 +52,7 @@ from .bgw import (
     _normalize,
 )
 from .errors import EngineError, InvariantViolated, NotStable, WeightExceeded
-from .hierarchy import hierarchy
+from .psido import _row_plan
 
 
 @dataclass(frozen=True)
@@ -325,31 +326,57 @@ def _wred(image, op: WOperatorSpec) -> TauSeries:
 # --------------------------------------------------------------------------
 
 
-def _recursion_values(r: int, max_weight: int) -> dict[Index, ParamPoly]:
-    """Disconnected correlators in the sigma alphabet, empty set included.
+def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
+    """Disconnected correlators in the sigma alphabet: the targets, every
+    entry their equations reach, and the empty set (value 1).
 
     Each M = A + (nu,), nu its largest index, comes from the plain operator
     of bidegree (alpha, q) with nu = alpha + (q - alpha) r, read off at
     coefficient A: it vanishes for q > alpha and is (-1)^alpha sigma_alpha
     a_A at q = alpha (the kernel's leading monomial is alpha + 1 times that
-    operator).  Of the correlators it involves, only <M> reaches weight |M|,
-    so it is solved for from the lower ones.
+    operator).  Of the correlators it involves, only <M> reaches weight |M|.
+
+    So the entries are solved in two passes.  The first collects the
+    closure of the targets under the equations, with an explicit stack and
+    one kernel call per entry, keeping each equation; the second solves the
+    closure in `entry_order`, where every other entry of an equation (and A)
+    comes earlier.  Every value depends on its own equation only, so a
+    closure entry equals the same entry of the full table.
     """
-    table: dict[Index, ParamPoly] = {(): ParamPoly.const("sigma", 1)}
-    for M in index_multisets(r, max_weight):
+    if r < 2:
+        raise ValueError("the operator order r must be >= 2")
+    equations: dict[Index, tuple[Fraction, dict[Index, Fraction]]] = {}
+    stack = [M for M in targets if M]
+    while stack:
+        M = stack.pop()
+        if M in equations:
+            continue
         nu, A = M[-1], M[:-1]
-        alpha = nu % r
-        terms = _coefficient_terms(A, r, nu, (0,) * (alpha + 1))
+        terms = _coefficient_terms(A, r, nu, (0,) * (nu % r + 1))
         lead = terms.pop(M)
+        terms = {J: w for J, w in terms.items() if w}
+        equations[M] = (lead, terms)
+        stack.extend(J for J in terms if J)
+        if nu < r and A:
+            stack.append(A)
+    table: dict[Index, ParamPoly] = {(): ParamPoly.const("sigma", 1)}
+    for M in sorted(equations, key=entry_order):
+        lead, terms = equations[M]
+        nu, A = M[-1], M[:-1]
         val: dict = {}
-        if nu == alpha:
-            eig = Fraction((-1) ** alpha * (alpha + 1), _mult_factorial(A))
-            _add_param_product(val, table[A].terms, ParamPoly.var("sigma", alpha).terms, eig)
+        if nu < r:  # q = alpha = nu: the eigenvalue term
+            eig = Fraction((-1) ** nu * (nu + 1), _mult_factorial(A))
+            _add_param_product(val, table[A].terms, ParamPoly.var("sigma", nu).terms, eig)
         for J, w in terms.items():
-            if w:
-                _add_terms(val, table[J].terms, -w)
+            _add_terms(val, table[J].terms, -w)
         table[M] = _wrap_param("sigma", val) / lead
     return table
+
+
+def _recursion_values(r: int, max_weight: int) -> dict[Index, ParamPoly]:
+    """Every disconnected correlator through max_weight, sigma alphabet,
+    empty set included (`_solve_entries` on the full table)."""
+    return _solve_entries(r, index_multisets(r, max_weight))
 
 
 def recursion_correlators(r: int, max_weight: int) -> CorrelatorTable:
@@ -380,7 +407,7 @@ def _triangular_inverse(images: Mapping[int, ParamPoly], leads: Mapping[int, Fra
 def solve_sigma_from_c(r: int) -> dict[int, ParamPoly]:
     """sigma_alpha as a polynomial in the one-point constants c (table
     normalization), solved triangularly from <tau_alpha> = c_alpha."""
-    singles = _recursion_values(r, r - 1)
+    singles = _solve_entries(r, [(a,) for a in range(1, r)])
     return _triangular_inverse({a: singles[(a,)] for a in range(1, r)},
                                {a: Fraction(1) for a in range(1, r)},
                                "one-point value is not triangular in sigma")
@@ -399,17 +426,68 @@ def rho_from_sigma(r: int) -> dict[int, ParamPoly]:
     return out
 
 
+@cache
+def _initial_residues(r: int) -> tuple[ParamPoly, ...]:
+    """res L^(alpha/r) at the initial point, alpha = 1..r-1 (see c_from_d).
+
+    Rows of R^1..R^r (R = L^(1/r)) are ParamPoly term dicts down to depth r,
+    grown one root coefficient per row as `LaxOperator._grow_root` does,
+    along the same `_row_plan`; u_n^(j) is perm(n + j, j) u_n.
+    """
+    if r < 2:
+        raise ValueError("the operator order r must be >= 2")
+    rows: dict[int, list[dict]] = {k: [{(): Fraction(1)}] for k in range(1, r + 1)}
+    for t in range(1, r + 1):
+        partial: list[dict] = [{}]
+        for k in range(2, r + 1):
+            prev = rows[k - 1]
+            acc = dict(partial[-1])
+            for s, plan in _row_plan(k, t):
+                if not prev[s]:
+                    continue
+                inner: dict = {}
+                for j, n, c in plan:
+                    _add_terms(inner, rows[1][n + 1], c * math.perm(n + j, j))
+                _add_param_product(acc, prev[s], inner)
+            partial.append(acc)
+        # row t of R^r, partial[-1] + r u_(t-1), is L's coefficient at
+        # D^(r-t): v_(t-1) = d_(t-1) at the initial point, none for t = 1
+        u = {(0,) * (t - 2) + (1,): Fraction(1, r)} if t > 1 else {}
+        _add_terms(u, partial[-1], Fraction(-1, r))
+        if t == 1 and u:
+            raise InvariantViolated("missing subleading term forces a zero root coefficient")
+        for k, p in enumerate(partial, start=1):
+            if u:
+                _add_terms(p, u, k)
+            rows[k].append(p)
+    return tuple(_wrap_param("d", rows[alpha][alpha + 1]) for alpha in range(1, r))
+
+
 def c_from_d(r: int) -> dict[int, ParamPoly]:
     """Scaled one-point constants from the jet parameters:
-    c_alpha (residue normalization) = res L^(alpha/r) at the initial jets."""
-    H = hierarchy(r)
-    return {alpha: H.evaluate(H.residue(alpha)) for alpha in range(1, r)}
+    c_alpha (residue normalization) = res L^(alpha/r) at the initial jets,
+    i.e. row alpha + 1 of R^alpha, for alpha = 1..r-1.
+
+    Read off values, not differential polynomials: at the initial point
+    every coefficient of weight w is E (1-x)^(-w) with E in Q[d], and d/dx
+    maps it to w E (1-x)^(-w-1).  Evaluation commutes with sums, products
+    and d/dx, so the root recurrence runs on the values E alone and equals
+    `Hierarchy.evaluate(Hierarchy.residue(alpha))`, which the tests keep as
+    its reference.  c_alpha is homogeneous of weight alpha + 1 with leading
+    term alpha/r d_alpha (what `d_from_c` inverts).  Memoised per r.
+    """
+    return dict(enumerate(_initial_residues(r), start=1))
+
+
+def _jets_from(c_d: Mapping[int, ParamPoly], r: int) -> dict[int, ParamPoly]:
+    """Triangular inverse of a c(d) map (residue normalization)."""
+    return _triangular_inverse(c_d, {a: Fraction(a, r) for a in range(1, r)},
+                               "residue constant is not triangular in d")
 
 
 def d_from_c(r: int) -> dict[int, ParamPoly]:
     """Triangular inverse of c_from_d (residue normalization throughout)."""
-    return _triangular_inverse(c_from_d(r), {a: Fraction(a, r) for a in range(1, r)},
-                               "residue constant is not triangular in d")
+    return _jets_from(c_from_d(r), r)
 
 
 def _tab_to_norm(r: int) -> dict[int, ParamPoly]:
@@ -450,13 +528,14 @@ def constants(r: int) -> ConstantsDictionary:
     sigma_c = solve_sigma_from_c(r)
     rho_sigma = rho_from_sigma(r)
     rho_c = {a: p.substitute(sigma_c, "c") for a, p in rho_sigma.items()}
+    c_d = c_from_d(r)
     return ConstantsDictionary(
         r=r,
         sigma_c=sigma_c,
         rho_sigma=rho_sigma,
         rho_c=rho_c,
-        c_d=c_from_d(r),
-        d_c=d_from_c(r),
+        c_d=c_d,
+        d_c=_jets_from(c_d, r),
     )
 
 

@@ -86,6 +86,23 @@ def test_evaluate_refuses_indices_below_one():
             (c(1) * c(2)).evaluate({bad: 5})
 
 
+def test_constructors_refuse_impossible_keys():
+    # the named constructors and __init__ share one rule per class
+    for bad in ({(-1,): 1}, {(2, -1): 3}, {(0, 0, -2): Fraction(1, 2)}):
+        with pytest.raises(ValueError, match="parameter exponents must be >= 0"):
+            ParamPoly("c", bad)
+    for jet in ((0, 0), (0, -2), (1, -1), (-3, 2)):
+        with pytest.raises(ValueError, match="jet variables need a >= 1, k >= 0"):
+            DiffPoly({((jet, 1),): 1})
+        with pytest.raises(ValueError, match="jet variables need a >= 1, k >= 0"):
+            DiffPoly.jet(*jet)
+    # a bad jet next to a good one is refused too
+    with pytest.raises(ValueError):
+        DiffPoly({(((1, 0), 1), ((2, -1), 1)): 1})
+    assert str(ParamPoly("c", {(0, 2): 3, (): -1})) == "3*c2^2 - 1"
+    assert str(DiffPoly({(((1, 0), 2), ((2, 3), 1)): 5})) == "5*v2_3*v1^2"
+
+
 def test_alphabet_mismatch_rejected():
     with pytest.raises(AlphabetMismatch):
         c(1) + ParamPoly.var("d", 1)

@@ -7,13 +7,17 @@ import sympy as sp
 
 from gdtau.algebra import ParamPoly
 from gdtau.bgw import TauSeries
+from gdtau import wconstraints
 from gdtau.errors import WeightExceeded
+from gdtau.hierarchy import hierarchy
 from gdtau.wconstraints import (
     WOperatorSpec,
     _current_monomials,
     _normalization,
     _raw_eigenvalues,
+    _recursion_values,
     _reduced_raw,
+    _solve_entries,
     apply_S,
     apply_Wred,
     c_from_d,
@@ -21,6 +25,7 @@ from gdtau.wconstraints import (
     d_from_c,
     recursion_correlators,
     rho_in_d,
+    solve_sigma_from_c,
     stabilized_correlators,
     table_in_c,
     verify_constraints,
@@ -294,6 +299,45 @@ def test_jet_constant_round_trip(r):
     for alpha in range(1, r):
         assert dc[alpha].substitute(cd, "d") == d(alpha)
         assert cd[alpha].substitute(dc, "c") == ParamPoly.var("c", alpha)
+
+
+def test_constants_build_no_hierarchy():
+    # c(d) comes from the value ring and sigma(c) from the recursion, so a
+    # cold constants(12) never asks for hierarchy(12) (neither hit nor miss)
+    constants.cache_clear()
+    wconstraints._initial_residues.cache_clear()
+    before = hierarchy.cache_info()
+    book = constants(12)
+    assert hierarchy.cache_info() == before  # currsize, hits and misses alike
+    assert sorted(book.c_d) == sorted(book.d_c) == list(range(1, 12))
+
+
+@pytest.mark.parametrize("r", [1, 0, -2])
+def test_constants_refuse_orders_below_two(r):
+    for build in (c_from_d, d_from_c, solve_sigma_from_c, constants):
+        with pytest.raises(ValueError, match="the operator order r must be >= 2"):
+            build(r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_value_ring_equals_symbolic_residues(r):
+    # the symbolic residue at the initial jets is the reference
+    H = hierarchy(r)
+    cd = c_from_d(r)
+    assert sorted(cd) == list(range(1, r))
+    for a in range(1, r):
+        assert cd[a] == H.evaluate(H.residue(a)), a
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 12])
+def test_closure_solver_matches_full_table(r):
+    full = _recursion_values(r, r - 1)
+    part = _solve_entries(r, [(a,) for a in range(1, r)])
+    assert all((a,) in part for a in range(1, r))
+    for I, value in part.items():
+        assert value == full[I], I
+    if r >= 6:
+        assert len(part) < len(full)
 
 
 # -- the weight recursion and the two table routes ---------------------------
