@@ -267,21 +267,29 @@ class ParamPoly(_Ring):
 
     def substitute(self, values: Mapping[int, "ParamPoly"], alphabet: str) -> "ParamPoly":
         """Full substitution: every parameter present must be mapped to a
-        polynomial over `alphabet`."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expts, coef in self.terms.items():
-            term = ParamPoly.const(alphabet, coef)
-            for i, e in enumerate(expts):
-                if not e:
-                    continue
-                idx = i + 1
-                if idx not in values:
-                    raise ValueError(f"no substitution given for {self.alphabet}{idx}")
-                val = values[idx]
+        polynomial over `alphabet`.  Each power of a value is built once per
+        call, and each term's product is summed into the result in place."""
+        powers: dict[tuple[int, int], dict] = {}
+
+        def power(i: int, e: int) -> dict:
+            got = powers.get((i, e))
+            if got is None:
+                if i + 1 not in values:
+                    raise ValueError(f"no substitution given for {self.alphabet}{i + 1}")
+                val = values[i + 1]
                 if val.alphabet != alphabet:
                     raise AlphabetMismatch("substitution values use the wrong alphabet")
-                term = term * val**e
-            _add_terms(out, term.terms)
+                got = powers[(i, e)] = (val**e).terms
+            return got
+
+        out: dict[tuple[int, ...], Fraction] = {}
+        for expts, coef in self.terms.items():
+            factors = [power(i, e) for i, e in enumerate(expts) if e] or [{(): Fraction(1)}]
+            acc: dict = {(): coef}
+            for f in factors[:-1]:
+                acc, prev = {}, acc
+                _add_param_product(acc, prev, f)
+            _add_param_product(out, acc, factors[-1])
         return _wrap_param(alphabet, out)
 
     def evaluate(self, assignment: Mapping[int, Rat]) -> "ParamPoly":

@@ -126,7 +126,10 @@ def _series_key(indices: Iterable[int]) -> Index:
     return I
 
 
+@cache
 def _mult_factorial(I: Index) -> int:
+    """prod of m! over the multiplicities m of I.  Memoised: the constraint
+    kernel asks for the same few multisets many times over."""
     out = 1
     for m in Counter(I).values():
         out *= math.factorial(m)

@@ -17,6 +17,8 @@ Both read one kernel, `_coefficient_terms`: coefficient I of one
 normal-ordered current monomial applied to a series, as a linear form in the
 correlators.  The plain operator is the leading monomial (alpha + 1 underived
 factors); the reduced operator sums every monomial of the current power.
+Both apply through `_apply_power`, which sums the monomials' forms at each
+output index before it reads the series.
 
 The `c` alphabet comes in two normalizations.  Tables use the one-point
 value itself (c_alpha = <tau_alpha>); residue formulas produce the scaled
@@ -31,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import ParamPoly, _add_coef, _add_param_product, _add_terms, _wrap_coefs, _wrap_param
 from .bgw import (
@@ -81,9 +83,11 @@ class WOperatorSpec:
 # --------------------------------------------------------------------------
 
 
-def _splits(I: Index, size: int) -> list[tuple[Index, Index]]:
+@cache
+def _splits(I: Index, size: int) -> tuple[tuple[Index, Index], ...]:
     """Every way to take a sub-multiset of the given size out of I, as
-    ascending (taken, kept) pairs."""
+    ascending (taken, kept) pairs.  Memoised: the kernel asks for the same
+    splits for every output index and every monomial of a current power."""
     groups = sorted(Counter(I).items())
     out: list[tuple[Index, Index]] = []
 
@@ -97,7 +101,7 @@ def _splits(I: Index, size: int) -> list[tuple[Index, Index]]:
             rec(gi + 1, left - take, taken + (v,) * take, kept + (v,) * (m - take))
 
     rec(0, size, (), ())
-    return out
+    return tuple(out)
 
 
 def _coefficient_terms(I: Index, r: int, balance: int,
@@ -118,7 +122,9 @@ def _coefficient_terms(I: Index, r: int, balance: int,
     """
     groups = sorted(Counter(orders).items())
     top = sum(I) + balance + 1
-    terms: dict[Index, Fraction] = {}
+    # every mult!(kept) divides mult!(I): sum integers over that denominator
+    denom = _mult_factorial(I)
+    nums: dict[Index, int] = {}
 
     def rec(gi: int, rest: Index, K: Index, lam: int, coef: int) -> None:
         j, n = groups[gi]
@@ -134,21 +140,25 @@ def _coefficient_terms(I: Index, r: int, balance: int,
                     base = coef * wl * (-1) ** (c + j * klen) * math.factorial(n)
                     base //= math.factorial(c) * _mult_factorial(L)
                     if last:
-                        Ks = valid_multisets(r, lam_t + balance + 1, klen)
-                    else:
-                        Ks = [Kg for s in range(top - sum(K) + 1)
-                              for Kg in valid_multisets(r, s, klen)]
-                    for Kg in Ks:
-                        cf = base * math.prod(math.perm(k + j, j) for k in Kg)
-                        cf //= _mult_factorial(Kg)
-                        if last:
+                        scale = denom // _mult_factorial(kept)
+                        for Kg, wk, mk in _factor_moves(r, lam_t + balance + 1, klen, j):
                             J = _normalize(kept + K + Kg)
-                            terms[J] = terms.get(J, 0) + Fraction(cf, _mult_factorial(kept))
-                        else:
-                            rec(gi + 1, kept, _normalize(K + Kg), lam_t - sum(Kg), cf)
+                            nums[J] = nums.get(J, 0) + base * wk // mk * scale
+                        continue
+                    for s in range(top - sum(K) + 1):
+                        for Kg, wk, mk in _factor_moves(r, s, klen, j):
+                            rec(gi + 1, kept, _normalize(K + Kg), lam_t - s, base * wk // mk)
 
     rec(0, I, (), 0, 1)
-    return terms
+    return {J: Fraction(v, denom) for J, v in nums.items()}
+
+
+@cache
+def _factor_moves(r: int, total: int, length: int, j: int) -> tuple[tuple[Index, int, int], ...]:
+    """(K, prod (k+j)!/k!, mult!(K)) for the index multisets K of one group's
+    differentiation moves: `length` valid indices summing to `total`."""
+    return tuple((K, math.prod(math.perm(k + j, j) for k in K), _mult_factorial(K))
+                 for K in valid_multisets(r, total, length))
 
 
 def _out_cap(series: TauSeries, op: WOperatorSpec) -> int:
@@ -161,27 +171,35 @@ def _out_cap(series: TauSeries, op: WOperatorSpec) -> int:
     return out_cap
 
 
-def _add_current(terms: dict, series: TauSeries, r: int, balance: int, orders: Index,
-                 out_cap: int, scale: Fraction) -> None:
-    """terms += scale * (one normal-ordered current monomial applied to the
-    series), coefficient-wise through out_cap; terms maps index tuples to
-    ParamPoly term dicts (algebra._add_coef)."""
-    for I in [()] + index_multisets(r, out_cap):
-        for J, w in _coefficient_terms(I, r, balance, orders).items():
+def _apply_power(series: TauSeries, op: WOperatorSpec,
+                 monomials: Sequence[tuple[Index, Fraction]]) -> TauSeries:
+    """Image of a truncated series under a sum of normal-ordered current
+    monomials (derivative orders, weight), exact through cap - shift - alpha.
+
+    One pass over the output indices: the monomials' linear forms at I are
+    summed into one {J: w} before the series is read, so each output
+    coefficient takes one scaled add per correlator it involves.
+    """
+    out_cap = _out_cap(series, op)
+    balance = op.alpha + op.shift
+    terms: dict = {}
+    for I in [()] + index_multisets(op.r, out_cap):
+        form: dict[Index, Fraction] = {}
+        for orders, cf in monomials:
+            for J, w in _coefficient_terms(I, op.r, balance, orders).items():
+                form[J] = form.get(J, 0) + cf * w
+        for J, w in form.items():
             aJ = series.get(J)
             if w and aJ.terms:
-                _add_coef(terms, I, aJ.terms, scale * w * _mult_factorial(J))
+                _add_coef(terms, I, aJ.terms, w * _mult_factorial(J))
+    return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
 
 
 def apply_S(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Image of a truncated series under the plain bidegree-(alpha, q)
     operator, exact through cap - shift - alpha.  It is the leading current
     monomial: alpha + 1 underived factors."""
-    out_cap = _out_cap(series, op)
-    terms: dict = {}
-    _add_current(terms, series, op.r, op.alpha + op.shift, (0,) * (op.alpha + 1), out_cap,
-                 Fraction(1, op.alpha + 1))
-    return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
+    return _apply_power(series, op, [((0,) * (op.alpha + 1), Fraction(1, op.alpha + 1))])
 
 
 @cache
@@ -212,12 +230,8 @@ def _current_monomials(alpha: int) -> tuple[tuple[Index, Fraction], ...]:
 def _reduced_raw(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Reduced operator before the lower-order normalization: the residue of
     the expanded degree-(alpha+1) current power at exponent alpha + shift."""
-    out_cap = _out_cap(series, op)
-    terms: dict = {}
-    for orders, cf in _current_monomials(op.alpha):
-        _add_current(terms, series, op.r, op.alpha + op.shift, orders, out_cap,
-                     cf / (op.alpha + 1))
-    return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
+    return _apply_power(series, op, [(orders, cf / (op.alpha + 1))
+                                     for orders, cf in _current_monomials(op.alpha)])
 
 
 def _raw_images(series: TauSeries, r: int):
@@ -555,12 +569,18 @@ def table_in_c(r: int, max_weight: int, path: str, kind: str = "connected") -> C
 
     path="recursion": weight recursion with formal sigma, then sigma -> c.
     path="pde": densities at the initial jets (d alphabet), then d -> c.
+
+    Tables are substituted connected.  The map to c is a ring homomorphism,
+    so it commutes with exp and log, and the connected table has fewer
+    terms: a connected recursion table takes its log in sigma, before the
+    substitution, and a disconnected density table its exp in c, after it.
+    Only the disconnected recursion table is substituted disconnected, as
+    it comes.
     """
     if path == "recursion":
-        disc = table_substitute(
-            recursion_correlators(r, max_weight), solve_sigma_from_c(r), "c"
-        )
-        return disc if kind == "disconnected" else connected_from_disconnected(disc)
+        disc = recursion_correlators(r, max_weight)
+        table = disc if kind == "disconnected" else connected_from_disconnected(disc)
+        return table_substitute(table, solve_sigma_from_c(r), "c")
     if path == "pde":
         conn = table_substitute(
             connected_correlators_pde(r, max_weight), d_of_ctab(r), "c"

@@ -60,6 +60,10 @@ def test_substitute_needs_every_parameter():
     p = c(1) + c(2)
     with pytest.raises(ValueError):
         p.substitute({1: ParamPoly.var("d", 1)}, "d")
+    with pytest.raises(ValueError, match="no substitution given for c2"):
+        (c(1) ** 2 + c(2) ** 2).substitute({1: ParamPoly.var("d", 1)}, "d")
+    with pytest.raises(AlphabetMismatch, match="substitution values use the wrong alphabet"):
+        (c(1) ** 2).substitute({1: ParamPoly.var("sigma", 1)}, "d")
 
 
 def test_substitute_is_a_ring_map():
@@ -69,6 +73,36 @@ def test_substitute_is_a_ring_map():
     lhs = (p * q).substitute(vals, "d")
     rhs = p.substitute(vals, "d") * q.substitute(vals, "d")
     assert lhs == rhs
+
+
+def _naive_substitute(p, values, alphabet):
+    # term by term: each term is its own product of fresh powers
+    out = ParamPoly.zero(alphabet)
+    for expts, coef in p.terms.items():
+        term = ParamPoly.const(alphabet, coef)
+        for i, e in enumerate(expts, start=1):
+            term = term * values[i] ** e
+        out = out + term
+    return out
+
+
+def test_substitute_matches_naive_expansion():
+    # repeated exponents share one power per call; the result must not care
+    d1, d2, d3 = (ParamPoly.var("d", i) for i in (1, 2, 3))
+    values = {1: d1 * 2 - d2 + Fraction(1, 3), 2: d2 * d1 - 5, 3: d3 + d1 * d1}
+    polys = [
+        c(1) ** 2 * c(2) * 3 - c(1) ** 2 * Fraction(2, 5) + c(2) ** 3 * c(1)
+        + c(3) ** 2 * c(1) ** 2 + 7,
+        (c(1) + c(2) + c(3)) ** 4,
+        c(2) ** 2 * c(3) ** 2 - c(1) ** 2 * c(3) ** 2 + c(1) ** 2 * c(2) ** 2,
+        ParamPoly.const("c", Fraction(-4, 9)),
+        ParamPoly.zero("c"),
+    ]
+    for p in polys:
+        assert p.substitute(values, "d") == _naive_substitute(p, values, "d"), p
+    # cancellation across terms leaves no zero coefficient behind
+    q = c(1) ** 2 - c(2)
+    assert q.substitute({1: d1, 2: d1 * d1}, "d").terms == {}
 
 
 def test_evaluate_is_partial():

@@ -6,12 +6,13 @@ import pytest
 import sympy as sp
 
 from gdtau.algebra import ParamPoly
-from gdtau.bgw import TauSeries
+from gdtau.bgw import TauSeries, _mult_factorial, connected_from_disconnected, index_multisets
 from gdtau import wconstraints
 from gdtau.errors import WeightExceeded
 from gdtau.hierarchy import hierarchy
 from gdtau.wconstraints import (
     WOperatorSpec,
+    _coefficient_terms,
     _current_monomials,
     _normalization,
     _raw_eigenvalues,
@@ -149,6 +150,46 @@ def test_top_order_expanded_power_matches_brute_force():
         oracle.brute_expanded(td, 4, 3, 3, tau.cap - 3, tau.cap),
         syms,
     )
+
+
+def test_fifth_power_matches_brute_force():
+    # alpha = 4 brings the mixed monomials (0, 1, 1) and (1, 2)
+    tau = bgw_tau(5, 6)
+    syms = oracle.symbols_for(5)
+    td = oracle.series_to_dict(tau, syms)
+    _assert_matches(
+        _reduced_raw(tau, WOperatorSpec(5, 4, 4)),
+        oracle.brute_expanded(td, 5, 4, 4, tau.cap - 4, tau.cap),
+        syms,
+    )
+
+
+def _per_monomial(series, op):
+    # one kernel call and one scaled add per current monomial and index
+    out_cap = series.cap - op.shift - op.alpha
+    balance = op.alpha + op.shift
+    out = {}
+    for orders, cf in _current_monomials(op.alpha):
+        for I in [()] + index_multisets(op.r, out_cap):
+            for J, w in _coefficient_terms(I, op.r, balance, orders).items():
+                scale = cf / (op.alpha + 1) * w * _mult_factorial(J)
+                out[I] = out.get(I, ParamPoly.zero("d")) + series.get(J) * scale
+    return {I: v for I, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_one_pass_kernel_equals_per_monomial_sum(r):
+    tau = bgw_tau(r, 8)
+    for alpha in range(1, r):
+        for q in (alpha, alpha + 1):
+            op = WOperatorSpec(r, alpha, q)
+            if tau.cap < op.shift + alpha:
+                with pytest.raises(WeightExceeded):
+                    _reduced_raw(tau, op)
+                continue
+            got = _reduced_raw(tau, op)
+            assert got.cap == tau.cap - op.shift - alpha
+            assert got.coeffs == _per_monomial(tau, op), (alpha, q)
 
 
 def test_monomial_table_matches_independent_recursion():
@@ -384,6 +425,17 @@ def test_routes_diverge_at_weight_five_for_larger_r():
     assert str(pde5) == "6*c4 - 6*c2*c1 - 12*c2"
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_recursion_route_substitutes_the_connected_table(r):
+    # the log is taken in sigma before sigma -> c; taking it in c after the
+    # substitution gives the same table
+    conn = table_in_c(r, 10, "recursion", "connected")
+    disc = table_in_c(r, 10, "recursion", "disconnected")
+    via_c = connected_from_disconnected(disc)
+    assert (conn.alphabet, conn.kind, conn.cap) == (via_c.alphabet, via_c.kind, via_c.cap)
+    assert conn.values == via_c.values
+
+
 def test_table_in_c_rejects_unknown_path():
     with pytest.raises(ValueError):
         table_in_c(3, 4, "magic")
@@ -400,6 +452,15 @@ def test_verification_report_all_pass():
     assert "r=3 alpha=1 q=3 window=-1 PASS" in rep.lines  # vacuous window
     assert all(line.endswith("PASS") for line in rep.lines)
     assert rep.text() == "\n".join(rep.lines)
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_verification_passes_with_mixed_monomials(r):
+    # alpha = 4, 5 are the first powers with monomials such as (0, 1, 1)
+    # and (1, 2); every check of the sweep must still pass
+    rep = verify_constraints(r, 8)
+    assert rep.ok, [line for line in rep.lines if "FAIL" in line]
+    assert f"r={r} alpha=4 q=4 window=4 PASS" in rep.lines
 
 
 def test_verification_detects_corruption():
