@@ -296,18 +296,9 @@ class ParamPoly(_Ring):
         """Partial numeric substitution; unassigned parameters survive."""
         if any(idx < 1 for idx in assignment):
             raise ValueError("parameter indices start at 1")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expts, coef in self.terms.items():
-            c = Fraction(coef)
-            rest = list(expts)
-            for idx, val in assignment.items():
-                i = idx - 1
-                if i < len(rest) and rest[i]:
-                    c *= Fraction(val) ** rest[i]
-                    rest[i] = 0
-            if c:
-                _add_rat(out, _trim(rest), c)
-        return _wrap_param(self.alphabet, out)
+        values = {i: ParamPoly.const(self.alphabet, assignment[i]) if i in assignment
+                  else ParamPoly.var(self.alphabet, i) for i in range(1, self.max_index() + 1)}
+        return self.substitute(values, self.alphabet)
 
     # -- printing -----------------------------------------------------------
 

@@ -20,6 +20,9 @@ factors); the reduced operator sums every monomial of the current power.
 Both apply through `_apply_power`, which sums the monomials' forms at each
 output index before it reads the series.
 
+Every change of constants, d(c), sigma(c) and the mixing constants (rho
+written in the raw diagonal eigenvalues), is one `_triangular_inverse`.
+
 The `c` alphabet comes in two normalizations.  Tables use the one-point
 value itself (c_alpha = <tau_alpha>); residue formulas produce the scaled
 variant (alpha * c_alpha), which is what `c_from_d`/`d_from_c` speak.  The
@@ -230,8 +233,11 @@ def _current_monomials(alpha: int) -> tuple[tuple[Index, Fraction], ...]:
 def _reduced_raw(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Reduced operator before the lower-order normalization: the residue of
     the expanded degree-(alpha+1) current power at exponent alpha + shift."""
+    # skip (alpha,): its multiply move needs t_k at k = -(q - alpha) r and its
+    # derivative move k = (q - alpha) r, and neither is a valid time
     return _apply_power(series, op, [(orders, cf / (op.alpha + 1))
-                                     for orders, cf in _current_monomials(op.alpha)])
+                                     for orders, cf in _current_monomials(op.alpha)
+                                     if orders != (op.alpha,)])
 
 
 def _raw_images(series: TauSeries, r: int):
@@ -270,41 +276,29 @@ def _raw_eigenvalues(r: int) -> dict[int, ParamPoly]:
 def _normalization(r: int, alpha: int) -> dict[Index, Fraction]:
     """Mixing constants for the lower-order pieces of the reduced operator.
 
-    Keys are ascending multisets of lower orders; the piece for (b1, ..., bm)
-    is the composition of the un-normalized reduced operators of those
-    orders, the innermost carrying the whole column shift.  On the diagonal
-    each piece multiplies the tau series by the product of its eigenvalues,
-    so the constants are solved monomial by monomial (largest order pattern
-    first) until the dictionary eigenvalue rho_alpha is matched exactly; off
-    the diagonal every piece annihilates, so the mixing cannot disturb those
-    windows.  Single orders suffice through r = 5; from r = 6 the mismatch
-    picks up genuinely quadratic jet monomials and products enter.
+    Keys are ascending multisets B of lower orders; the piece for B composes
+    the un-normalized reduced operators of those orders, the innermost
+    carrying the whole column shift.  On the diagonal the raw operator of
+    order b multiplies tau by e_b = (-1)^b hat_b, hat_b = d_b / r + (lower
+    jets), so the mixing is (-1)^alpha (rho_alpha - hat_alpha) written in
+    the e_b: each monomial prod e_b is the piece B, its coefficient h_B.
+    Off the diagonal every piece annihilates, so the mixing cannot disturb
+    those windows as long as each B is nonempty with sum(B) <= alpha.
+    Products of orders enter from r = 6.
     """
     hat = _raw_eigenvalues(r)
-    target = dict(((rho_in_d(r)[alpha] - hat[alpha]) * ((-1) ** alpha)).terms)
-    got: dict[Index, Fraction] = {}
-    while target:
-        expts = max(target, key=lambda e: tuple(sorted(
-            (i for i, m in enumerate(e, start=1) for _ in range(m)),
-            reverse=True)))
-        B = tuple(i for i, m in enumerate(expts, start=1) for _ in range(m))
-        if not B or sum(B) > alpha or B[-1] >= alpha:
-            raise EngineError(
-                f"no window-safe normalization matches rho_{alpha} at "
-                f"r={r}: left over {ParamPoly('d', target)}"
-            )
-        lead = Fraction(1)
-        piece = ParamPoly.const("d", (-1) ** sum(B))
-        for beta in B:
-            lead *= hat[beta].terms.get((0,) * (beta - 1) + (1,), Fraction(0))
-            piece = piece * hat[beta]
-        if not lead:
-            raise EngineError(
-                f"order pattern {B} misses its leading jet monomial"
-            )
-        h = target[expts] / lead * ((-1) ** sum(B))
-        got[B] = h
-        _add_terms(target, piece.terms, -h)
+    target = (rho_in_d(r)[alpha] - hat[alpha]) * ((-1) ** alpha)
+    unsafe = f"no window-safe normalization matches rho_{alpha} at r={r}: target {target}"
+    if target.max_index() >= alpha:
+        raise EngineError(unsafe)
+    lower = range(1, alpha)
+    jets = _triangular_inverse({b: hat[b] * ((-1) ** b) for b in lower},
+                               {b: Fraction((-1) ** b, r) for b in lower},
+                               "e", "raw eigenvalue is not triangular in d")
+    got = {tuple(b for b, m in enumerate(expts, start=1) for _ in range(m)): h
+           for expts, h in target.substitute(jets, "e").terms.items()}
+    if any(not B or sum(B) > alpha for B in got):
+        raise EngineError(unsafe)
     return got
 
 
@@ -405,16 +399,16 @@ def recursion_correlators(r: int, max_weight: int) -> CorrelatorTable:
 
 
 def _triangular_inverse(images: Mapping[int, ParamPoly], leads: Mapping[int, Fraction],
-                        message: str) -> dict[int, ParamPoly]:
-    """Solve c_alpha = images[alpha] for x_alpha, alpha ascending, where
-    images[alpha] = leads[alpha] x_alpha + (a polynomial in x_beta, beta < alpha);
-    any other shape raises InvariantViolated(message)."""
+                        alphabet: str, message: str) -> dict[int, ParamPoly]:
+    """Solve y_alpha = images[alpha] for x_alpha as polynomials in the y, named by
+    `alphabet`, where images[alpha] = leads[alpha] x_alpha + (a polynomial in the
+    x_beta, beta < alpha); any other shape raises InvariantViolated(message)."""
     out: dict[int, ParamPoly] = {}
     for alpha, image in sorted(images.items()):
         rest = image - ParamPoly.var(image.alphabet, alpha) * leads[alpha]
         if rest.max_index() >= alpha:
             raise InvariantViolated(message)
-        out[alpha] = (ParamPoly.var("c", alpha) - rest.substitute(out, "c")) / leads[alpha]
+        out[alpha] = (ParamPoly.var(alphabet, alpha) - rest.substitute(out, alphabet)) / leads[alpha]
     return out
 
 
@@ -423,7 +417,7 @@ def solve_sigma_from_c(r: int) -> dict[int, ParamPoly]:
     normalization), solved triangularly from <tau_alpha> = c_alpha."""
     singles = _solve_entries(r, [(a,) for a in range(1, r)])
     return _triangular_inverse({a: singles[(a,)] for a in range(1, r)},
-                               {a: Fraction(1) for a in range(1, r)},
+                               {a: Fraction(1) for a in range(1, r)}, "c",
                                "one-point value is not triangular in sigma")
 
 
@@ -493,15 +487,10 @@ def c_from_d(r: int) -> dict[int, ParamPoly]:
     return dict(enumerate(_initial_residues(r), start=1))
 
 
-def _jets_from(c_d: Mapping[int, ParamPoly], r: int) -> dict[int, ParamPoly]:
-    """Triangular inverse of a c(d) map (residue normalization)."""
-    return _triangular_inverse(c_d, {a: Fraction(a, r) for a in range(1, r)},
-                               "residue constant is not triangular in d")
-
-
 def d_from_c(r: int) -> dict[int, ParamPoly]:
     """Triangular inverse of c_from_d (residue normalization throughout)."""
-    return _jets_from(c_from_d(r), r)
+    return _triangular_inverse(c_from_d(r), {a: Fraction(a, r) for a in range(1, r)}, "c",
+                               "residue constant is not triangular in d")
 
 
 def _tab_to_norm(r: int) -> dict[int, ParamPoly]:
@@ -542,14 +531,13 @@ def constants(r: int) -> ConstantsDictionary:
     sigma_c = solve_sigma_from_c(r)
     rho_sigma = rho_from_sigma(r)
     rho_c = {a: p.substitute(sigma_c, "c") for a, p in rho_sigma.items()}
-    c_d = c_from_d(r)
     return ConstantsDictionary(
         r=r,
         sigma_c=sigma_c,
         rho_sigma=rho_sigma,
         rho_c=rho_c,
-        c_d=c_d,
-        d_c=_jets_from(c_d, r),
+        c_d=c_from_d(r),
+        d_c=d_from_c(r),
     )
 
 

@@ -111,6 +111,16 @@ def test_evaluate_is_partial():
     assert out == c(2) + 4
     # fully numeric
     assert p.evaluate({1: Fraction(1, 2), 2: 3}).constant_value() == Fraction(13, 4)
+    # an index above max_index() is ignored
+    assert p.evaluate({1: 2, 7: 5}) == c(2) + 4
+    assert p.evaluate({3: 5}) == p
+    # an assigned 0 removes every term it divides
+    assert p.evaluate({2: 0}) == c(1) ** 2
+    assert (c(1) * c(2) - c(3)).evaluate({1: 0}).terms == {(0, 0, 1): Fraction(-1)}
+    # assigning every parameter gives a constant
+    q = c(1) * c(3) ** 2 - c(2) * Fraction(1, 3) + 5
+    out = q.evaluate({1: -1, 2: Fraction(3, 2), 3: 2})
+    assert out.is_constant() and out.constant_value() == Fraction(1, 2)
 
 
 def test_evaluate_refuses_indices_below_one():

@@ -378,6 +378,48 @@ def test_invariant_violation_exits_three(capsys, monkeypatch):
         assert err.splitlines() == ["error: residue constant is not triangular in d"]
 
 
+def _verify_with_patched(capsys, monkeypatch, **fakes):
+    # the mixing constants are memoised per (r, alpha): clear them around
+    # the patched run so no other test sees its values
+    for name, fake in fakes.items():
+        monkeypatch.setattr(wconstraints, name, fake)
+    wconstraints._normalization.cache_clear()
+    try:
+        return run(capsys, "verify", "--r", "3", "--weight", "6")
+    finally:
+        wconstraints._normalization.cache_clear()
+
+
+def test_mixing_target_at_the_operator_order_exits_three(capsys, monkeypatch):
+    # a rho_2 with a d2 term left over cannot come from the order-1 piece
+    real = wconstraints.rho_in_d
+    d2 = ParamPoly.var("d", 2)
+    code, out, err = _verify_with_patched(
+        capsys, monkeypatch, rho_in_d=lambda r: {**real(r), 2: real(r)[2] + d2})
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: no window-safe normalization matches rho_2 at r=3")
+
+
+def test_raw_eigenvalue_without_jet_lead_exits_three(capsys, monkeypatch):
+    # hat_1 and rho_1 both lose their d1 / r lead, so the order-1 target
+    # stays zero, but the order-2 mixing has nothing to solve d1 from
+    real_hat, real_rho = wconstraints._raw_eigenvalues, wconstraints.rho_in_d
+
+    def drop_lead(values, r):
+        return {**values, 1: values[1] - ParamPoly.var("d", 1) * Fraction(1, r)}
+
+    code, out, err = _verify_with_patched(
+        capsys, monkeypatch,
+        _raw_eigenvalues=lambda r: drop_lead(real_hat(r), r),
+        rho_in_d=lambda r: drop_lead(real_rho(r), r))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: raw eigenvalue is not triangular in d"]
+
+
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
     capsys.readouterr()

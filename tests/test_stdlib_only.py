@@ -1,0 +1,23 @@
+"""The engine imports nothing outside the Python standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gdtau"
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def test_engine_imports_only_the_standard_library():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    seen = {name.split(".")[0] for path in sources for name in _absolute_imports(path)}
+    assert seen, "no absolute import found"
+    assert sorted(seen - set(sys.stdlib_module_names)) == []

@@ -192,6 +192,20 @@ def test_one_pass_kernel_equals_per_monomial_sum(r):
             assert got.coeffs == _per_monomial(tau, op), (alpha, q)
 
 
+def test_single_factor_monomial_has_no_weight():
+    # `_reduced_raw` skips the monomial (alpha,): its moves would need the
+    # times k = -(q - alpha) r and k = (q - alpha) r, neither of them valid
+    cases = 0
+    for r in range(2, 8):
+        for alpha in range(1, r):
+            for q in range(alpha, alpha + 3):
+                for I in [()] + index_multisets(r, 8):
+                    form = _coefficient_terms(I, r, alpha + (q - alpha) * r, (alpha,))
+                    assert not any(form.values()), (r, alpha, q, I)
+                    cases += 1
+    assert cases == 3660
+
+
 def test_monomial_table_matches_independent_recursion():
     for alpha in range(1, 7):
         assert dict(_current_monomials(alpha)) == oracle.power_monomials(alpha)
@@ -261,6 +275,22 @@ def test_normalization_constants_frozen():
         (3,): Fraction(36, 5),
         (2,): Fraction(6),
         (1,): Fraction(-12),
+    }
+    # from r = 6 on, products of lower orders enter the mixing
+    assert _normalization(6, 5) == {
+        (1,): Fraction(20), (1, 1): Fraction(10), (2,): Fraction(35),
+        (3,): Fraction(130, 3), (4,): Fraction(40, 3),
+    }
+    assert _normalization(7, 6) == {
+        (1,): Fraction(-3048, 7), (1, 1): Fraction(780, 7), (1, 2): Fraction(60),
+        (2,): Fraction(-462), (3,): Fraction(-80), (4,): Fraction(60),
+        (5,): Fraction(120, 7),
+    }
+    assert _normalization(8, 7) == {
+        (1,): Fraction(322), (1, 1): Fraction(1953, 2), (1, 1, 1): Fraction(-70),
+        (1, 2): Fraction(1995, 2), (1, 3): Fraction(140), (2,): Fraction(-7035, 4),
+        (2, 2): Fraction(315, 4), (3,): Fraction(-1071), (4,): Fraction(315, 2),
+        (5,): Fraction(168), (6,): Fraction(203, 8),
     }
 
 
@@ -454,10 +484,11 @@ def test_verification_report_all_pass():
     assert rep.text() == "\n".join(rep.lines)
 
 
-@pytest.mark.parametrize("r", [5, 6])
+@pytest.mark.parametrize("r", [5, 6, 7, 8])
 def test_verification_passes_with_mixed_monomials(r):
     # alpha = 4, 5 are the first powers with monomials such as (0, 1, 1)
-    # and (1, 2); every check of the sweep must still pass
+    # and (1, 2); r = 7, 8 also mix through the product pieces (1, 2) and
+    # (1, 1, 1); every check of the sweep must still pass
     rep = verify_constraints(r, 8)
     assert rep.ok, [line for line in rep.lines if "FAIL" in line]
     assert f"r={r} alpha=4 q=4 window=4 PASS" in rep.lines
