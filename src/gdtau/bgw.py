@@ -8,8 +8,8 @@ or `sigma` (constraint eigenvalue constants).
 
 Correlators of weight W come in two kinds:
 
-* connected  <tau_I>  — from residues and Omega densities evaluated at the
-  initial jets (the PDE route), or from the weight recursion (see
+* connected  <tau_I>  — from residues and their t-derivatives evaluated at
+  the initial jets (the PDE route), or from the weight recursion (see
   wconstraints);
 * disconnected <tau_I>* — moments of the tau function itself.
 
@@ -368,19 +368,17 @@ def _without_ones(I: Index) -> tuple[Index, int]:
 def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     """One connected correlator via the density route.
 
-    For a single insertion j this is res(L^(j/r)) at the jets, divided by j.
-    For more insertions, start from Omega of the two smallest (any pair gives
-    the same value) and differentiate along the remaining times before
-    evaluating: the density of I less its last index (`Hierarchy.density`)
-    moved along one more flow.
+    The density of I (`Hierarchy.density`) is res L^(I_0/r) moved along the
+    flows of I's further indices.  As d/dx Omega_{i,j} = d/dt_j res L^(i/r)
+    and the flows commute with d/dx, it is the x-derivative of a density of
+    weight |I| whose value is <tau_I>.  The jets v_a^(k) -> d_a (a+1)...(a+k)
+    are the x-derivatives at x = 0 of v_a = d_a (1-x)^(-(a+1)), so along x a
+    weight-W value is E (1-x)^(-W) and d/dx multiplies its value by W.
+    Hence <tau_I> = value(density(I)) / |I|, one index included, with no
+    antiderivative; the entry's own density is used once and dropped.
 
-    Insertions of index 1 cost no flow.  The t_1 flow is d/dx, and the jets
-    v_a^(k) -> d_a (a+1)...(a+k) are the x-derivatives at x = 0 of
-    v_a = d_a (1-x)^(-(a+1)), so along x a weight-W value is E (1-x)^(-W)
-    and d/dx multiplies its value at x = 0 by W.  For |J| >= 2, <tau_J> is
-    the value of a density of weight |J|; for J = (j) the same holds, since
-    <tau_1 tau_j> = Omega_{j,1} = res L^(j/r) = j <tau_j>.  Hence, with
-    rising factors,
+    Insertions of index 1 cost no flow: the t_1 flow is d/dx itself, so with
+    rising factors
 
         <tau_1^m tau_J> = |J| (|J|+1) ... (|J|+m-1) <tau_J>   (J without 1),
         <tau_1^m>       = (m-1)! <tau_1>                    (J = (1,)).
@@ -392,10 +390,7 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     H = hierarchy(r)
     if len(I) == 1:
         return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
-    if len(I) == 2:
-        return H.evaluate(H.omega(*I))
-    # the prefix density is memoised; the entry's own is used once and dropped
-    return H.evaluate(H.t_derivative(H.density(I[:-1]), I[-1]))
+    return H.evaluate(H.t_derivative(H.density(I[:-1]), I[-1])) * Fraction(1, sum(I))
 
 
 def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:

@@ -114,7 +114,7 @@ def _parse_assignments(raw: Sequence[str], alphabet: str, r: int) -> tuple[tuple
         name, sep, val = item.partition("=")
         if not sep:
             raise ConfigError(f"--set needs PARAM=VALUE, got {item!r}")
-        if not name.startswith(alphabet) or not name[len(alphabet):].isdigit():
+        if not name.startswith(alphabet) or not name[len(alphabet):].isdecimal():
             raise ConfigError(
                 f"parameter {name!r} does not belong to the {alphabet!r} alphabet"
             )

@@ -13,7 +13,7 @@ The i-th flow moves the operator L = D^r + v1 D^(r-2) + ... by
 
 and its components X_a^i (the coefficient at D^(r-1-a)) tell how each v_a
 moves.  Everything downstream — derivatives of differential polynomials along
-a flow, and the densities Omega_{i,j} = d/dt_j integral(res L^(i/r)) — is
+a flow, and the densities (res L^(i/r) moved along further flows) — is
 assembled from those components, and evaluated at the initial point, where
 v_a^(k) takes the value d_a (a+1)(a+2)...(a+k).
 """
@@ -46,10 +46,10 @@ class Hierarchy:
     """The order-r hierarchy at its initial point, built on demand.
 
     Owns the Lax operator (with its power table), the flow components and
-    their x-derivatives, the residues res L^(i/r), and one memo of densities:
-    Omega_{i,j} and the densities of index prefixes (Omega_{i,j} moved along
-    further flows); each is computed once.  Values at the initial point are
-    formed directly (`jet`, `evaluate`).
+    their x-derivatives, and one memo of densities: res L^(i/r) for (i,) and
+    its t-derivatives along the further indices of a longer tuple; each is
+    computed once.  Values at the initial point are formed directly (`jet`,
+    `evaluate`).
     """
 
     def __init__(self, r: int):
@@ -57,7 +57,6 @@ class Hierarchy:
         self.L = LaxOperator(r)
         self._flows: dict[int, dict[int, DiffPoly]] = {}
         self._flow_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (i, a) -> [X, X', ...]
-        self._residues: dict[int, DiffPoly] = {}
         self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
     def flow(self, i: int) -> dict[int, DiffPoly]:
@@ -91,36 +90,32 @@ class Hierarchy:
         return _wrap_diff(out)
 
     def residue(self, i: int) -> DiffPoly:
-        """res L^(i/r), the coefficient of D^-1."""
-        got = self._residues.get(i)
-        if got is None:
-            check_index(self.r, i)
-            got = self._residues[i] = residue(frac_power(self.L, i, -1))
-        return got
+        """res L^(i/r), the coefficient of D^-1: the density of (i,)."""
+        return self.density((i,))
 
     def omega(self, i: int, j: int) -> DiffPoly:
         """The density Omega_{i,j}: x-antiderivative of d(res L^(i/r))/dt_j.
 
         Symmetric in (i, j), vanishing constant term; NotExact propagates if
         the antiderivative ever failed to close (it does close for every
-        valid pair).
+        valid pair).  Not memoised: the correlators never ask for it.
         """
-        return self.density((i, j))
+        return integrate_x(self.density((i, j)))
 
     def density(self, I: tuple[int, ...]) -> DiffPoly:
-        """Omega_{I0,I1} moved along t_i for each further index i of I, in
+        """res L^(I0/r) moved along t_i for each further index i of I, in
         order; memoised per index tuple, so a longer tuple extends the
         density of its prefix by one flow."""
-        if len(I) < 2:
-            raise ValueError("a density needs at least two indices")
+        if not I:
+            raise ValueError("a density needs at least one index")
         got = self._densities.get(I)
         if got is None:
             for i in I:
                 check_index(self.r, i)
-            if len(I) > 2:
+            if len(I) > 1:
                 got = self.t_derivative(self.density(I[:-1]), I[-1])
             else:
-                got = integrate_x(self.t_derivative(self.residue(I[0]), I[1]))
+                got = residue(frac_power(self.L, I[0], -1))
             self._densities[I] = got
         return got
 

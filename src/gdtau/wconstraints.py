@@ -509,7 +509,9 @@ def sigma_in_d(r: int) -> dict[int, ParamPoly]:
     return {a: p.substitute(tab_in_d, "d") for a, p in solve_sigma_from_c(r).items()}
 
 
+@cache
 def rho_in_d(r: int) -> dict[int, ParamPoly]:
+    """rho in the jets; memoised, as every `_normalization(r, alpha)` reads it."""
     sig = sigma_in_d(r)
     return {a: p.substitute(sig, "d") for a, p in rho_from_sigma(r).items()}
 

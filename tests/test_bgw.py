@@ -155,6 +155,24 @@ def test_seed_pair_independence():
                 assert got == default, (r, I, (I[si], I[sj]))
 
 
+def test_omega_is_the_reference_of_the_density_route():
+    # the table divides the value of a residue's t-derivatives by the
+    # weight; the reference takes the antiderivative Omega of the first pair
+    # and moves it along the other flows, with no division
+    checked = 0
+    for r, top in ((3, 9), (4, 9), (5, 8)):
+        H = hierarchy(r)
+        for I in index_multisets(r, top):
+            if len(I) < 2 or 1 in I:
+                continue
+            density = H.omega(I[0], I[1])
+            for k in I[2:]:
+                density = H.t_derivative(density, k)
+            assert pde_correlator(r, I) == H.evaluate(density), (r, I)
+            checked += 1
+    assert checked == 37
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_density_route_without_integration(r):
     # d/dx Omega_ij = d/dt_j res_i, and at the initial point d/dx of a

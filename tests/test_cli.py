@@ -346,6 +346,10 @@ def test_stabilized_latex(capsys):
         ["correlators", "--r", "2", "--weight", "3", "--set", "c1=pi"],
         ["correlators", "--r", "2", "--weight", "3", "--set", "c5=1"],
         ["correlators", "--r", "2", "--weight", "2", "--set", "c1=1/2", "--set", "c1=1/3"],
+        # digits that str.isdigit accepts but int() refuses
+        ["correlators", "--r", "3", "--weight", "2", "--set", "c\u00b2=1"],
+        ["correlators", "--r", "3", "--weight", "2", "--set", "c1\u00b2=1"],
+        ["correlators", "--r", "3", "--weight", "2", "--set", "c\u2460=1"],
         ["verify", "--r", "3", "--weight", "1"],
         ["verify", "--r", "3", "--weight", "6", "--qextra", "-1"],
         ["constants", "--r", "0"],

@@ -122,7 +122,6 @@ def test_omega_has_no_constant_term():
 def test_omega_table_matches_free_function():
     H = hierarchy(3)
     assert H.omega(2, 4) == omega(3, 2, 4)
-    assert H.omega(2, 4) is H.omega(2, 4)  # cached
     assert H.residue(2) == residue(frac_power(lax(3), 2, -1))
     with pytest.raises(IndexDivisible):
         H.residue(3)
@@ -144,8 +143,17 @@ def test_one_pass_evaluation_matches_the_reference(r):
 def test_prefix_densities_are_built_once():
     H = Hierarchy(3)
     D = H.density((2, 2, 4))
-    assert D == H.t_derivative(H.omega(2, 2), 4)
+    assert D == H.t_derivative(H.density((2, 2)), 4)
     assert H.density((2, 2, 4)) is D
-    assert H.density((2, 4)) is H.omega(2, 4)
+    assert H.density((2,)) is H.residue(2)
     with pytest.raises(ValueError):
-        H.density((2,))
+        H.density(())
+
+
+def test_omega_is_the_antiderivative_of_the_pair_density():
+    # d/dx Omega_ij = d/dt_j res L^(i/r), the density of (i, j)
+    for r, pairs in ((2, [(1, 3), (3, 5)]), (3, [(1, 2), (2, 2), (2, 4), (4, 5)]),
+                     (4, [(2, 3), (3, 5)])):
+        H = hierarchy(r)
+        for i, j in pairs:
+            assert diff_x(H.omega(i, j)) == H.density((i, j)), (r, i, j)

@@ -525,6 +525,28 @@ def test_verification_builds_each_raw_image_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 8  # one per non-vacuous (alpha, q)
 
 
+def test_verification_solves_the_one_point_closure_once(monkeypatch):
+    # rho_in_d is memoised per r, so the mixing constants of every alpha and
+    # the diagonal checks share one solve of sigma(c)
+    calls = []
+    real = wconstraints.solve_sigma_from_c
+
+    def counting(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(wconstraints, "solve_sigma_from_c", counting)
+    caches = (wconstraints.rho_in_d, wconstraints._normalization)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        assert verify_constraints(8, 8).ok
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+    assert calls == [8]
+
+
 def test_verification_rejects_wrong_alphabet():
     stub = TauSeries("c", 2, {(): ParamPoly.const("c", 1)})
     with pytest.raises(ValueError):
