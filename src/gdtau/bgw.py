@@ -375,7 +375,10 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     are the x-derivatives at x = 0 of v_a = d_a (1-x)^(-(a+1)), so along x a
     weight-W value is E (1-x)^(-W) and d/dx multiplies its value by W.
     Hence <tau_I> = value(density(I)) / |I|, one index included, with no
-    antiderivative; the entry's own density is used once and dropped.
+    antiderivative.  The last flow is read on values: for two or more
+    indices the value of density(I) is `Hierarchy.t_derivative_value` of
+    the prefix density(I[:-1]) along t_(I_n), so the entry's own density is
+    never built; only the memoised prefix densities take a t_derivative.
 
     Insertions of index 1 cost no flow: the t_1 flow is d/dx itself, so with
     rising factors
@@ -390,7 +393,7 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     H = hierarchy(r)
     if len(I) == 1:
         return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
-    return H.evaluate(H.t_derivative(H.density(I[:-1]), I[-1])) * Fraction(1, sum(I))
+    return H.t_derivative_value(H.density(I[:-1]), I[-1]) * Fraction(1, sum(I))
 
 
 def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:

@@ -49,7 +49,9 @@ class Hierarchy:
     their x-derivatives, and one memo of densities: res L^(i/r) for (i,) and
     its t-derivatives along the further indices of a longer tuple; each is
     computed once.  Values at the initial point are formed directly (`jet`,
-    `evaluate`).
+    `evaluate`), and so is the value of one more t-derivative
+    (`t_derivative_value`): the correlators read every entry's last flow on
+    values, so a density is built only as the prefix of a longer entry.
     """
 
     def __init__(self, r: int):
@@ -127,6 +129,20 @@ class Hierarchy:
             raise ValueError(f"no derivative of order {k}")
         return ParamPoly.var("d", a) * math.perm(a + k, k)
 
+    def _jet_value(self, mono) -> tuple[list[int], int]:
+        """The value of a jet monomial prod (v_a^(k))^e at the initial point
+        as (d-exponents, integer factor): prod d_a^e times
+        prod ((a+1)...(a+k))^e.  The one jet range check of `evaluate` and
+        `t_derivative_value`."""
+        expts = [0] * (self.r - 1)
+        factor = 1
+        for (a, k), e in mono:
+            if not 1 <= a <= self.r - 1:
+                raise ValueError(f"no variable v{a} for r={self.r}")
+            expts[a - 1] += e
+            factor *= math.perm(a + k, k) ** e
+        return expts, factor
+
     def evaluate(self, p: DiffPoly) -> ParamPoly:
         """A differential polynomial at the initial point, in one pass.
 
@@ -136,14 +152,38 @@ class Hierarchy:
         """
         out: dict[tuple[int, ...], Fraction] = {}
         for mono, coef in p.terms.items():
-            expts = [0] * (self.r - 1)
-            factor = 1
-            for (a, k), e in mono:
-                if not 1 <= a <= self.r - 1:
-                    raise ValueError(f"no variable v{a} for r={self.r}")
-                expts[a - 1] += e
-                factor *= math.perm(a + k, k) ** e
+            expts, factor = self._jet_value(mono)
             _add_param_product(out, coef.terms, {_trim(expts): Fraction(factor)})
+        return _wrap_param("d", out)
+
+    def t_derivative_value(self, p: DiffPoly, j: int) -> ParamPoly:
+        """``evaluate(t_derivative(p, j))``, without building the derivative.
+
+        X_a^j is homogeneous of weight a + j + 1 (v_b^(m) weighs b + 1 + m),
+        so at the initial point the value of its k-th x-derivative is
+        perm(a+j+k, k) times the value of X_a^j.  The chain rule on values
+        then reads
+
+            value(dP/dt_j) = sum_(a,k) value(dP/dv_a^(k)) perm(a+j+k, k) value(X_a^j)
+
+        for any P, homogeneous or not, with parameter coefficients too.  One
+        pass over P sums the first two factors into one group G_a per
+        variable; the result is sum_a G_a value(X_a^j).
+        """
+        check_index(self.r, j)
+        groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for mono, coef in p.terms.items():
+            expts, factor = self._jet_value(mono)
+            for (a, k), e in mono:
+                # the monomial without one v_a^(k): perm(a+k, k) divides factor
+                expts[a - 1] -= 1
+                scale = e * math.perm(a + j + k, k) * factor // math.perm(a + k, k)
+                _add_param_product(groups.setdefault(a, {}), coef.terms,
+                                   {_trim(expts): Fraction(scale)})
+                expts[a - 1] += 1
+        out: dict[tuple[int, ...], Fraction] = {}
+        for a, group in groups.items():
+            _add_param_product(out, group, self.evaluate(self.flow(j)[a]).terms)
         return _wrap_param("d", out)
 
 

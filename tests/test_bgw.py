@@ -223,6 +223,25 @@ def test_entries_in_reverse_order_match_the_table(r, monkeypatch):
     assert H._densities  # prefix densities were built and kept
 
 
+def test_last_flow_is_read_on_values(monkeypatch):
+    # connected_correlators_pde(4, 12) built 52 t-derivatives and x-derivative
+    # chains of total length 103 when every entry's last flow was a DiffPoly;
+    # now only the memoised prefix densities take a t_derivative
+    H = Hierarchy(4)
+    monkeypatch.setattr(bgw, "hierarchy", lambda order: H)
+    calls = []
+    build = Hierarchy.t_derivative
+
+    def counted(self, p, j):
+        calls.append(j)
+        return build(self, p, j)
+
+    monkeypatch.setattr(Hierarchy, "t_derivative", counted)
+    assert connected_correlators_pde(4, 12).values == conn_table(4, 12).values
+    assert len(calls) == sum(len(I) >= 2 for I in H._densities) == 11
+    assert sum(len(chain) for chain in H._flow_derivs.values()) <= 37
+
+
 def test_divisible_index_rejected():
     with pytest.raises(IndexDivisible):
         pde_correlator(3, (3,))
@@ -262,6 +281,7 @@ INDEX_ENTRIES = {
     "Hierarchy.residue": lambda b: hierarchy(3).residue(b),
     "Hierarchy.density": lambda b: hierarchy(3).density((2, b)),
     "Hierarchy.t_derivative": lambda b: hierarchy(3).t_derivative(DiffPoly.const(5), b),
+    "Hierarchy.t_derivative_value": lambda b: hierarchy(3).t_derivative_value(DiffPoly.const(5), b),
     "pde_correlator": lambda b: pde_correlator(3, (2, b)),
     "CorrelatorTable": lambda b: CorrelatorTable(3, 6, "d", "connected", {(2, b): d(1)}),
     "CorrelatorTable.value": lambda b: CorrelatorTable(3, 6, "d", "connected", {}).value((2, b)),

@@ -157,3 +157,31 @@ def test_omega_is_the_antiderivative_of_the_pair_density():
         H = hierarchy(r)
         for i, j in pairs:
             assert diff_x(H.omega(i, j)) == H.density((i, j)), (r, i, j)
+
+
+# -- the last flow read on values ---------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_t_derivative_value_matches_the_reference(r):
+    # the chain rule on values against the built t-derivative, evaluated
+    H = hierarchy(r)
+    d1 = ParamPoly.var("d", 1)
+    polys = [H.density(I) for I in index_multisets(r, 8) if 1 not in I]
+    polys.append(H.residue(1) * d1 * 3 + v(1, 2))  # not homogeneous, parameters inside
+    flows = [j for j in range(1, 8) if j % r]
+    for p in polys:
+        for j in flows:
+            assert H.t_derivative_value(p, j) == H.evaluate(H.t_derivative(p, j)), (str(p), j)
+    for const in (DiffPoly.const(5), DiffPoly.const(d1), DiffPoly.zero()):
+        for j in flows:
+            assert H.t_derivative_value(const, j).is_zero()
+
+
+def test_t_derivative_value_guards_jets_like_evaluate():
+    # a bad flow index is refused by the one index rule (test_bgw)
+    H = hierarchy(3)
+    for a in (3, 4):
+        for fn in (H.evaluate, lambda p: H.t_derivative_value(p, 2)):
+            with pytest.raises(ValueError, match=f"^no variable v{a} for r=3$"):
+                fn(v(1) * v(a, 1))
