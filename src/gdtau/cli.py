@@ -133,6 +133,8 @@ def _parse_assignments(raw: Sequence[str], alphabet: str, r: int) -> tuple[tuple
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     command = ns.command
+    if ns.out == "":
+        raise ConfigError("--out needs a file name")
     if command == "correlators":
         if ns.r < 2:
             raise ConfigError("--r must be >= 2")
@@ -241,7 +243,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     Anything else (a symlink, a device such as /dev/stdout, a FIFO) is opened
     and written in place, so the link or node itself is kept.  I/O failures
     are usage errors."""
-    if not out:
+    if out is None:
         print(text)
         return
     try:

@@ -15,7 +15,11 @@ and its components X_a^i (the coefficient at D^(r-1-a)) tell how each v_a
 moves.  Everything downstream — derivatives of differential polynomials along
 a flow, and the densities (res L^(i/r) moved along further flows) — is
 assembled from those components, and evaluated at the initial point, where
-v_a^(k) takes the value d_a (a+1)(a+2)...(a+k).
+v_a^(k) takes the value d_a (a+1)(a+2)...(a+k) (`initial_jet`).
+
+`InitialValues` is the Lax operator's power table itself, run on those
+values: res L^(i/r) at the initial point is one read of it, with no
+differential polynomial built (`wconstraints.c_from_d`).
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product
                       _wrap_diff, _wrap_param, integrate_x, nth_diff_x)
 from .errors import IndexDivisible, InvariantViolated
 from .psido import LaxOperator, commutator, frac_power, plus_part, residue
+
+
+def initial_jet(a: int, k: int) -> ParamPoly:
+    """Value of v_a^(k) at the initial point: d_a * (a+1)...(a+k)."""
+    return ParamPoly.var("d", a) * math.perm(a + k, k)
 
 
 def check_index(r: int, i: int) -> None:
@@ -59,6 +68,7 @@ class Hierarchy:
         self.L = LaxOperator(r)
         self._flows: dict[int, dict[int, DiffPoly]] = {}
         self._flow_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (i, a) -> [X, X', ...]
+        self._flow_values: dict[tuple[int, int], ParamPoly] = {}  # (i, a) -> value(X_a^i)
         self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
     def flow(self, i: int) -> dict[int, DiffPoly]:
@@ -127,7 +137,7 @@ class Hierarchy:
             raise ValueError(f"no variable v{a} for r={self.r}")
         if k < 0:
             raise ValueError(f"no derivative of order {k}")
-        return ParamPoly.var("d", a) * math.perm(a + k, k)
+        return initial_jet(a, k)
 
     def _jet_value(self, mono) -> tuple[list[int], int]:
         """The value of a jet monomial prod (v_a^(k))^e at the initial point
@@ -168,7 +178,8 @@ class Hierarchy:
 
         for any P, homogeneous or not, with parameter coefficients too.  One
         pass over P sums the first two factors into one group G_a per
-        variable; the result is sum_a G_a value(X_a^j).
+        variable; the result is sum_a G_a value(X_a^j), each value(X_a^j)
+        evaluated once per hierarchy.
         """
         check_index(self.r, j)
         groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
@@ -183,14 +194,54 @@ class Hierarchy:
                 expts[a - 1] += 1
         out: dict[tuple[int, ...], Fraction] = {}
         for a, group in groups.items():
-            _add_param_product(out, group, self.evaluate(self.flow(j)[a]).terms)
+            value = self._flow_values.get((j, a))
+            if value is None:
+                value = self._flow_values[(j, a)] = self.evaluate(self.flow(j)[a])
+            _add_param_product(out, group, value.terms)
         return _wrap_param("d", out)
+
+
+class InitialValues(LaxOperator):
+    """The power table of L at the initial point.
+
+    There every coefficient of weight w is E (1-x)^(-w) with E in Q[d], and
+    d/dx maps it to w E (1-x)^(-w-1).  Evaluation commutes with sums,
+    products and d/dx, so `LaxOperator`'s own recurrence runs on the values
+    E: each row is a constant DiffPoly, v_a is d_a, the jet v_a^(j) is
+    `initial_jet(a, j)` and u_n^(j) is perm(n+j, j) u_n (u_n weighs n + 1).
+    Each row equals `Hierarchy.evaluate` of the symbolic one, which the
+    tests keep as the reference.
+    """
+
+    def _lead(self, t: int) -> DiffPoly:
+        return DiffPoly.const(initial_jet(t - 1, 0)) if 1 < t <= self.r else DiffPoly.zero()
+
+    def _jet(self, a: int, j: int) -> DiffPoly:
+        return DiffPoly.const(initial_jet(a, j))
+
+    def _deriv(self, n: int, j: int) -> DiffPoly:
+        chain = self._derivs.setdefault(n, [self._rows[1][n + 1]])
+        while len(chain) <= j:
+            chain.append(chain[-1] * (n + len(chain)))
+        return chain[j]
+
+    def residue(self, i: int) -> ParamPoly:
+        """res L^(i/r) at the initial point: row i + 1 of R^i."""
+        check_index(self.r, i)
+        self._fill(i, i + 1)
+        return self._rows[i][i + 1].terms.get((), ParamPoly.zero("d"))
 
 
 @cache
 def hierarchy(r: int) -> Hierarchy:
     """The process-wide Hierarchy of order r."""
     return Hierarchy(r)
+
+
+@cache
+def initial_values(r: int) -> InitialValues:
+    """The process-wide value table of order r."""
+    return InitialValues(r)
 
 
 def lax(r: int) -> LaxOperator:

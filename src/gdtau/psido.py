@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Union
 
-from .algebra import (DiffPoly, ParamPoly, _add_coef, _add_diff, _add_diff_product,
-                      _mono_from_dict, _wrap_diff, nth_diff_x)
+from .algebra import DiffPoly, ParamPoly, _add_diff, _add_diff_product, _wrap_diff, nth_diff_x
 from .errors import InsufficientDepth, InvariantViolated
 
 Rat = Union[int, Fraction]
@@ -252,22 +251,21 @@ def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
 
 
 @cache
-def _row_plan(k: int, t: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-    """The terms by which row t of R^k, 2 <= k <= r, exceeds row t of R^(k-1)
-    and k u_(t-1) (R = L^(1/r), R^k = R^(k-1) R, u_n the root coefficient
-    at D^-n):
+def _row_plan(m: int, t: int, top: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """The sum over s+j+n = t-1, 1 <= n <= top, of C(m-s, j) row_s f_n^(j),
+    grouped by s as (s, ((j, n, C(m-s, j)), ...)), zero binomials left out:
+    the one statement of the recurrence of `LaxOperator`'s power table
+    (R = L^(1/r), row t of R^k its coefficient at D^(k-t)).
 
-        sum over s+j+n = t-1, n >= 1, (s, j) != (0, 0) of
-            C(k-1-s, j) row_s(R^(k-1)) u_n^(j),
-
-    grouped by s as (s, ((j, n, C(k-1-s, j)), ...)), zero binomials left
-    out.  The one statement of the root recurrence, read by
-    `LaxOperator._row` on differential polynomials and by the value ring of
-    `wconstraints.c_from_d` on values at the initial point."""
+    For k <= r, R^k = R^(k-1) R: with m = k-1, top = t-2 and f_n = u_n (the
+    root coefficient at D^-n) it is what row t of R^k adds to row t of
+    R^(k-1) besides k u_(t-1).  For k > r, R^k = R^(k-r) L: with m = k-r,
+    top = r-1 and f_n = v_n it is what row t of R^k adds to row t of
+    R^(k-r)."""
     out = []
     for s in range(t - 1):
-        terms = tuple((j, t - 1 - s - j, c) for j in range(0 if s else 1, t - 1 - s)
-                      if (c := _binom(k - 1 - s, j)))
+        terms = tuple((j, t - 1 - s - j, c) for j in range(max(0, t - 1 - s - top), t - 1 - s)
+                      if (c := _binom(m - s, j)))
         if terms:
             out.append((s, terms))
     return tuple(out)
@@ -280,12 +278,13 @@ class LaxOperator:
     once.  For k <= r rows come from R^k = R^(k-1) R: row t of R^1 is the
     root coefficient u_(t-1), which enters row t of R^k only as k * u_(t-1)
     and is solved from row t of R^r against L.  Above r, L commutes with its
-    fractional powers, so R^k = R^(k-r) L; with rho_s = row s of R^(k-r),
+    fractional powers, so R^k = R^(k-r) L: each product is a row of R^(k-r)
+    times one jet.  Only root coefficients and jets are ever
+    x-differentiated; both recurrences read `_row_plan`.
 
-        row t of R^k = rho_t + sum_a sum_{s+j=t-1-a} C(k-r-s, j) rho_s v_a^(j),
-
-    each product a row times one jet.  Only root coefficients and jets are
-    ever x-differentiated.
+    The ring enters only through `_lead` (L's coefficient at D^(r-t)),
+    `_jet` (v_a^(j)) and `_deriv` (u_n^(j)); a subclass that overrides the
+    three runs the same table on values (`hierarchy.InitialValues`).
     """
 
     def __init__(self, r: int):
@@ -300,43 +299,28 @@ class LaxOperator:
         self._rows: dict[int, list[DiffPoly]] = {k: [one] for k in range(1, r + 1)}
         self._derivs: dict[int, list[DiffPoly]] = {}  # n -> [u_n, u_n', u_n'', ...]
 
+    def _lead(self, t: int) -> DiffPoly:
+        return self.op.coeff(self.r - t)
+
+    def _jet(self, a: int, j: int) -> DiffPoly:
+        return DiffPoly.jet(a, j)
+
     def _deriv(self, n: int, j: int) -> DiffPoly:
         return nth_diff_x(self._derivs.setdefault(n, [self._rows[1][n + 1]]), j)
 
-    def _row(self, k: int, t: int, above: DiffPoly) -> DiffPoly:
-        """Row t of R^k, k <= r, less its u_(t-1) term, from `above` = row t of
-        R^(k-1), along `_row_plan(k, t)`."""
-        prev = self._rows[k - 1]
+    @staticmethod
+    def _row(base: DiffPoly, rows: list[DiffPoly], plan, f) -> DiffPoly:
+        """base + the sum `plan` lays out (`_row_plan`) over `rows`, with
+        f(n, j) the factor f_n^(j)."""
         acc: dict = {}
-        _add_diff(acc, above.terms)
-        for s, plan in _row_plan(k, t):
-            if prev[s].is_zero():
+        _add_diff(acc, base.terms)
+        for s, terms in plan:
+            if rows[s].is_zero():
                 continue
             inner: dict = {}
-            for j, n, c in plan:
-                _add_diff(inner, self._deriv(n, j).terms, c)
-            _add_diff_product(acc, prev[s].terms, _wrap_diff(inner).terms)
-        return _wrap_diff(acc)
-
-    def _lifted_row(self, k: int, t: int) -> DiffPoly:
-        """Row t of R^k, k > r, from the rows rho_s of R^(k-r) (class doc)."""
-        r = self.r
-        rho = self._rows[k - r]
-        acc: dict = {}
-        _add_diff(acc, rho[t].terms)
-        for s in range(t - 1):
-            jets = []  # (v_a^(j), C(k-r-s, j)) with s+j = t-1-a
-            for a in range(1, min(r, t - s)):
-                j = t - 1 - s - a
-                c = _binom(k - r - s, j)
-                if c:
-                    jets.append(((a, j), c))
-            for mono, coef in rho[s].terms.items():
-                base = dict(mono)
-                for jet, c in jets:
-                    d = dict(base)
-                    d[jet] = d.get(jet, 0) + 1
-                    _add_coef(acc, _mono_from_dict(d), coef.terms, c)
+            for j, n, c in terms:
+                _add_diff(inner, f(n, j).terms, c)
+            _add_diff_product(acc, rows[s].terms, _wrap_diff(inner).terms)
         return _wrap_diff(acc)
 
     def _grow_root(self, depth: int) -> None:
@@ -344,8 +328,9 @@ class LaxOperator:
         for t in range(len(self._rows[1]), depth + 1):
             partial = [DiffPoly.zero()]
             for k in range(2, self.r + 1):
-                partial.append(self._row(k, t, partial[-1]))
-            u = (self.op.coeff(self.r - t) - partial[-1]) * Fraction(1, self.r)
+                partial.append(self._row(partial[-1], self._rows[k - 1],
+                                         _row_plan(k - 1, t, t - 2), self._deriv))
+            u = (self._lead(t) - partial[-1]) * Fraction(1, self.r)
             if t == 1 and not u.is_zero():
                 raise InvariantViolated("missing subleading term forces a zero root coefficient")
             for k, p in enumerate(partial, start=1):
@@ -357,9 +342,10 @@ class LaxOperator:
             self._grow_root(depth)
             return
         self._fill(k - self.r, depth)
+        rho = self._rows[k - self.r]
         rows = self._rows.setdefault(k, [self._rows[1][0]])
         for t in range(len(rows), depth + 1):
-            rows.append(self._lifted_row(k, t))
+            rows.append(self._row(rho[t], rho, _row_plan(k - self.r, t, self.r - 1), self._jet))
 
     def power(self, k: int, floor: int) -> PsiDO:
         """R^k exact at every power >= floor (needs the root down to floor-k+1)."""

@@ -20,13 +20,15 @@ factors); the reduced operator sums every monomial of the current power.
 Both apply through `_apply_power`, which sums the monomials' forms at each
 output index before it reads the series.
 
-Every change of constants, d(c), sigma(c) and the mixing constants (rho
-written in the raw diagonal eigenvalues), is one `_triangular_inverse`.
+c(d) is read off the Lax operator's power table at the initial point
+(`hierarchy.initial_values`).  Every change of constants back, d(c) in
+either normalization, sigma(c) and the mixing constants (rho written in the
+raw diagonal eigenvalues), is one `_triangular_inverse`.
 
 The `c` alphabet comes in two normalizations.  Tables use the one-point
 value itself (c_alpha = <tau_alpha>); residue formulas produce the scaled
-variant (alpha * c_alpha), which is what `c_from_d`/`d_from_c` speak.  The
-bridge is a plain index-wise rescaling, applied where the two meet.
+variant (alpha * c_alpha), which is what `c_from_d`/`d_from_c` speak.
+`_ctab_in_d` divides c_alpha(d) by alpha, and `d_of_ctab` inverts that.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .bgw import (
     _normalize,
 )
 from .errors import EngineError, InvariantViolated, NotStable, WeightExceeded
-from .psido import _row_plan
+from .hierarchy import initial_values
 
 
 @dataclass(frozen=True)
@@ -434,57 +436,18 @@ def rho_from_sigma(r: int) -> dict[int, ParamPoly]:
     return out
 
 
-@cache
-def _initial_residues(r: int) -> tuple[ParamPoly, ...]:
-    """res L^(alpha/r) at the initial point, alpha = 1..r-1 (see c_from_d).
-
-    Rows of R^1..R^r (R = L^(1/r)) are ParamPoly term dicts down to depth r,
-    grown one root coefficient per row as `LaxOperator._grow_root` does,
-    along the same `_row_plan`; u_n^(j) is perm(n + j, j) u_n.
-    """
-    if r < 2:
-        raise ValueError("the operator order r must be >= 2")
-    rows: dict[int, list[dict]] = {k: [{(): Fraction(1)}] for k in range(1, r + 1)}
-    for t in range(1, r + 1):
-        partial: list[dict] = [{}]
-        for k in range(2, r + 1):
-            prev = rows[k - 1]
-            acc = dict(partial[-1])
-            for s, plan in _row_plan(k, t):
-                if not prev[s]:
-                    continue
-                inner: dict = {}
-                for j, n, c in plan:
-                    _add_terms(inner, rows[1][n + 1], c * math.perm(n + j, j))
-                _add_param_product(acc, prev[s], inner)
-            partial.append(acc)
-        # row t of R^r, partial[-1] + r u_(t-1), is L's coefficient at
-        # D^(r-t): v_(t-1) = d_(t-1) at the initial point, none for t = 1
-        u = {(0,) * (t - 2) + (1,): Fraction(1, r)} if t > 1 else {}
-        _add_terms(u, partial[-1], Fraction(-1, r))
-        if t == 1 and u:
-            raise InvariantViolated("missing subleading term forces a zero root coefficient")
-        for k, p in enumerate(partial, start=1):
-            if u:
-                _add_terms(p, u, k)
-            rows[k].append(p)
-    return tuple(_wrap_param("d", rows[alpha][alpha + 1]) for alpha in range(1, r))
-
-
 def c_from_d(r: int) -> dict[int, ParamPoly]:
     """Scaled one-point constants from the jet parameters:
     c_alpha (residue normalization) = res L^(alpha/r) at the initial jets,
     i.e. row alpha + 1 of R^alpha, for alpha = 1..r-1.
 
-    Read off values, not differential polynomials: at the initial point
-    every coefficient of weight w is E (1-x)^(-w) with E in Q[d], and d/dx
-    maps it to w E (1-x)^(-w-1).  Evaluation commutes with sums, products
-    and d/dx, so the root recurrence runs on the values E alone and equals
-    `Hierarchy.evaluate(Hierarchy.residue(alpha))`, which the tests keep as
-    its reference.  c_alpha is homogeneous of weight alpha + 1 with leading
-    term alpha/r d_alpha (what `d_from_c` inverts).  Memoised per r.
+    Read off the value table (`hierarchy.initial_values`, memoised per r):
+    `LaxOperator`'s own recurrence run on values at the initial point, with
+    no hierarchy built.  c_alpha is homogeneous of weight alpha + 1 with
+    leading term alpha/r d_alpha (what `d_from_c` inverts).
     """
-    return dict(enumerate(_initial_residues(r), start=1))
+    table = initial_values(r)
+    return {alpha: table.residue(alpha) for alpha in range(1, r)}
 
 
 def d_from_c(r: int) -> dict[int, ParamPoly]:
@@ -493,19 +456,20 @@ def d_from_c(r: int) -> dict[int, ParamPoly]:
                                "residue constant is not triangular in d")
 
 
-def _tab_to_norm(r: int) -> dict[int, ParamPoly]:
-    """c (table normalization) -> alpha * c (residue normalization)."""
-    return {b: ParamPoly.var("c", b) * b for b in range(1, r)}
+def _ctab_in_d(r: int) -> dict[int, ParamPoly]:
+    """Table-normalized one-point constants in the jets: c_alpha / alpha,
+    leading term d_alpha / r."""
+    return {b: p / b for b, p in c_from_d(r).items()}
 
 
 def d_of_ctab(r: int) -> dict[int, ParamPoly]:
     """Jet parameters in terms of table-normalized one-point constants."""
-    return {a: p.substitute(_tab_to_norm(r), "c") for a, p in d_from_c(r).items()}
+    return _triangular_inverse(_ctab_in_d(r), {a: Fraction(1, r) for a in range(1, r)}, "c",
+                               "residue constant is not triangular in d")
 
 
 def sigma_in_d(r: int) -> dict[int, ParamPoly]:
-    c_d = c_from_d(r)
-    tab_in_d = {b: c_d[b] * Fraction(1, b) for b in range(1, r)}
+    tab_in_d = _ctab_in_d(r)
     return {a: p.substitute(tab_in_d, "d") for a, p in solve_sigma_from_c(r).items()}
 
 

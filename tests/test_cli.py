@@ -355,6 +355,7 @@ def test_stabilized_latex(capsys):
         ["constants", "--r", "0"],
         ["stabilized", "--indices", "0"],
         ["stabilized", "--indices", "a,b"],
+        ["constants", "--r", "2", "--out", ""],
     ],
 )
 def test_bad_configuration_exits_two(capsys, argv):

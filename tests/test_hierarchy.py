@@ -17,6 +17,7 @@ from gdtau import (
     omega,
 )
 from gdtau.errors import IndexDivisible
+from gdtau.hierarchy import InitialValues
 from gdtau.psido import frac_power, residue
 
 
@@ -178,6 +179,24 @@ def test_t_derivative_value_matches_the_reference(r):
             assert H.t_derivative_value(const, j).is_zero()
 
 
+def test_t_derivative_value_evaluates_each_flow_component_once():
+    # value(X_a^j) is memoised per (j, a): one evaluation per component the
+    # jets of the densities reach, however many densities read it
+    H = Hierarchy(4)
+    seen = []
+    evaluate = H.evaluate
+    H.evaluate = lambda p: seen.append(p) or evaluate(p)
+    entries = [(1,), (2,), (3,), (5,), (2, 3), (3, 5), (2, 2, 3)]
+    flows = (1, 2, 3, 5)
+    for I in entries:
+        for j in flows:
+            H.t_derivative_value(H.density(I), j)
+    reached = {(j, a) for I in entries for a, _ in H.density(I).jets() for j in flows}
+    assert len(seen) < len(entries) * len(flows)
+    assert sorted(next((j, a) for j in flows for a, X in H.flow(j).items() if X is p)
+                  for p in seen) == sorted(reached)
+
+
 def test_t_derivative_value_guards_jets_like_evaluate():
     # a bad flow index is refused by the one index rule (test_bgw)
     H = hierarchy(3)
@@ -185,3 +204,20 @@ def test_t_derivative_value_guards_jets_like_evaluate():
         for fn in (H.evaluate, lambda p: H.t_derivative_value(p, 2)):
             with pytest.raises(ValueError, match=f"^no variable v{a} for r=3$"):
                 fn(v(1) * v(a, 1))
+
+
+# -- the power table at the initial point -------------------------------------------
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_value_table_equals_the_evaluated_symbolic_table(r):
+    # every row of R^k down to floor -1, the lifted rows (k > r) included, is
+    # the symbolic row at the initial point: a constant, never a jet
+    H, V = hierarchy(r), InitialValues(r)
+    for k in range(1, 2 * r + 2):
+        if k % r == 0:
+            continue
+        sym, val = H.L.power(k, -1), V.power(k, -1)
+        for e in range(k, -2, -1):
+            assert val.coeff(e) == H.evaluate(sym.coeff(e)), (k, e)
+        assert V.residue(k) == H.evaluate(H.residue(k)), k

@@ -9,7 +9,7 @@ from gdtau.algebra import ParamPoly
 from gdtau.bgw import TauSeries, _mult_factorial, connected_from_disconnected, index_multisets
 from gdtau import wconstraints
 from gdtau.errors import WeightExceeded
-from gdtau.hierarchy import hierarchy
+from gdtau.hierarchy import hierarchy, initial_values
 from gdtau.wconstraints import (
     WOperatorSpec,
     _coefficient_terms,
@@ -373,10 +373,10 @@ def test_jet_constant_round_trip(r):
 
 
 def test_constants_build_no_hierarchy():
-    # c(d) comes from the value ring and sigma(c) from the recursion, so a
+    # c(d) comes from the value table and sigma(c) from the recursion, so a
     # cold constants(12) never asks for hierarchy(12) (neither hit nor miss)
     constants.cache_clear()
-    wconstraints._initial_residues.cache_clear()
+    initial_values.cache_clear()
     before = hierarchy.cache_info()
     book = constants(12)
     assert hierarchy.cache_info() == before  # currsize, hits and misses alike
