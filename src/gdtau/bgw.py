@@ -1,7 +1,7 @@
 """Tau data at the distinguished initial point.
 
 The initial point fixes every jet: v_a^(k) evaluates to d_a (a+1)(a+2)...(a+k)
-with one free parameter d_a per variable (`Hierarchy.jet`).  All correlators are weighted-
+with one free parameter d_a per variable (`hierarchy.initial_jet`).  All correlators are weighted-
 homogeneous-in-spirit tables of exact polynomials in whichever parameter
 alphabet is in play: `d` (jet parameters), `c` (single-correlator constants),
 or `sigma` (constraint eigenvalue constants).
@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import ParamPoly, _add_coef, _add_coef_product, _coef_over, _wrap_coefs
 from .errors import WeightExceeded
-from .hierarchy import check_index, hierarchy
+from .hierarchy import check_index, hierarchy, initial_values
 
 Rat = Union[int, Fraction]
 Index = tuple[int, ...]
@@ -374,11 +374,11 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     weight |I| whose value is <tau_I>.  The jets v_a^(k) -> d_a (a+1)...(a+k)
     are the x-derivatives at x = 0 of v_a = d_a (1-x)^(-(a+1)), so along x a
     weight-W value is E (1-x)^(-W) and d/dx multiplies its value by W.
-    Hence <tau_I> = value(density(I)) / |I|, one index included, with no
-    antiderivative.  The last flow is read on values: for two or more
-    indices the value of density(I) is `Hierarchy.t_derivative_value` of
-    the prefix density(I[:-1]) along t_(I_n), so the entry's own density is
-    never built; only the memoised prefix densities take a t_derivative.
+    Hence <tau_I> = value(density(I)) / |I|, with no antiderivative.  One
+    index is one read of the value table (`hierarchy.initial_values`); for
+    more, the value is `Hierarchy.t_derivative_value` of the prefix
+    density(I[:-1]) along t_(I_n), the flow read off that table.  Only the
+    memoised prefix densities are built as differential polynomials.
 
     Insertions of index 1 cost no flow: the t_1 flow is d/dx itself, so with
     rising factors
@@ -390,9 +390,9 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     J, rising = _without_ones(I)
     if J != I:
         return pde_correlator(r, J) * rising
-    H = hierarchy(r)
     if len(I) == 1:
-        return H.evaluate(H.residue(I[0])) * Fraction(1, I[0])
+        return initial_values(r).residue(I[0]) * Fraction(1, I[0])
+    H = hierarchy(r)
     return H.t_derivative_value(H.density(I[:-1]), I[-1]) * Fraction(1, sum(I))
 
 

@@ -123,6 +123,12 @@ def _parse_assignments(raw: Sequence[str], alphabet: str, r: int) -> tuple[tuple
             raise ConfigError(f"parameter index in {name!r} must lie in 1..{r - 1}")
         if idx in out:
             raise ConfigError(f"parameter {alphabet}{idx} is set more than once")
+        # Fraction builds 10**exponent, which stalls for a huge exponent
+        limit = sys.get_int_max_str_digits()
+        _, e, exp = val.lower().rpartition("e")
+        exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if limit and e and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) > limit):
+            raise ConfigError(f"the exponent in --set {item!r} exceeds {limit}")
         try:
             frac = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
@@ -297,7 +303,12 @@ def _run_correlators(cfg: RunConfig) -> str:
     for I in table.keys():
         v = table.values[I]
         entries.append((I, v.evaluate(assignment) if assignment else v))
-    return _render_entries(cfg, table, entries)
+    limit = sys.get_int_max_str_digits()  # pinned values can outgrow it
+    sys.set_int_max_str_digits(0)
+    try:
+        return _render_entries(cfg, table, entries)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _run_verify(cfg: RunConfig) -> tuple[bool, str]:

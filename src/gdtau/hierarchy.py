@@ -12,14 +12,14 @@ The i-th flow moves the operator L = D^r + v1 D^(r-2) + ... by
     dL/dt_i = [ (L^(i/r))_+ , L ]
 
 and its components X_a^i (the coefficient at D^(r-1-a)) tell how each v_a
-moves.  Everything downstream — derivatives of differential polynomials along
-a flow, and the densities (res L^(i/r) moved along further flows) — is
-assembled from those components, and evaluated at the initial point, where
-v_a^(k) takes the value d_a (a+1)(a+2)...(a+k) (`initial_jet`).
+moves (`LaxOperator.flow`).  Derivatives of differential polynomials along a
+flow, and the densities (res L^(i/r) moved along further flows), are
+assembled from those components.  The correlators read them at the initial
+point, where v_a^(k) takes the value d_a (a+1)(a+2)...(a+k) (`initial_jet`).
 
-`InitialValues` is the Lax operator's power table itself, run on those
-values: res L^(i/r) at the initial point is one read of it, with no
-differential polynomial built (`wconstraints.c_from_d`).
+`InitialValues` is the Lax operator's power table run on those values: res
+L^(i/r) and the flow components at the initial point are reads of it, with
+no differential polynomial built (`wconstraints.c_from_d`, `pde_correlator`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from functools import cache
 
 from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product, _trim,
                       _wrap_diff, _wrap_param, integrate_x, nth_diff_x)
-from .errors import IndexDivisible, InvariantViolated
-from .psido import LaxOperator, commutator, frac_power, plus_part, residue
+from .errors import IndexDivisible
+from .psido import LaxOperator, frac_power, residue
 
 
 def initial_jet(a: int, k: int) -> ParamPoly:
@@ -52,38 +52,26 @@ def check_index(r: int, i: int) -> None:
 
 
 class Hierarchy:
-    """The order-r hierarchy at its initial point, built on demand.
+    """The order-r hierarchy as differential polynomials, built on demand.
 
-    Owns the Lax operator (with its power table), the flow components and
-    their x-derivatives, and one memo of densities: res L^(i/r) for (i,) and
-    its t-derivatives along the further indices of a longer tuple; each is
-    computed once.  Values at the initial point are formed directly (`jet`,
-    `evaluate`), and so is the value of one more t-derivative
-    (`t_derivative_value`): the correlators read every entry's last flow on
-    values, so a density is built only as the prefix of a longer entry.
+    Owns the Lax operator (with its power table and flows), the flow
+    components' x-derivatives, and one memo of densities: res L^(i/r) for
+    (i,) and its t-derivatives along the further indices of a longer tuple;
+    each is computed once.  The correlators read every entry's last flow on
+    values (`t_derivative_value`), so a density is built only as the prefix
+    of a longer entry.
     """
 
     def __init__(self, r: int):
         self.r = r
         self.L = LaxOperator(r)
-        self._flows: dict[int, dict[int, DiffPoly]] = {}
         self._flow_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (i, a) -> [X, X', ...]
-        self._flow_values: dict[tuple[int, int], ParamPoly] = {}  # (i, a) -> value(X_a^i)
         self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
     def flow(self, i: int) -> dict[int, DiffPoly]:
         """Components a -> X_a^i of the i-th flow."""
-        got = self._flows.get(i)
-        if got is None:
-            r = self.r
-            check_index(r, i)
-            P = plus_part(frac_power(self.L, i, -1))
-            C = commutator(P, self.L.op)  # both purely differential, stays exact
-            top = C.top
-            if top is not None and top > r - 2:
-                raise InvariantViolated("flow commutator reaches above D^(r-2)")
-            got = self._flows[i] = {a: C.coeff(r - 1 - a) for a in range(1, r)}
-        return got
+        check_index(self.r, i)
+        return self.L.flow(i)
 
     def flow_derivative(self, i: int, a: int, k: int) -> DiffPoly:
         """k-th x-derivative of X_a^i."""
@@ -100,10 +88,6 @@ class Hierarchy:
         for (a, k) in sorted(p.jets()):
             _add_diff_product(out, self.flow_derivative(j, a, k).terms, p.partial(a, k).terms)
         return _wrap_diff(out)
-
-    def residue(self, i: int) -> DiffPoly:
-        """res L^(i/r), the coefficient of D^-1: the density of (i,)."""
-        return self.density((i,))
 
     def omega(self, i: int, j: int) -> DiffPoly:
         """The density Omega_{i,j}: x-antiderivative of d(res L^(i/r))/dt_j.
@@ -131,43 +115,8 @@ class Hierarchy:
             self._densities[I] = got
         return got
 
-    def jet(self, a: int, k: int) -> ParamPoly:
-        """Value of v_a^(k) at the initial point: d_a * (a+1)...(a+k)."""
-        if not 1 <= a <= self.r - 1:
-            raise ValueError(f"no variable v{a} for r={self.r}")
-        if k < 0:
-            raise ValueError(f"no derivative of order {k}")
-        return initial_jet(a, k)
-
-    def _jet_value(self, mono) -> tuple[list[int], int]:
-        """The value of a jet monomial prod (v_a^(k))^e at the initial point
-        as (d-exponents, integer factor): prod d_a^e times
-        prod ((a+1)...(a+k))^e.  The one jet range check of `evaluate` and
-        `t_derivative_value`."""
-        expts = [0] * (self.r - 1)
-        factor = 1
-        for (a, k), e in mono:
-            if not 1 <= a <= self.r - 1:
-                raise ValueError(f"no variable v{a} for r={self.r}")
-            expts[a - 1] += e
-            factor *= math.perm(a + k, k) ** e
-        return expts, factor
-
-    def evaluate(self, p: DiffPoly) -> ParamPoly:
-        """A differential polynomial at the initial point, in one pass.
-
-        Same value as ``p.evaluate(self.jet)``: each jet monomial
-        prod (v_a^(k))^e becomes the single d-monomial prod d_a^e with the
-        integer factor prod ((a+1)...(a+k))^e.
-        """
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, coef in p.terms.items():
-            expts, factor = self._jet_value(mono)
-            _add_param_product(out, coef.terms, {_trim(expts): Fraction(factor)})
-        return _wrap_param("d", out)
-
     def t_derivative_value(self, p: DiffPoly, j: int) -> ParamPoly:
-        """``evaluate(t_derivative(p, j))``, without building the derivative.
+        """The value of ``t_derivative(p, j)``, without building it.
 
         X_a^j is homogeneous of weight a + j + 1 (v_b^(m) weighs b + 1 + m),
         so at the initial point the value of its k-th x-derivative is
@@ -179,12 +128,19 @@ class Hierarchy:
         for any P, homogeneous or not, with parameter coefficients too.  One
         pass over P sums the first two factors into one group G_a per
         variable; the result is sum_a G_a value(X_a^j), each value(X_a^j)
-        evaluated once per hierarchy.
+        read off the value table (`initial_values`).  A jet monomial
+        prod (v_a^(k))^e is worth prod d_a^e prod ((a+1)...(a+k))^e.
         """
         check_index(self.r, j)
         groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for mono, coef in p.terms.items():
-            expts, factor = self._jet_value(mono)
+            expts = [0] * (self.r - 1)
+            factor = 1
+            for (a, k), e in mono:
+                if not 1 <= a <= self.r - 1:
+                    raise ValueError(f"no variable v{a} for r={self.r}")
+                expts[a - 1] += e
+                factor *= math.perm(a + k, k) ** e
             for (a, k), e in mono:
                 # the monomial without one v_a^(k): perm(a+k, k) divides factor
                 expts[a - 1] -= 1
@@ -192,12 +148,11 @@ class Hierarchy:
                 _add_param_product(groups.setdefault(a, {}), coef.terms,
                                    {_trim(expts): Fraction(scale)})
                 expts[a - 1] += 1
+        flow = initial_values(self.r).flow(j)
         out: dict[tuple[int, ...], Fraction] = {}
         for a, group in groups.items():
-            value = self._flow_values.get((j, a))
-            if value is None:
-                value = self._flow_values[(j, a)] = self.evaluate(self.flow(j)[a])
-            _add_param_product(out, group, value.terms)
+            for value in flow[a].terms.values():  # a value row is a constant
+                _add_param_product(out, group, value.terms)
         return _wrap_param("d", out)
 
 
@@ -207,10 +162,10 @@ class InitialValues(LaxOperator):
     There every coefficient of weight w is E (1-x)^(-w) with E in Q[d], and
     d/dx maps it to w E (1-x)^(-w-1).  Evaluation commutes with sums,
     products and d/dx, so `LaxOperator`'s own recurrence runs on the values
-    E: each row is a constant DiffPoly, v_a is d_a, the jet v_a^(j) is
-    `initial_jet(a, j)` and u_n^(j) is perm(n+j, j) u_n (u_n weighs n + 1).
-    Each row equals `Hierarchy.evaluate` of the symbolic one, which the
-    tests keep as the reference.
+    E: each row is a constant DiffPoly, v_a is d_a, v_a^(j) is
+    `initial_jet(a, j)`, and the j-th x-derivative of row t of R^k (weight t)
+    is t (t+1) ... (t+j-1) times the row.  Each row and flow is the symbolic
+    one under `DiffPoly.evaluate(initial_jet)`, the tests' reference.
     """
 
     def _lead(self, t: int) -> DiffPoly:
@@ -219,10 +174,10 @@ class InitialValues(LaxOperator):
     def _jet(self, a: int, j: int) -> DiffPoly:
         return DiffPoly.const(initial_jet(a, j))
 
-    def _deriv(self, n: int, j: int) -> DiffPoly:
-        chain = self._derivs.setdefault(n, [self._rows[1][n + 1]])
+    def _row_deriv(self, k: int, t: int, j: int) -> DiffPoly:
+        chain = self._row_derivs.setdefault((k, t), [self._rows[k][t]])
         while len(chain) <= j:
-            chain.append(chain[-1] * (n + len(chain)))
+            chain.append(chain[-1] * (t + len(chain) - 1))
         return chain[j]
 
     def residue(self, i: int) -> ParamPoly:

@@ -79,11 +79,6 @@ class PsiDO:
 
     # -- accessors --------------------------------------------------------------
 
-    @property
-    def top(self) -> Optional[int]:
-        """Highest power with a nonzero stored coefficient (None if zero)."""
-        return max(self.coeffs) if self.coeffs else None
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -279,12 +274,13 @@ class LaxOperator:
     root coefficient u_(t-1), which enters row t of R^k only as k * u_(t-1)
     and is solved from row t of R^r against L.  Above r, L commutes with its
     fractional powers, so R^k = R^(k-r) L: each product is a row of R^(k-r)
-    times one jet.  Only root coefficients and jets are ever
-    x-differentiated; both recurrences read `_row_plan`.
+    times one jet.  Both recurrences read `_row_plan`; the flows (`flow`)
+    are read off the same table.
 
     The ring enters only through `_lead` (L's coefficient at D^(r-t)),
-    `_jet` (v_a^(j)) and `_deriv` (u_n^(j)); a subclass that overrides the
-    three runs the same table on values (`hierarchy.InitialValues`).
+    `_jet` (v_a^(j)) and `_row_deriv` (the x-derivatives of a row, u_n^(j)
+    among them); a subclass that overrides the three runs the same table
+    and flows on values (`hierarchy.InitialValues`).
     """
 
     def __init__(self, r: int):
@@ -297,7 +293,8 @@ class LaxOperator:
         self.op = PsiDO(coeffs)
         one = DiffPoly.const(1)
         self._rows: dict[int, list[DiffPoly]] = {k: [one] for k in range(1, r + 1)}
-        self._derivs: dict[int, list[DiffPoly]] = {}  # n -> [u_n, u_n', u_n'', ...]
+        self._row_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (k, t) -> [row, row', ...]
+        self._flows: dict[int, dict[int, DiffPoly]] = {}
 
     def _lead(self, t: int) -> DiffPoly:
         return self.op.coeff(self.r - t)
@@ -305,8 +302,9 @@ class LaxOperator:
     def _jet(self, a: int, j: int) -> DiffPoly:
         return DiffPoly.jet(a, j)
 
-    def _deriv(self, n: int, j: int) -> DiffPoly:
-        return nth_diff_x(self._derivs.setdefault(n, [self._rows[1][n + 1]]), j)
+    def _row_deriv(self, k: int, t: int, j: int) -> DiffPoly:
+        """The j-th x-derivative of row t of R^k."""
+        return nth_diff_x(self._row_derivs.setdefault((k, t), [self._rows[k][t]]), j)
 
     @staticmethod
     def _row(base: DiffPoly, rows: list[DiffPoly], plan, f) -> DiffPoly:
@@ -328,8 +326,8 @@ class LaxOperator:
         for t in range(len(self._rows[1]), depth + 1):
             partial = [DiffPoly.zero()]
             for k in range(2, self.r + 1):
-                partial.append(self._row(partial[-1], self._rows[k - 1],
-                                         _row_plan(k - 1, t, t - 2), self._deriv))
+                partial.append(self._row(partial[-1], self._rows[k - 1], _row_plan(k - 1, t, t - 2),
+                                         lambda n, j: self._row_deriv(1, n + 1, j)))
             u = (self._lead(t) - partial[-1]) * Fraction(1, self.r)
             if t == 1 and not u.is_zero():
                 raise InvariantViolated("missing subleading term forces a zero root coefficient")
@@ -346,6 +344,38 @@ class LaxOperator:
         rows = self._rows.setdefault(k, [self._rows[1][0]])
         for t in range(len(rows), depth + 1):
             rows.append(self._row(rho[t], rho, _row_plan(k - self.r, t, self.r - 1), self._jet))
+
+    def flow(self, i: int) -> dict[int, DiffPoly]:
+        """Components a -> X_a^i (at D^(r-1-a)) of dL/dt_i = [(R^i)_+, L],
+        memoised per i.  (R^i)_+ holds the rows p_t, t <= i, at D^m (m = i-t),
+        and L the terms v_b D^n (n = r-1-b) and D^r.  By the Leibniz rule
+
+            [p_t D^m, v D^n] = sum_(k>=1) (C(m,k) p_t v^(k) - C(n,k) v p_t^(k)) D^(m+n-k),
+
+        the k = 0 terms cancelling.  A surviving coefficient above D^(r-2)
+        raises InvariantViolated.
+        """
+        got = self._flows.get(i)
+        if got is None:
+            r = self.r
+            self._fill(i, i)
+            out: dict[int, dict] = {}
+            for t, p in enumerate(self._rows[i][:i + 1]):
+                m = i - t
+                for k in range(1, m + 1):
+                    for b in range(1, r):
+                        _add_diff_product(out.setdefault(m + r - 1 - b - k, {}), p.terms,
+                                          self._jet(b, k).terms, _binom(m, k))
+                for k in range(1, r + 1):
+                    dp = self._row_deriv(i, t, k)
+                    _add_diff(out.setdefault(m + r - k, {}), dp.terms, -_binom(r, k))
+                    for b in range(1, r - k):  # C(r-1-b, k) = 0 once k > r-1-b
+                        _add_diff_product(out.setdefault(m + r - 1 - b - k, {}), dp.terms,
+                                          self._jet(b, 0).terms, -_binom(r - 1 - b, k))
+            if any(acc for e, acc in out.items() if e > r - 2):
+                raise InvariantViolated("flow commutator reaches above D^(r-2)")
+            got = self._flows[i] = {a: _wrap_diff(out.get(r - 1 - a, {})) for a in range(1, r)}
+        return got
 
     def power(self, k: int, floor: int) -> PsiDO:
         """R^k exact at every power >= floor (needs the root down to floor-k+1)."""

@@ -31,6 +31,7 @@ from gdtau import (
 )
 from gdtau.bgw import correlators_from_series, valid_multisets, _mult_factorial
 from gdtau.errors import AlphabetMismatch, IndexDivisible, WeightExceeded
+from gdtau.hierarchy import initial_jet, initial_values
 
 
 def d(i):
@@ -41,33 +42,32 @@ def d(i):
 
 
 def test_jet_values():
-    H = hierarchy(4)
-    assert H.jet(1, 0) == d(1)
-    assert H.jet(1, 1) == d(1) * 2
-    assert H.jet(2, 2) == d(2) * 12
+    assert initial_jet(1, 0) == d(1)
+    assert initial_jet(1, 1) == d(1) * 2
+    assert initial_jet(2, 2) == d(2) * 12
 
 
 def test_jet_values_match_symbolic_derivatives():
     # v_a(x) = d_a (1-x)^(-a-1); the k-th derivative at x=0 must agree
     x = sp.Symbol("x")
-    H = hierarchy(4)
     for a in (1, 2, 3):
         profile = (1 - x) ** (-a - 1)
         for k in range(5):
             want = int(sp.diff(profile, x, k).subs(x, 0))
-            got = H.jet(a, k)
+            got = initial_jet(a, k)
             assert got == d(a) * want, (a, k)
 
 
 def test_jet_variable_range_guard():
+    # v3 has no value at r = 3, and no jet has a negative derivative order
     for a, k in ((3, 0), (1, -1), (2, -2)):
         with pytest.raises(ValueError):
-            hierarchy(3).jet(a, k)
+            hierarchy(3).t_derivative_value(DiffPoly.jet(a, k), 2)
 
 
 def test_jets_evaluate_diffpoly():
     p = DiffPoly.jet(1, 1) * DiffPoly.jet(2, 0)
-    assert hierarchy(3).evaluate(p) == d(1) * d(2) * 2
+    assert p.evaluate(initial_jet) == d(1) * d(2) * 2
 
 
 # -- index bookkeeping -----------------------------------------------------------
@@ -151,7 +151,7 @@ def test_seed_pair_independence():
                 density = H.omega(I[si], I[sj])
                 for k in I[:si] + I[si + 1:sj] + I[sj + 1:]:
                     density = H.t_derivative(density, k)
-                got = H.evaluate(density)
+                got = density.evaluate(initial_jet)
                 assert got == default, (r, I, (I[si], I[sj]))
 
 
@@ -168,7 +168,7 @@ def test_omega_is_the_reference_of_the_density_route():
             density = H.omega(I[0], I[1])
             for k in I[2:]:
                 density = H.t_derivative(density, k)
-            assert pde_correlator(r, I) == H.evaluate(density), (r, I)
+            assert pde_correlator(r, I) == density.evaluate(initial_jet), (r, I)
             checked += 1
     assert checked == 37
 
@@ -186,10 +186,10 @@ def test_density_route_without_integration(r):
         for i in sorted(set(I)):
             rest = list(I)
             rest.remove(i)
-            density = H.residue(i)
+            density = H.density((i,))
             for k in rest:
                 density = H.t_derivative(density, k)
-            assert H.evaluate(density) == table.value(I) * sum(I), (I, i)
+            assert density.evaluate(initial_jet) == table.value(I) * sum(I), (I, i)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
@@ -205,7 +205,7 @@ def test_index_one_entries_match_flow_one(r):
         density = H.omega(1, I[1])
         for k in I[2:]:
             density = H.t_derivative(density, k)
-        assert H.evaluate(density) == table.value(I), I
+        assert density.evaluate(initial_jet) == table.value(I), I
         checked += 1
     assert checked > 0
 
@@ -278,7 +278,7 @@ def test_table_starts_at_weight_one():
 # b next to a good one; r = 3 throughout
 INDEX_ENTRIES = {
     "Hierarchy.flow": lambda b: hierarchy(3).flow(b),
-    "Hierarchy.residue": lambda b: hierarchy(3).residue(b),
+    "InitialValues.residue": lambda b: initial_values(3).residue(b),
     "Hierarchy.density": lambda b: hierarchy(3).density((2, b)),
     "Hierarchy.t_derivative": lambda b: hierarchy(3).t_derivative(DiffPoly.const(5), b),
     "Hierarchy.t_derivative_value": lambda b: hierarchy(3).t_derivative_value(DiffPoly.const(5), b),
@@ -510,7 +510,6 @@ def test_string_residual_detects_wrong_normalization():
 
 def test_variable_level_string_relation():
     # at the initial point: -(d/dt_1) v_a + (a+1) v_a = 0 once jets are set
-    H = hierarchy(4)
     for a in (1, 2, 3):
         combo = gd_flow(4, 1)[a] * (-1) + DiffPoly.jet(a, 0) * (a + 1)
-        assert H.evaluate(combo).is_zero(), a
+        assert combo.evaluate(initial_jet).is_zero(), a

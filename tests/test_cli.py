@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,23 @@ def test_correlators_set_evaluates_exactly(capsys):
     lines = out.splitlines()
     assert "<t3> = 3/8" in lines
     assert "<t1> = 1/2" in lines
+
+
+def test_large_set_values_print_exactly_or_exit_two(capsys):
+    # <t3> = (c1^2 + c1)/2 has 6000 digits at c1 = 10^3000, past the
+    # int-to-str limit, and is printed in full; an exponent past that limit
+    # would make Fraction build a power of ten for seconds, and is refused
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "correlators", "--r", "2", "--weight", "3",
+                         "--set", "c1=1e3000")
+    assert (code, err) == (0, "")
+    assert "<t3> = 5" + "0" * 2999 + "5" + "0" * 2999 in out.splitlines()
+    assert sys.get_int_max_str_digits() == limit
+    for value in ("1e10000000", "1e-10000000", f"1E+{limit + 1}", "1e10_000_000 "):
+        code, out, err = run(capsys, "correlators", "--r", "2", "--weight", "3",
+                             "--set", f"c1={value}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_correlators_json(capsys):

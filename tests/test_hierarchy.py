@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import conn_table
 from gdtau import (
     DiffPoly,
     Hierarchy,
     ParamPoly,
+    bgw,
+    connected_correlators_pde,
     diff_x,
     gd_flow,
     grading,
@@ -17,7 +20,7 @@ from gdtau import (
     omega,
 )
 from gdtau.errors import IndexDivisible
-from gdtau.hierarchy import InitialValues
+from gdtau.hierarchy import InitialValues, initial_jet, initial_values
 from gdtau.psido import frac_power, residue
 
 
@@ -123,22 +126,24 @@ def test_omega_has_no_constant_term():
 def test_omega_table_matches_free_function():
     H = hierarchy(3)
     assert H.omega(2, 4) == omega(3, 2, 4)
-    assert H.residue(2) == residue(frac_power(lax(3), 2, -1))
+    assert H.density((2,)) == residue(frac_power(lax(3), 2, -1))
     with pytest.raises(IndexDivisible):
-        H.residue(3)
+        H.density((3,))
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_one_pass_evaluation_matches_the_reference(r):
-    # Hierarchy.evaluate turns each jet monomial into one d-monomial;
-    # DiffPoly.evaluate through the jet values is the reference
-    H = Hierarchy(r)
-    polys = [H.residue(i) for i in range(1, 10) if i % r]
-    polys += [H.density(I) for I in index_multisets(r, 9) if len(I) >= 2 and 1 not in I]
-    polys.append(H.residue(1) * ParamPoly.var("d", 1) * 3)  # parameters in a coefficient
-    assert H._densities  # longer prefixes are among them
-    for p in polys:
-        assert H.evaluate(p) == p.evaluate(H.jet), str(p)
+    # the value table forms each flow component at the initial point in one
+    # pass, with no differential polynomial built; the symbolic component
+    # under DiffPoly.evaluate is the reference.  For j > r the flow reads
+    # lifted rows (R^j = R^(j-r) L); every flow reads row x-derivatives
+    H, V = hierarchy(r), InitialValues(r)
+    for j in range(1, 2 * r + 2):
+        if j % r == 0:
+            continue
+        assert sorted(V.flow(j)) == list(range(1, r))
+        for a, X in H.flow(j).items():
+            assert V.flow(j)[a] == DiffPoly.const(X.evaluate(initial_jet)), (j, a)
 
 
 def test_prefix_densities_are_built_once():
@@ -146,7 +151,7 @@ def test_prefix_densities_are_built_once():
     D = H.density((2, 2, 4))
     assert D == H.t_derivative(H.density((2, 2)), 4)
     assert H.density((2, 2, 4)) is D
-    assert H.density((2,)) is H.residue(2)
+    assert H.density((2,)) is H.density((2,))
     with pytest.raises(ValueError):
         H.density(())
 
@@ -169,41 +174,45 @@ def test_t_derivative_value_matches_the_reference(r):
     H = hierarchy(r)
     d1 = ParamPoly.var("d", 1)
     polys = [H.density(I) for I in index_multisets(r, 8) if 1 not in I]
-    polys.append(H.residue(1) * d1 * 3 + v(1, 2))  # not homogeneous, parameters inside
+    polys.append(H.density((1,)) * d1 * 3 + v(1, 2))  # not homogeneous, parameters inside
     flows = [j for j in range(1, 8) if j % r]
     for p in polys:
         for j in flows:
-            assert H.t_derivative_value(p, j) == H.evaluate(H.t_derivative(p, j)), (str(p), j)
+            want = H.t_derivative(p, j).evaluate(initial_jet)
+            assert H.t_derivative_value(p, j) == want, (str(p), j)
     for const in (DiffPoly.const(5), DiffPoly.const(d1), DiffPoly.zero()):
         for j in flows:
             assert H.t_derivative_value(const, j).is_zero()
 
 
-def test_t_derivative_value_evaluates_each_flow_component_once():
-    # value(X_a^j) is memoised per (j, a): one evaluation per component the
-    # jets of the densities reach, however many densities read it
+def test_t_derivative_value_evaluates_each_flow_component_once(monkeypatch):
+    # the density route builds symbolic flows only to extend prefix
+    # densities (t_2, t_3, t_5 at r = 4, weight 12) and reads every entry's
+    # last flow off the value table, which computes each flow once
+    computed = []
+
+    class Memo(dict):
+        def __setitem__(self, j, flow):
+            computed.append(j)
+            super().__setitem__(j, flow)
+
     H = Hierarchy(4)
-    seen = []
-    evaluate = H.evaluate
-    H.evaluate = lambda p: seen.append(p) or evaluate(p)
-    entries = [(1,), (2,), (3,), (5,), (2, 3), (3, 5), (2, 2, 3)]
-    flows = (1, 2, 3, 5)
-    for I in entries:
-        for j in flows:
-            H.t_derivative_value(H.density(I), j)
-    reached = {(j, a) for I in entries for a, _ in H.density(I).jets() for j in flows}
-    assert len(seen) < len(entries) * len(flows)
-    assert sorted(next((j, a) for j in flows for a, X in H.flow(j).items() if X is p)
-                  for p in seen) == sorted(reached)
+    monkeypatch.setattr(bgw, "hierarchy", lambda order: H)
+    initial_values.cache_clear()
+    initial_values(4)._flows = Memo()
+    assert connected_correlators_pde(4, 12).values == conn_table(4, 12).values
+    assert sorted(H.L._flows) == [2, 3, 5]
+    assert sorted(computed) == [2, 3, 5, 6, 7, 9, 10]  # each value flow once
 
 
 def test_t_derivative_value_guards_jets_like_evaluate():
-    # a bad flow index is refused by the one index rule (test_bgw)
+    # a jet v_a with a >= r has no value at the initial point; a bad flow
+    # index is refused by the one index rule (test_bgw)
     H = hierarchy(3)
     for a in (3, 4):
-        for fn in (H.evaluate, lambda p: H.t_derivative_value(p, 2)):
+        for j in (1, 2, 4):
             with pytest.raises(ValueError, match=f"^no variable v{a} for r=3$"):
-                fn(v(1) * v(a, 1))
+                H.t_derivative_value(v(1) * v(a, 1), j)
 
 
 # -- the power table at the initial point -------------------------------------------
@@ -219,5 +228,5 @@ def test_value_table_equals_the_evaluated_symbolic_table(r):
             continue
         sym, val = H.L.power(k, -1), V.power(k, -1)
         for e in range(k, -2, -1):
-            assert val.coeff(e) == H.evaluate(sym.coeff(e)), (k, e)
-        assert V.residue(k) == H.evaluate(H.residue(k)), k
+            assert val.coeff(e) == sym.coeff(e).evaluate(initial_jet), (k, e)
+        assert V.residue(k) == H.density((k,)).evaluate(initial_jet), k
