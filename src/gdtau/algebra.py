@@ -1,12 +1,14 @@
 """Exact polynomial kernels.
 
-Two layers, both over arbitrary-precision rationals (``fractions.Fraction``),
-both canonical-printing so that string comparison is a legitimate test:
+Two layers, both exact over the rationals and canonical-printing so that
+string comparison is a legitimate test:
 
 * :class:`ParamPoly` -- multivariate polynomial in an indexed parameter family
   ("alphabet"), e.g. the initial-data constants ``d1, d2, ...`` or the normal
   coordinates ``c1, c2, ...``.  The parameter with index ``a`` carries weight
-  ``a + 1``.
+  ``a + 1``.  It stores integer numerators over one positive denominator,
+  with no common factor, so every kernel sums on plain integers; ``terms``
+  is a read-only ``{exponents: Fraction}`` view for printers and tests.
 * :class:`DiffPoly` -- polynomial in jet variables with ParamPoly
   coefficients over the jet parameters ``d``, the only alphabet the operator
   layer sees.  The jet variable ``v{a}_{k}`` stands for the k-th
@@ -16,12 +18,14 @@ both canonical-printing so that string comparison is a legitimate test:
 Both share one ring skeleton (``_Ring``: subtraction, negation, powers and
 the reflected operators, all from each class's own ``+`` and ``*``), and one
 printer joins signed terms (``_join_signed``) for them and for the LaTeX
-output.  No zero coefficients are ever stored, so ``p.terms == q.terms`` is
-exact equality and ``str`` output is bit-stable across runs.
+output.  No zero coefficient is ever stored and a ParamPoly is always in
+lowest terms, so equality compares stored fields exactly and ``str`` output
+is bit-stable across runs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add
@@ -43,55 +47,108 @@ def _trim(expts: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-# Sums are built in place: terms go into one dict that the summing code owns
-# (fresh, or a copy of an input's terms, never a dict some polynomial holds),
-# and that dict is wrapped once at the end.  Keys whose sum cancels are
-# deleted on the spot, so the wrapped result stores no zero coefficient.
+# Sums are built in place, on integers.  An accumulator maps a denominator
+# to the integer numerators summed over it ({den: {exponents: int}}); the
+# summing code owns it and every bucket in it (fresh dicts, never one some
+# polynomial holds), and `_wrap_param` turns it into a ParamPoly once at the
+# end: one lcm over the buckets, one gcd to take out the content.  A
+# numerator whose sum cancels is deleted on the spot; terms that cancel
+# across buckets vanish in the wrap, so an accumulator can be nonempty and
+# still sum to zero.
 
 
-def _add_rat(terms: dict, key, c: Fraction) -> None:
-    """terms[key] += c for a nonzero rational c (ParamPoly terms)."""
-    acc = terms.get(key)
-    if acc is None:
-        terms[key] = c
-    else:
-        acc += c
-        if acc:
-            terms[key] = acc
+def _add_scaled(acc: dict, num: Mapping[tuple[int, ...], int], n: int, den: int) -> None:
+    """acc += (n / den) * num for integer numerators num and a nonzero n."""
+    if not num:
+        return
+    bucket = acc.get(den)
+    if bucket is None:
+        acc[den] = dict(num) if n == 1 else {e: c * n for e, c in num.items()}
+        return
+    for e, c in num.items():
+        v = bucket.get(e, 0) + c * n
+        if v:
+            bucket[e] = v
         else:
-            del terms[key]
+            del bucket[e]
+    if not bucket:
+        del acc[den]
 
 
-def _add_terms(terms: dict, t: Mapping[tuple[int, ...], Fraction], scale: Rat = 1) -> None:
-    """terms += scale * t for ParamPoly term dicts and a nonzero scale."""
-    unit = scale == 1
-    for e, c in t.items():
-        _add_rat(terms, e, c if unit else c * scale)
+def _add_terms(acc: dict, p: "ParamPoly", scale: Rat = 1) -> None:
+    """acc += scale * p for a nonzero scale."""
+    _add_scaled(acc, p._num, scale.numerator, p._den * scale.denominator)
 
 
-def _add_param_product(terms: dict, t1: Mapping[tuple[int, ...], Fraction],
-                       t2: Mapping[tuple[int, ...], Fraction], scale: Rat = 1) -> None:
-    """terms += scale * t1 * t2 for ParamPoly term dicts and a nonzero scale.
+def _add_param_product(acc: dict, p: "ParamPoly", q: "ParamPoly", scale: Rat = 1) -> None:
+    """acc += scale * p * q for a nonzero scale.
 
-    The factors' exponent tuples are trimmed and nonnegative, so their
+    A constant factor is one integer scaling of the other.  Otherwise the
+    factors' exponent tuples are trimmed and nonnegative, so their
     elementwise sum (the longer tuple's tail appended) needs no trim.
     """
-    unit = scale == 1
+    n, den = scale.numerator, p._den * q._den * scale.denominator
+    t1, t2 = p._num, q._num
+    if len(t2) == 1 and () in t2:
+        _add_scaled(acc, t1, n * t2[()], den)
+        return
+    if len(t1) == 1 and () in t1:
+        _add_scaled(acc, t2, n * t1[()], den)
+        return
+    if not t1 or not t2:
+        return
+    bucket = acc.get(den)
+    if bucket is None:
+        bucket = acc[den] = {}
     for e1, c1 in t1.items():
-        if not unit:
-            c1 = c1 * scale
+        if n != 1:
+            c1 *= n
         n1 = len(e1)
         for e2, c2 in t2.items():
             n2 = len(e2)
             head = tuple(map(add, e1, e2))
             key = head + e1[n2:] if n1 > n2 else head + e2[n1:]
-            _add_rat(terms, key, c1 * c2)
+            v = bucket.get(key, 0) + c1 * c2
+            if v:
+                bucket[key] = v
+            else:
+                del bucket[key]
+    if not bucket:
+        del acc[den]
 
 
-def _wrap_param(alphabet: str, terms: dict) -> "ParamPoly":
-    """A ParamPoly around a clean term dict that nothing else holds."""
-    res = ParamPoly(alphabet)
-    res.terms = terms
+def _canonical(acc: dict) -> tuple[dict, int]:
+    """(numerators, denominator) in lowest terms for what an accumulator
+    sums to: the buckets over their lcm, then the content divided out.
+    Zero is ({}, 1)."""
+    if len(acc) == 1:
+        (den, num), = acc.items()
+    else:
+        den = math.lcm(*acc)
+        num = {}
+        for d, bucket in acc.items():
+            m = den // d
+            for e, c in bucket.items():
+                v = num.get(e, 0) + c * m
+                if v:
+                    num[e] = v
+                else:
+                    del num[e]
+    if not num:
+        return {}, 1
+    g = math.gcd(den, *num.values())
+    if g > 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    return num, den
+
+
+def _wrap_param(alphabet: str, acc: dict) -> "ParamPoly":
+    """A ParamPoly around what an accumulator sums to; the accumulator is
+    used up."""
+    res = ParamPoly.__new__(ParamPoly)
+    res.alphabet = alphabet
+    res._num, res._den = _canonical(acc)
     return res
 
 
@@ -119,15 +176,12 @@ def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
 
 
 class _Ring:
-    """What ParamPoly and DiffPoly share.  ``terms`` stores no zero
-    coefficient; each subclass supplies ``_coerce`` (an operand of its own
+    """What ParamPoly and DiffPoly share.  Each subclass stores no zero
+    coefficient and supplies ``is_zero``, ``_coerce`` (an operand of its own
     type, or NotImplemented), ``__add__``, ``__mul__``, ``__eq__`` and
     ``_one``."""
 
-    __slots__ = ("terms",)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
     def __radd__(self, other):
         return self + other
@@ -161,25 +215,29 @@ class _Ring:
 class ParamPoly(_Ring):
     """Polynomial in parameters ``<alphabet>1, <alphabet>2, ...``.
 
-    terms maps an exponent tuple (position i = parameter index i+1, trailing
-    zeros stripped) to a nonzero Fraction.  The constructor refuses a
-    negative exponent; the kernels, which only add and multiply such keys,
-    wrap their sums unchecked (`_wrap_param`).
+    A term is keyed by its exponent tuple (position i = parameter index
+    i+1, trailing zeros stripped).  The coefficients are stored as nonzero
+    integer numerators over one positive denominator that shares no factor
+    with all of them, so two equal polynomials store equal fields.  Only
+    this module reads that representation; ``terms`` is a fresh read-only
+    view ``{exponents: Fraction}``.  The constructor refuses a negative
+    exponent; the kernels, which only add and multiply such keys, wrap their
+    sums unchecked (`_wrap_param`).
     """
 
-    __slots__ = ("alphabet",)
+    __slots__ = ("alphabet", "_num", "_den")
 
     def __init__(self, alphabet: str, terms: Mapping[tuple[int, ...], Rat] | None = None):
         self.alphabet = alphabet
-        clean: dict[tuple[int, ...], Fraction] = {}
+        acc: dict = {}
         if terms:
             for expts, coef in terms.items():
                 if any(e < 0 for e in expts):
                     raise ValueError("parameter exponents must be >= 0")
                 c = Fraction(coef)
                 if c:
-                    _add_rat(clean, _trim(expts), c)
-        self.terms = clean
+                    _add_scaled(acc, {_trim(expts): c.numerator}, 1, c.denominator)
+        self._num, self._den = _canonical(acc)
 
     # -- constructors ------------------------------------------------------
 
@@ -189,27 +247,35 @@ class ParamPoly(_Ring):
 
     @classmethod
     def const(cls, alphabet: str, value: Rat) -> "ParamPoly":
-        return cls(alphabet, {(): Fraction(value)})
+        return cls(alphabet, {(): value})
 
     @classmethod
     def var(cls, alphabet: str, index: int) -> "ParamPoly":
         if index < 1:
             raise ValueError("parameter indices start at 1")
-        return cls(alphabet, {(0,) * (index - 1) + (1,): Fraction(1)})
+        return cls(alphabet, {(0,) * (index - 1) + (1,): 1})
 
     # -- basic predicates ---------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as ``{exponents: Fraction}``, built afresh."""
+        return {e: Fraction(c, self._den) for e, c in self._num.items()}
+
+    def is_zero(self) -> bool:
+        return not self._num
+
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return not self._num or (len(self._num) == 1 and () in self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self._num.get((), 0), self._den)
 
     def max_index(self) -> int:
         """Largest parameter index that occurs (0 for constants)."""
-        return max((len(e) for e in self.terms), default=0)
+        return max((len(e) for e in self._num), default=0)
 
     # -- ring ops -----------------------------------------------------------
 
@@ -231,21 +297,23 @@ class ParamPoly(_Ring):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        _add_terms(out, o.terms)
-        return _wrap_param(self.alphabet, out)
+        acc: dict = {}
+        _add_terms(acc, self)
+        _add_terms(acc, o)
+        return _wrap_param(self.alphabet, acc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return ParamPoly.zero(self.alphabet)
-            return _wrap_param(self.alphabet, {e: k * other for e, k in self.terms.items()})
+            acc: dict = {}
+            if other:
+                _add_terms(acc, self, other)
+            return _wrap_param(self.alphabet, acc)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        _add_param_product(out, self.terms, o.terms)
-        return _wrap_param(self.alphabet, out)
+        acc = {}
+        _add_param_product(acc, self, o)
+        return _wrap_param(self.alphabet, acc)
 
     def __truediv__(self, scalar: Rat):
         return self * (Fraction(1) / Fraction(scalar))
@@ -255,23 +323,25 @@ class ParamPoly(_Ring):
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
+        return (self.alphabet, self._den, self._num) == (other.alphabet, other._den, other._num)
 
     # -- grading ------------------------------------------------------------
 
     def degrees(self) -> set[int]:
         """Set of weights present; parameter index a weighs a + 1."""
-        return {sum(e * (i + 2) for i, e in enumerate(expts)) for expts in self.terms}
+        return {sum(e * (i + 2) for i, e in enumerate(expts)) for expts in self._num}
 
     # -- substitution -------------------------------------------------------
 
     def substitute(self, values: Mapping[int, "ParamPoly"], alphabet: str) -> "ParamPoly":
         """Full substitution: every parameter present must be mapped to a
         polynomial over `alphabet`.  Each power of a value is built once per
-        call, and each term's product is summed into the result in place."""
-        powers: dict[tuple[int, int], dict] = {}
+        call; each term's last product is summed into the result in place,
+        its numerator the scale, and the sum is divided by the common
+        denominator once."""
+        powers: dict[tuple[int, int], ParamPoly] = {}
 
-        def power(i: int, e: int) -> dict:
+        def power(i: int, e: int) -> ParamPoly:
             got = powers.get((i, e))
             if got is None:
                 if i + 1 not in values:
@@ -279,18 +349,15 @@ class ParamPoly(_Ring):
                 val = values[i + 1]
                 if val.alphabet != alphabet:
                     raise AlphabetMismatch("substitution values use the wrong alphabet")
-                got = powers[(i, e)] = (val**e).terms
+                got = powers[(i, e)] = val**e
             return got
 
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expts, coef in self.terms.items():
-            factors = [power(i, e) for i, e in enumerate(expts) if e] or [{(): Fraction(1)}]
-            acc: dict = {(): coef}
-            for f in factors[:-1]:
-                acc, prev = {}, acc
-                _add_param_product(acc, prev, f)
-            _add_param_product(out, acc, factors[-1])
-        return _wrap_param(alphabet, out)
+        one = ParamPoly.const(alphabet, 1)
+        out: dict = {}
+        for expts, n in self._num.items():
+            factors = [power(i, e) for i, e in enumerate(expts) if e] or [one]
+            _add_param_product(out, math.prod(factors[:-1], start=one), factors[-1], n)
+        return _wrap_param(alphabet, {den * self._den: bucket for den, bucket in out.items()})
 
     def evaluate(self, assignment: Mapping[int, Rat]) -> "ParamPoly":
         """Partial numeric substitution; unassigned parameters survive."""
@@ -303,7 +370,7 @@ class ParamPoly(_Ring):
     # -- printing -----------------------------------------------------------
 
     def _sorted_terms(self):
-        width = max((len(e) for e in self.terms), default=0)
+        width = self.max_index()
 
         def key(item):
             e = item[0]
@@ -347,29 +414,25 @@ def jet_weight(jet: Jet) -> int:
     return a + 1 + k
 
 
-def _add_coef(terms: dict, key, coef: Mapping[tuple[int, ...], Fraction],
-              scale: Rat = 1) -> None:
+def _add_coef(terms: dict, key, coef: ParamPoly, scale: Rat = 1) -> None:
     """terms[key] += scale * coef for a nonzero scale, where terms maps keys
-    (jet monomials, or index tuples of a series) to ParamPoly term dicts
-    that the summing code owns; a zero coefficient is never stored, and one
-    that cancels is removed."""
+    (jet monomials, or index tuples of a series) to ParamPoly accumulators
+    that the summing code owns; `_wrap_coefs` drops every key whose sum
+    is zero."""
     inner = terms.get(key)
     if inner is None:
-        if coef:
-            terms[key] = dict(coef) if scale == 1 else {e: c * scale for e, c in coef.items()}
-        return
+        inner = terms[key] = {}
     _add_terms(inner, coef, scale)
     if not inner:
         del terms[key]
 
 
-def _add_coef_product(terms: dict, key, t1: Mapping[tuple[int, ...], Fraction],
-                      t2: Mapping[tuple[int, ...], Fraction], scale: Rat = 1) -> None:
-    """terms[key] += scale * t1 * t2, with terms as in :func:`_add_coef`."""
+def _add_coef_product(terms: dict, key, p: ParamPoly, q: ParamPoly, scale: Rat = 1) -> None:
+    """terms[key] += scale * p * q, with terms as in :func:`_add_coef`."""
     inner = terms.get(key)
     if inner is None:
         inner = terms[key] = {}
-    _add_param_product(inner, t1, t2, scale)
+    _add_param_product(inner, p, q, scale)
     if not inner:
         del terms[key]
 
@@ -377,7 +440,7 @@ def _add_coef_product(terms: dict, key, t1: Mapping[tuple[int, ...], Fraction],
 def _add_diff(terms: dict, p: Mapping[JetMono, "ParamPoly"], scale: Rat = 1) -> None:
     """terms += scale * p for a DiffPoly term map and a nonzero scale."""
     for mono, coef in p.items():
-        _add_coef(terms, mono, coef.terms, scale)
+        _add_coef(terms, mono, coef, scale)
 
 
 def _add_diff_product(terms: dict, p: Mapping[JetMono, "ParamPoly"],
@@ -389,12 +452,18 @@ def _add_diff_product(terms: dict, p: Mapping[JetMono, "ParamPoly"],
             merged = dict(d1)
             for jet, e in m2:
                 merged[jet] = merged.get(jet, 0) + e
-            _add_coef_product(terms, _mono_from_dict(merged), c1.terms, c2.terms, scale)
+            _add_coef_product(terms, _mono_from_dict(merged), c1, c2, scale)
 
 
 def _wrap_coefs(alphabet: str, terms: dict) -> dict:
-    """ParamPoly coefficients around the term dicts an accumulator built."""
-    return {key: _wrap_param(alphabet, t) for key, t in terms.items()}
+    """ParamPoly coefficients around the accumulators of a keyed sum, the
+    keys whose coefficient sums to zero left out."""
+    out = {}
+    for key, acc in terms.items():
+        coef = _wrap_param(alphabet, acc)
+        if coef._num:
+            out[key] = coef
+    return out
 
 
 def _wrap_diff(terms: dict) -> "DiffPoly":
@@ -419,7 +488,7 @@ class DiffPoly(_Ring):
     (a, k) with a < 1 or k < 0, the one check behind `jet`; the kernels
     wrap their sums unchecked (`_wrap_diff`)."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[JetMono, ParamPoly | Rat] | None = None):
         out: dict = {}
@@ -427,7 +496,7 @@ class DiffPoly(_Ring):
             for mono, coef in terms.items():
                 if any(a < 1 or k < 0 for (a, k), _ in mono):
                     raise ValueError("jet variables need a >= 1, k >= 0")
-                _add_coef(out, mono, _coef_over("d", coef).terms)
+                _add_coef(out, mono, _coef_over("d", coef))
         self.terms = _wrap_coefs("d", out)
 
     # -- constructors ------------------------------------------------------
@@ -445,6 +514,9 @@ class DiffPoly(_Ring):
         return cls({(((a, k), 1),): 1})
 
     # -- predicates ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def jets(self) -> set[Jet]:
         out: set[Jet] = set()
@@ -512,17 +584,17 @@ class DiffPoly(_Ring):
                 del d[jet]
             else:
                 d[jet] = e - 1
-            _add_coef(out, _mono_from_dict(d), coef.terms, e)
+            _add_coef(out, _mono_from_dict(d), coef, e)
         return _wrap_diff(out)
 
     def evaluate(self, value: Callable[[int, int], ParamPoly]) -> ParamPoly:
         """Substitute every jet variable via ``value(a, k)`` (over ``d``)."""
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
         for mono, coef in self.terms.items():
             term = coef
             for (a, k), e in mono:
                 term = term * value(a, k) ** e
-            _add_terms(out, term.terms)
+            _add_terms(out, term)
         return _wrap_param("d", out)
 
     # -- printing ----------------------------------------------------------------
@@ -575,8 +647,7 @@ class DiffPoly(_Ring):
 # --------------------------------------------------------------------------
 
 
-def _add_diff_x(terms: dict, mono: JetMono, coef: Mapping[tuple[int, ...], Fraction],
-                scale: Rat = 1) -> None:
+def _add_diff_x(terms: dict, mono: JetMono, coef: ParamPoly, scale: Rat = 1) -> None:
     """terms += scale * d/dx (coef * mono) for a nonzero scale."""
     base = dict(mono)
     for (a, k), e in mono:
@@ -593,7 +664,7 @@ def diff_x(p: DiffPoly) -> DiffPoly:
     """Total x-derivative: v{a}_{k} -> v{a}_{k+1} plus Leibniz."""
     out: dict = {}
     for mono, coef in p.terms.items():
-        _add_diff_x(out, mono, coef.terms)
+        _add_diff_x(out, mono, coef)
     return _wrap_diff(out)
 
 
@@ -628,14 +699,19 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
     larger variable index.  Any violation certifies non-exactness.  The
     remainder's monomials wait in a heap, each keyed once when it enters.
     """
-    rem = {mono: dict(coef.terms) for mono, coef in p.terms.items()}
+    rem: dict = {}
+    _add_diff(rem, p.terms)
     heap = [(_peel_key(mono), mono) for mono in rem]
     heapify(heap)
     out: dict = {}
     while rem:
         mono = heappop(heap)[1]
-        if mono not in rem:
+        acc = rem.pop(mono, None)
+        if acc is None:
             continue  # cancelled after it was queued
+        coef = _wrap_param("d", acc)
+        if coef.is_zero():
+            continue  # cancelled across denominators
         if not mono:
             raise NotExact("nonzero constant term cannot be integrated")
         (k, a) = max((k, a) for (a, k), _ in mono)
@@ -651,15 +727,15 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
         del d[(a, k)]
         d[(a, k - 1)] = d.get((a, k - 1), 0) + 1
         candidate = _mono_from_dict(d)
-        s = Fraction(1, d[(a, k - 1)])
-        coef = {e: c * s for e, c in rem[mono].items()}
+        coef = coef * Fraction(1, d[(a, k - 1)])
         _add_coef(out, candidate, coef)
         peeled: dict = {}
         _add_diff_x(peeled, candidate, coef, -1)
-        for m, c in peeled.items():
+        del peeled[mono]  # minus the coefficient just taken out of rem
+        for m, acc in peeled.items():
             if m not in rem:
                 heappush(heap, (_peel_key(m), m))
-            _add_coef(rem, m, c)
+            _add_coef(rem, m, _wrap_param("d", acc))
     return _wrap_diff(out)
 
 

@@ -163,7 +163,7 @@ class TauSeries:
                 I = _series_key(I)
                 poly = _coef_over(alphabet, c)
                 if sum(I) <= cap:
-                    _add_coef(terms, I, poly.terms)
+                    _add_coef(terms, I, poly)
         self.coeffs: dict[Index, ParamPoly] = _wrap_coefs(alphabet, terms)
 
     @classmethod
@@ -201,7 +201,7 @@ class TauSeries:
         terms: dict = {}
         for series in (self, other):
             for I, c in series.coeffs.items():
-                _add_coef(terms, I, _coef_over(self.alphabet, c).terms)
+                _add_coef(terms, I, _coef_over(self.alphabet, c))
         return TauSeries(self.alphabet, min(self.cap, other.cap),
                          _wrap_coefs(self.alphabet, terms))
 
@@ -240,12 +240,14 @@ def _euler_step(F: list[dict[Index, ParamPoly]], T: list[dict[Index, ParamPoly]]
                 alphabet: str) -> dict[Index, ParamPoly]:
     """base + sign * S_w, S_w = (1/w) sum_{0<k<w} k F_k T_(w-k), from the
     weight parts F_k of log tau and T_k of tau below weight w (module doc)."""
-    out = {I: dict(c.terms) for I, c in base.items()}
+    out: dict = {}
+    for I, c in base.items():
+        _add_coef(out, I, c)
     for k in range(1, w):
         s = Fraction(sign * k, w)
         for J, a in F[k].items():
             for K, b in T[w - k].items():
-                _add_coef_product(out, _normalize(J + K), a.terms, b.terms, s)
+                _add_coef_product(out, _normalize(J + K), a, b, s)
     return _wrap_coefs(alphabet, out)
 
 

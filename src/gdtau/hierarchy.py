@@ -25,11 +25,10 @@ no differential polynomial built (`wconstraints.c_from_d`, `pde_correlator`).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
-from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product, _trim,
-                      _wrap_diff, _wrap_param, integrate_x, nth_diff_x)
+from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product, _wrap_diff,
+                      _wrap_param, integrate_x, nth_diff_x)
 from .errors import IndexDivisible
 from .psido import LaxOperator, frac_power, residue
 
@@ -132,7 +131,7 @@ class Hierarchy:
         prod (v_a^(k))^e is worth prod d_a^e prod ((a+1)...(a+k))^e.
         """
         check_index(self.r, j)
-        groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        groups: dict[int, dict] = {}
         for mono, coef in p.terms.items():
             expts = [0] * (self.r - 1)
             factor = 1
@@ -145,14 +144,15 @@ class Hierarchy:
                 # the monomial without one v_a^(k): perm(a+k, k) divides factor
                 expts[a - 1] -= 1
                 scale = e * math.perm(a + j + k, k) * factor // math.perm(a + k, k)
-                _add_param_product(groups.setdefault(a, {}), coef.terms,
-                                   {_trim(expts): Fraction(scale)})
+                _add_param_product(groups.setdefault(a, {}), coef,
+                                   ParamPoly("d", {tuple(expts): scale}))
                 expts[a - 1] += 1
         flow = initial_values(self.r).flow(j)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
         for a, group in groups.items():
+            g = _wrap_param("d", group)
             for value in flow[a].terms.values():  # a value row is a constant
-                _add_param_product(out, group, value.terms)
+                _add_param_product(out, g, value)
         return _wrap_param("d", out)
 
 
@@ -171,7 +171,7 @@ class InitialValues(LaxOperator):
     def _lead(self, t: int) -> DiffPoly:
         return DiffPoly.const(initial_jet(t - 1, 0)) if 1 < t <= self.r else DiffPoly.zero()
 
-    def _jet(self, a: int, j: int) -> DiffPoly:
+    def _new_jet(self, a: int, j: int) -> DiffPoly:
         return DiffPoly.const(initial_jet(a, j))
 
     def _row_deriv(self, k: int, t: int, j: int) -> DiffPoly:
@@ -179,6 +179,12 @@ class InitialValues(LaxOperator):
         while len(chain) <= j:
             chain.append(chain[-1] * (t + len(chain) - 1))
         return chain[j]
+
+    def flow(self, i: int) -> dict[int, DiffPoly]:
+        """The values a -> X_a^i at the initial point; i must be a time
+        (`check_index`)."""
+        check_index(self.r, i)
+        return super().flow(i)
 
     def residue(self, i: int) -> ParamPoly:
         """res L^(i/r) at the initial point: row i + 1 of R^i."""

@@ -278,9 +278,10 @@ class LaxOperator:
     are read off the same table.
 
     The ring enters only through `_lead` (L's coefficient at D^(r-t)),
-    `_jet` (v_a^(j)) and `_row_deriv` (the x-derivatives of a row, u_n^(j)
-    among them); a subclass that overrides the three runs the same table
-    and flows on values (`hierarchy.InitialValues`).
+    `_new_jet` (v_a^(j), memoised by `_jet`) and `_row_deriv` (the
+    x-derivatives of a row, u_n^(j) among them); a subclass that overrides
+    the three runs the same table and flows on values
+    (`hierarchy.InitialValues`).
     """
 
     def __init__(self, r: int):
@@ -295,12 +296,20 @@ class LaxOperator:
         self._rows: dict[int, list[DiffPoly]] = {k: [one] for k in range(1, r + 1)}
         self._row_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (k, t) -> [row, row', ...]
         self._flows: dict[int, dict[int, DiffPoly]] = {}
+        self._jets: dict[tuple[int, int], DiffPoly] = {}
 
     def _lead(self, t: int) -> DiffPoly:
         return self.op.coeff(self.r - t)
 
-    def _jet(self, a: int, j: int) -> DiffPoly:
+    def _new_jet(self, a: int, j: int) -> DiffPoly:
         return DiffPoly.jet(a, j)
+
+    def _jet(self, a: int, j: int) -> DiffPoly:
+        """v_a^(j) in this table's ring, built once per instance."""
+        got = self._jets.get((a, j))
+        if got is None:
+            got = self._jets[(a, j)] = self._new_jet(a, j)
+        return got
 
     def _row_deriv(self, k: int, t: int, j: int) -> DiffPoly:
         """The j-th x-derivative of row t of R^k."""
@@ -353,8 +362,10 @@ class LaxOperator:
             [p_t D^m, v D^n] = sum_(k>=1) (C(m,k) p_t v^(k) - C(n,k) v p_t^(k)) D^(m+n-k),
 
         the k = 0 terms cancelling.  A surviving coefficient above D^(r-2)
-        raises InvariantViolated.
+        raises InvariantViolated; an index below 1 raises ValueError.
         """
+        if i < 1:
+            raise ValueError("the flow index must be >= 1")
         got = self._flows.get(i)
         if got is None:
             r = self.r
@@ -372,9 +383,10 @@ class LaxOperator:
                     for b in range(1, r - k):  # C(r-1-b, k) = 0 once k > r-1-b
                         _add_diff_product(out.setdefault(m + r - 1 - b - k, {}), dp.terms,
                                           self._jet(b, 0).terms, -_binom(r - 1 - b, k))
-            if any(acc for e, acc in out.items() if e > r - 2):
+            coeffs = {e: _wrap_diff(acc) for e, acc in out.items()}
+            if any(not c.is_zero() for e, c in coeffs.items() if e > r - 2):
                 raise InvariantViolated("flow commutator reaches above D^(r-2)")
-            got = self._flows[i] = {a: _wrap_diff(out.get(r - 1 - a, {})) for a in range(1, r)}
+            got = self._flows[i] = {a: coeffs.get(r - 1 - a, DiffPoly.zero()) for a in range(1, r)}
         return got
 
     def power(self, k: int, floor: int) -> PsiDO:

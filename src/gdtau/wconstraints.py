@@ -195,8 +195,8 @@ def _apply_power(series: TauSeries, op: WOperatorSpec,
                 form[J] = form.get(J, 0) + cf * w
         for J, w in form.items():
             aJ = series.get(J)
-            if w and aJ.terms:
-                _add_coef(terms, I, aJ.terms, w * _mult_factorial(J))
+            if w and not aJ.is_zero():
+                _add_coef(terms, I, aJ, w * _mult_factorial(J))
     return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
 
 
@@ -319,7 +319,9 @@ def _wred(image, op: WOperatorSpec) -> TauSeries:
     piece's order pattern sums to at most alpha, so each raw image reaches
     at least the cap of the operator's own one."""
     raw = image(((op.alpha, op.q),))
-    terms = {I: dict(c.terms) for I, c in raw.coeffs.items()}
+    terms: dict = {}
+    for I, c in raw.coeffs.items():
+        _add_coef(terms, I, c)
     qshift = op.q - op.alpha
     for B, h in sorted(_normalization(op.r, op.alpha).items()):
         if not h:
@@ -327,7 +329,7 @@ def _wred(image, op: WOperatorSpec) -> TauSeries:
         chain = ((B[0], B[0] + qshift),) + tuple((beta, beta) for beta in B[1:])
         for I, c in image(chain).coeffs.items():
             if sum(I) <= raw.cap:
-                _add_coef(terms, I, c.terms, h)
+                _add_coef(terms, I, c, h)
     return TauSeries(raw.alphabet, raw.cap, _wrap_coefs(raw.alphabet, terms))
 
 
@@ -376,9 +378,9 @@ def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
         val: dict = {}
         if nu < r:  # q = alpha = nu: the eigenvalue term
             eig = Fraction((-1) ** nu * (nu + 1), _mult_factorial(A))
-            _add_param_product(val, table[A].terms, ParamPoly.var("sigma", nu).terms, eig)
+            _add_param_product(val, table[A], ParamPoly.var("sigma", nu), eig)
         for J, w in terms.items():
-            _add_terms(val, table[J].terms, -w)
+            _add_terms(val, table[J], -w)
         table[M] = _wrap_param("sigma", val) / lead
     return table
 

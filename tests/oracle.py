@@ -11,8 +11,15 @@ which is the point: it shares no code path with the implementation.
 
 ``exp_log_coefficients`` is the matching oracle for ``tau_exp`` and
 ``log_tau``: sympy's own power-series exp and log, not a recurrence.
+
+The ``frac_*`` functions are a plain-``Fraction`` model of the parameter
+polynomial kernels: a polynomial is a ``{exponents: Fraction}`` dict (the
+``ParamPoly.terms`` view), every sum and product is spelled out term by
+term, and ``frac_exp`` / ``frac_log`` are the truncated power series of
+exp and log over such dicts.
 """
 
+import math
 from fractions import Fraction
 
 import sympy as sp
@@ -181,3 +188,99 @@ def exp_log_coefficients(series, take_log, syms):
             term *= sym ** e
         out[I] = out.get(I, sp.Integer(0)) + term
     return {I: sp.expand(v) for I, v in out.items() if sp.expand(v) != 0}
+
+
+# -- plain-Fraction model of the ParamPoly kernels -----------------------------
+
+
+def _clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _key_sum(e1, e2):
+    n = max(len(e1), len(e2))
+    e = [a + b for a, b in zip(e1 + (0,) * (n - len(e1)), e2 + (0,) * (n - len(e2)))]
+    while e and e[-1] == 0:
+        e.pop()
+    return tuple(e)
+
+
+def frac_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _clean(out)
+
+
+def frac_scale(a, s):
+    return _clean({e: c * s for e, c in a.items()})
+
+
+def frac_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = _key_sum(e1, e2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def frac_substitute(a, values):
+    """Each parameter i replaced by the polynomial values[i]."""
+    out = {}
+    for expts, c in a.items():
+        term = {(): c}
+        for i, e in enumerate(expts, start=1):
+            for _ in range(e):
+                term = frac_mul(term, values[i])
+        out = frac_add(out, term)
+    return out
+
+
+def frac_evaluate(a, assignment):
+    """Parameters named in `assignment` replaced by numbers, others kept."""
+    out = {}
+    for expts, c in a.items():
+        kept = list(expts)
+        for i, e in enumerate(expts, start=1):
+            if e and i in assignment:
+                c *= Fraction(assignment[i]) ** e
+                kept[i - 1] = 0
+        out = frac_add(out, {_key_sum(tuple(kept), ()): c})
+    return out
+
+
+def _series_mul(x, y, cap):
+    out = {}
+    for I, a in x.items():
+        for J, b in y.items():
+            K = tuple(sorted(I + J))
+            if sum(K) <= cap:
+                out[K] = frac_add(out.get(K, {}), frac_mul(a, b))
+    return {K: v for K, v in out.items() if v}
+
+
+def frac_exp(series, cap):
+    """exp of {index tuple: polynomial dict} with no constant term, through
+    weight cap: sum_n F^n / n!."""
+    out, power = {(): {(): Fraction(1)}}, {(): {(): Fraction(1)}}
+    for n in range(1, cap + 1):
+        power = _series_mul(power, series, cap)
+        for I, v in power.items():
+            out[I] = frac_add(out.get(I, {}), frac_scale(v, Fraction(1, math.factorial(n))))
+    return {I: v for I, v in out.items() if v}
+
+
+def frac_log(series, cap):
+    """log of {index tuple: polynomial dict} with constant term 1, through
+    weight cap: sum_n (-1)^(n+1) G^n / n with G = series - 1."""
+    G = dict(series)
+    G[()] = frac_add(G.get((), {}), {(): Fraction(-1)})
+    assert not G[()], "log needs the constant term 1"
+    del G[()]
+    out, power = {}, {(): {(): Fraction(1)}}
+    for n in range(1, cap + 1):
+        power = _series_mul(power, G, cap)
+        for I, v in power.items():
+            out[I] = frac_add(out.get(I, {}), frac_scale(v, Fraction((-1) ** (n + 1), n)))
+    return {I: v for I, v in out.items() if v}

@@ -279,6 +279,7 @@ def test_table_starts_at_weight_one():
 INDEX_ENTRIES = {
     "Hierarchy.flow": lambda b: hierarchy(3).flow(b),
     "InitialValues.residue": lambda b: initial_values(3).residue(b),
+    "InitialValues.flow": lambda b: initial_values(3).flow(b),
     "Hierarchy.density": lambda b: hierarchy(3).density((2, b)),
     "Hierarchy.t_derivative": lambda b: hierarchy(3).t_derivative(DiffPoly.const(5), b),
     "Hierarchy.t_derivative_value": lambda b: hierarchy(3).t_derivative_value(DiffPoly.const(5), b),

@@ -21,7 +21,7 @@ from gdtau import (
 )
 from gdtau.errors import IndexDivisible
 from gdtau.hierarchy import InitialValues, initial_jet, initial_values
-from gdtau.psido import frac_power, residue
+from gdtau.psido import LaxOperator, frac_power, residue
 
 
 def v(a, k=0):
@@ -216,6 +216,17 @@ def test_t_derivative_value_guards_jets_like_evaluate():
 
 
 # -- the power table at the initial point -------------------------------------------
+
+
+def test_jets_are_built_once_per_table():
+    # the lifted rows and the flows read v_a^(j) through one memo, in
+    # both rings
+    for L in (LaxOperator(4), InitialValues(4)):
+        jet = L._jet(2, 3)
+        assert L._jet(2, 3) is jet
+        assert L._jet(2, 2) is not jet
+    assert InitialValues(4)._jet(2, 3) == DiffPoly.const(initial_jet(2, 3))
+    assert LaxOperator(4)._jet(2, 3) == DiffPoly.jet(2, 3)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])

@@ -1,5 +1,6 @@
 """Randomized structural laws, checked with hypothesis."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,9 @@ from gdtau import (
 )
 from gdtau.bgw import TauSeries, index_multisets, log_tau, tau_exp
 from gdtau.wconstraints import WOperatorSpec, apply_S
+
+from oracle import (frac_add, frac_evaluate, frac_exp, frac_log, frac_mul, frac_scale,
+                    frac_substitute)
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -94,6 +98,101 @@ def test_evaluate_is_a_ring_homomorphism(p, q, values):
     assignment = {i + 1: values[i] for i in range(3)}
     assert (p + q).evaluate(assignment) == p.evaluate(assignment) + q.evaluate(assignment)
     assert (p * q).evaluate(assignment) == p.evaluate(assignment) * q.evaluate(assignment)
+
+
+# -- the integer kernels against plain fractions --------------------------------
+
+# denominators from primes that divide r for small orders and primes that
+# divide none of them
+kernel_fractions = st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 9, 11, 12, 13, 35, 143, 2 * 3 * 5 * 7 * 11 * 13]),
+)
+kernel_terms = st.lists(
+    st.tuples(kernel_fractions, st.lists(st.integers(min_value=0, max_value=2), max_size=3)),
+    max_size=4,
+)
+
+
+def _kernel_poly(alphabet, spec, cancel):
+    """A ParamPoly summed term by term through `+`, with its plain-Fraction
+    reference; `cancel` appends the negation of every other term, so sums
+    cancel to zero and the empty polynomial comes up."""
+    if cancel:
+        spec = spec + [(-c, e) for c, e in spec[::2]]
+    poly, ref = ParamPoly.zero(alphabet), {}
+    for c, expts in spec:
+        poly = poly + ParamPoly(alphabet, {tuple(expts): c})
+        trimmed = tuple(expts)
+        while trimmed and trimmed[-1] == 0:
+            trimmed = trimmed[:-1]
+        ref = frac_add(ref, {trimmed: c})
+    return poly, ref
+
+
+def kernel_polys(alphabet="c"):
+    return st.builds(lambda spec, cancel: _kernel_poly(alphabet, spec, cancel),
+                     kernel_terms, st.booleans())
+
+
+def assert_canonical(p):
+    # integer numerators over one positive denominator, in lowest terms
+    num, den = p._num, p._den
+    assert type(den) is int and den >= 1, p
+    assert all(type(c) is int and c for c in num.values()), p
+    assert math.gcd(den, *num.values()) == 1, p
+
+
+def assert_matches(p, ref):
+    assert_canonical(p)
+    assert p.terms == ref
+
+
+@settings(max_examples=150)
+@given(kernel_polys(), kernel_polys(), kernel_fractions.filter(bool))
+def test_kernels_match_plain_fractions(p_pair, q_pair, s):
+    (p, pref), (q, qref) = p_pair, q_pair
+    assert_matches(p, pref)
+    assert_matches(p + q, frac_add(pref, qref))
+    assert_matches(p - q, frac_add(pref, frac_scale(qref, -1)))
+    assert_matches(p * q, frac_mul(pref, qref))
+    assert_matches(p * s, frac_scale(pref, s))
+    assert_matches(p * s.numerator, frac_scale(pref, s.numerator))
+    assert_matches(p / s, frac_scale(pref, 1 / s))
+    assert_matches(p * 0, {})
+    assert_matches(p - p, {})
+    assert (p == q) == (pref == qref)
+
+
+@settings(max_examples=100)
+@given(kernel_polys(), st.tuples(kernel_polys("d"), kernel_polys("d"), kernel_polys("d")),
+       st.dictionaries(st.integers(min_value=1, max_value=4), kernel_fractions, max_size=3))
+def test_substitute_and_evaluate_match_plain_fractions(p_pair, vals, assignment):
+    p, pref = p_pair
+    values = {i + 1: v for i, (v, _) in enumerate(vals)}
+    refs = {i + 1: ref for i, (_, ref) in enumerate(vals)}
+    assert_matches(p.substitute(values, "d"), frac_substitute(pref, refs))
+    assert_matches(p.evaluate(assignment), frac_evaluate(pref, assignment))
+
+
+kernel_series = st.lists(kernel_polys("d"), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_series)
+def test_exp_log_match_plain_fractions(polys):
+    cap = 5
+    keys = index_multisets(3, cap)
+    F = TauSeries("d", cap, {I: p for I, (p, _) in zip(keys, polys)})
+    Fref = {I: ref for I, (_, ref) in zip(keys, polys) if ref}
+    T = tau_exp(F)
+    Tref = frac_exp(Fref, cap)
+    assert {I: c.terms for I, c in T.coeffs.items()} == Tref
+    for c in T.coeffs.values():
+        assert_canonical(c)
+    back = log_tau(T)
+    assert back == F
+    assert {I: c.terms for I, c in back.coeffs.items()} == frac_log(Tref, cap)
 
 
 # -- jet polynomial calculus -------------------------------------------------

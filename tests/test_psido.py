@@ -115,6 +115,14 @@ def test_power_index_must_be_positive():
         frac_power(L, 0, -1)
 
 
+def test_flow_index_must_be_positive():
+    # refused like a power index, not a KeyError from the power table
+    L = LaxOperator(3)
+    for i in (0, -2):
+        with pytest.raises(ValueError, match="the flow index must be >= 1"):
+            L.flow(i)
+
+
 # -- fractional powers -----------------------------------------------------------
 
 

@@ -2,8 +2,9 @@
 
 Each command runs through ``cli.main`` in-process; its exit code and the
 sha256 of its stdout must equal the digests recorded here.  The grid covers
-the density route in ``d`` from r = 2 to 8, a table in ``c``, a disconnected
-table, the stabilized values and a constraint check.  A change that alters
+the density route in ``d`` from r = 2 to 8, tables in ``c`` and ``sigma``, a
+disconnected table, the stabilized values, constraint checks, the constant
+dictionaries, and every output format.  A change that alters
 any printed byte fails here; if the new output is intended, record the new
 digests together with the reason.
 """
@@ -37,6 +38,20 @@ GRID = {
         "00f35eb5417c8516be27a63ad06e2f00a95a1a418a3e072ba87e9a123742824f",
     "verify --r 5 --weight 8":
         "68373f4d63f21489cb238c94c55cdb9ef62aac567979399b0cdd7c387781556e",
+    "correlators --r 3 --weight 14":
+        "e661e69fcee4a373881102f03f41c82ec62d835dbc276493df0960f013ff080b",
+    "correlators --r 3 --weight 14 --format json":
+        "877ec3f5062234019add1d4ac161ef8adf7687c4f115dc48c723d86041246dd4",
+    "correlators --r 3 --weight 10 --alphabet sigma --format latex":
+        "70e86da28397536a44c59c53c7aac407c8b267b5e61cdf7aaef95a4302bfd125",
+    "correlators --r 4 --weight 10 --alphabet c --format csv":
+        "de251e387ef941e7de13ff9e37691147f44b85d0c6e0e201915cdde80a7b5927",
+    "verify --r 4 --weight 10":
+        "b78b0ed0308685ac624365bd2529a10396068a436f2f7d6c8153d4d098d37856",
+    "constants --r 6":
+        "1fbbeba48f71624dca3b17c9458cdfedc2b7f67b3aeff845df9619e7418eff80",
+    "constants --r 6 --format json":
+        "f71cf397d94fc358724d424574f46cec9690d46998be5dd7b60bb785630fae42",
 }
 
 
