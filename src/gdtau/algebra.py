@@ -6,9 +6,12 @@ string comparison is a legitimate test:
 * :class:`ParamPoly` -- multivariate polynomial in an indexed parameter family
   ("alphabet"), e.g. the initial-data constants ``d1, d2, ...`` or the normal
   coordinates ``c1, c2, ...``.  The parameter with index ``a`` carries weight
-  ``a + 1``.  It stores integer numerators over one positive denominator,
-  with no common factor, so every kernel sums on plain integers; ``terms``
-  is a read-only ``{exponents: Fraction}`` view for printers and tests.
+  ``a + 1``.  Each monomial is one int (the exponent of parameter ``i+1``
+  in bits ``[16 i, 16 i + 16)``, the top bit of every field a guard), so a
+  monomial product is one integer addition.  It stores integer numerators
+  over one positive denominator, with no common factor, so every kernel
+  sums on plain integers; ``terms`` is a read-only ``{exponents: Fraction}``
+  view for printers and tests.
 * :class:`DiffPoly` -- polynomial in jet variables with ParamPoly
   coefficients over the jet parameters ``d``, the only alphabet the operator
   layer sees.  The jet variable ``v{a}_{k}`` stands for the k-th
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import add
-from typing import Callable, Iterable, Mapping, Union
+from operator import or_
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import AlphabetMismatch, NotExact, NotHomogeneous
+from .errors import AlphabetMismatch, InvariantViolated, NotExact, NotHomogeneous
 
 Rat = Union[int, Fraction]
 
@@ -40,15 +44,49 @@ Rat = Union[int, Fraction]
 # --------------------------------------------------------------------------
 
 
-def _trim(expts: Iterable[int]) -> tuple[int, ...]:
-    t = tuple(expts)
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
+# A monomial prod c_(i+1)^e_i is one int, the key sum e_i << (_FIELD * i).
+# The top bit of each field is a guard: no wrapped polynomial sets one, so
+# the sum of two keys is the key of the product, with no carry from one
+# field into the next.  `_canonical` refuses any sum that reaches a guard.
+# As ints, keys compare like their exponent tuples read from the highest
+# index down.
+
+_FIELD = 16
+_MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+_MASK = (1 << _FIELD) - 1
+
+
+def _pack(expts: Iterable[int]) -> int:
+    """The key of an exponent tuple (position i = parameter index i+1)."""
+    key = 0
+    for i, e in enumerate(expts):
+        if not isinstance(e, int):
+            raise ValueError("parameter exponents must be integers")
+        if e < 0:
+            raise ValueError("parameter exponents must be >= 0")
+        if e > _MAX_EXPONENT:
+            raise ValueError(f"parameter exponents must be <= {_MAX_EXPONENT}")
+        key |= e << (_FIELD * i)
+    return key
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    """The exponent tuple of a key, trailing zeros stripped."""
+    out = []
+    while key:
+        out.append(key & _MASK)
+        key >>= _FIELD
+    return tuple(out)
+
+
+@cache
+def _guards(fields: int) -> int:
+    """The guard bits of the lowest `fields` fields."""
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(fields))
 
 
 # Sums are built in place, on integers.  An accumulator maps a denominator
-# to the integer numerators summed over it ({den: {exponents: int}}); the
+# to the integer numerators summed over it ({den: {key: int}}); the
 # summing code owns it and every bucket in it (fresh dicts, never one some
 # polynomial holds), and `_wrap_param` turns it into a ParamPoly once at the
 # end: one lcm over the buckets, one gcd to take out the content.  A
@@ -57,7 +95,7 @@ def _trim(expts: Iterable[int]) -> tuple[int, ...]:
 # still sum to zero.
 
 
-def _add_scaled(acc: dict, num: Mapping[tuple[int, ...], int], n: int, den: int) -> None:
+def _add_scaled(acc: dict, num: Mapping[int, int], n: int, den: int) -> None:
     """acc += (n / den) * num for integer numerators num and a nonzero n."""
     if not num:
         return
@@ -75,25 +113,24 @@ def _add_scaled(acc: dict, num: Mapping[tuple[int, ...], int], n: int, den: int)
         del acc[den]
 
 
-def _add_terms(acc: dict, p: "ParamPoly", scale: Rat = 1) -> None:
-    """acc += scale * p for a nonzero scale."""
-    _add_scaled(acc, p._num, scale.numerator, p._den * scale.denominator)
+def _add_terms(acc: dict, p: "ParamPoly", scale: Rat = 1, den: int = 1) -> None:
+    """acc += (scale / den) * p for a nonzero scale and a positive den."""
+    _add_scaled(acc, p._num, scale.numerator, p._den * scale.denominator * den)
 
 
 def _add_param_product(acc: dict, p: "ParamPoly", q: "ParamPoly", scale: Rat = 1) -> None:
     """acc += scale * p * q for a nonzero scale.
 
-    A constant factor is one integer scaling of the other.  Otherwise the
-    factors' exponent tuples are trimmed and nonnegative, so their
-    elementwise sum (the longer tuple's tail appended) needs no trim.
+    A constant factor is one integer scaling of the other.  Otherwise each
+    product of monomials is the sum of their keys.
     """
     n, den = scale.numerator, p._den * q._den * scale.denominator
     t1, t2 = p._num, q._num
-    if len(t2) == 1 and () in t2:
-        _add_scaled(acc, t1, n * t2[()], den)
+    if len(t2) == 1 and 0 in t2:
+        _add_scaled(acc, t1, n * t2[0], den)
         return
-    if len(t1) == 1 and () in t1:
-        _add_scaled(acc, t2, n * t1[()], den)
+    if len(t1) == 1 and 0 in t1:
+        _add_scaled(acc, t2, n * t1[0], den)
         return
     if not t1 or not t2:
         return
@@ -103,11 +140,8 @@ def _add_param_product(acc: dict, p: "ParamPoly", q: "ParamPoly", scale: Rat = 1
     for e1, c1 in t1.items():
         if n != 1:
             c1 *= n
-        n1 = len(e1)
         for e2, c2 in t2.items():
-            n2 = len(e2)
-            head = tuple(map(add, e1, e2))
-            key = head + e1[n2:] if n1 > n2 else head + e2[n1:]
+            key = e1 + e2
             v = bucket.get(key, 0) + c1 * c2
             if v:
                 bucket[key] = v
@@ -120,7 +154,8 @@ def _add_param_product(acc: dict, p: "ParamPoly", q: "ParamPoly", scale: Rat = 1
 def _canonical(acc: dict) -> tuple[dict, int]:
     """(numerators, denominator) in lowest terms for what an accumulator
     sums to: the buckets over their lcm, then the content divided out.
-    Zero is ({}, 1)."""
+    Zero is ({}, 1).  Raises InvariantViolated if a key sets a guard bit,
+    i.e. an exponent outgrew its field."""
     if len(acc) == 1:
         (den, num), = acc.items()
     else:
@@ -136,6 +171,9 @@ def _canonical(acc: dict) -> tuple[dict, int]:
                     del num[e]
     if not num:
         return {}, 1
+    bits = reduce(or_, num)
+    if bits & _guards(-(-bits.bit_length() // _FIELD)):
+        raise InvariantViolated(f"a parameter exponent exceeds {_MAX_EXPONENT}")
     g = math.gcd(den, *num.values())
     if g > 1:
         num = {e: c // g for e, c in num.items()}
@@ -215,14 +253,17 @@ class _Ring:
 class ParamPoly(_Ring):
     """Polynomial in parameters ``<alphabet>1, <alphabet>2, ...``.
 
-    A term is keyed by its exponent tuple (position i = parameter index
-    i+1, trailing zeros stripped).  The coefficients are stored as nonzero
-    integer numerators over one positive denominator that shares no factor
-    with all of them, so two equal polynomials store equal fields.  Only
-    this module reads that representation; ``terms`` is a fresh read-only
-    view ``{exponents: Fraction}``.  The constructor refuses a negative
-    exponent; the kernels, which only add and multiply such keys, wrap their
-    sums unchecked (`_wrap_param`).
+    A term is keyed by one int, its packed monomial: the exponent of
+    parameter i+1 sits in bits [16 i, 16 i + 16), and the top bit of each
+    field is a guard that stays clear, so exponents run up to 32767.  The coefficients are stored as nonzero integer numerators
+    over one positive denominator that shares no factor with all of them,
+    so two equal polynomials store equal fields.  Only this module reads
+    that representation; ``terms`` is a fresh read-only view
+    ``{exponent tuple: Fraction}`` (position i = parameter index i+1,
+    trailing zeros stripped).  The constructor takes that view's shape and
+    refuses an exponent that is not an int in 0..32767 (ValueError) and a
+    coefficient that is not an int or a Fraction (TypeError); every wrap
+    refuses a product whose exponent reaches a guard (InvariantViolated).
     """
 
     __slots__ = ("alphabet", "_num", "_den")
@@ -232,11 +273,12 @@ class ParamPoly(_Ring):
         acc: dict = {}
         if terms:
             for expts, coef in terms.items():
-                if any(e < 0 for e in expts):
-                    raise ValueError("parameter exponents must be >= 0")
-                c = Fraction(coef)
-                if c:
-                    _add_scaled(acc, {_trim(expts): c.numerator}, 1, c.denominator)
+                key = _pack(expts)
+                if not isinstance(coef, (int, Fraction)):
+                    raise TypeError("coefficients must be int or Fraction, "
+                                    f"not {type(coef).__name__}")
+                if coef:
+                    _add_scaled(acc, {key: coef.numerator}, 1, coef.denominator)
         self._num, self._den = _canonical(acc)
 
     # -- constructors ------------------------------------------------------
@@ -260,22 +302,22 @@ class ParamPoly(_Ring):
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """The coefficients as ``{exponents: Fraction}``, built afresh."""
-        return {e: Fraction(c, self._den) for e, c in self._num.items()}
+        return {_unpack(e): Fraction(c, self._den) for e, c in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
 
     def is_constant(self) -> bool:
-        return not self._num or (len(self._num) == 1 and () in self._num)
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(self._num.get((), 0), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def max_index(self) -> int:
         """Largest parameter index that occurs (0 for constants)."""
-        return max((len(e) for e in self._num), default=0)
+        return -(-max(self._num, default=0).bit_length() // _FIELD)
 
     # -- ring ops -----------------------------------------------------------
 
@@ -316,6 +358,8 @@ class ParamPoly(_Ring):
         return _wrap_param(self.alphabet, acc)
 
     def __truediv__(self, scalar: Rat):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
         return self * (Fraction(1) / Fraction(scalar))
 
     def __eq__(self, other):
@@ -329,35 +373,14 @@ class ParamPoly(_Ring):
 
     def degrees(self) -> set[int]:
         """Set of weights present; parameter index a weighs a + 1."""
-        return {sum(e * (i + 2) for i, e in enumerate(expts)) for expts in self._num}
+        return {sum(e * (i + 2) for i, e in enumerate(_unpack(key))) for key in self._num}
 
     # -- substitution -------------------------------------------------------
 
     def substitute(self, values: Mapping[int, "ParamPoly"], alphabet: str) -> "ParamPoly":
         """Full substitution: every parameter present must be mapped to a
-        polynomial over `alphabet`.  Each power of a value is built once per
-        call; each term's last product is summed into the result in place,
-        its numerator the scale, and the sum is divided by the common
-        denominator once."""
-        powers: dict[tuple[int, int], ParamPoly] = {}
-
-        def power(i: int, e: int) -> ParamPoly:
-            got = powers.get((i, e))
-            if got is None:
-                if i + 1 not in values:
-                    raise ValueError(f"no substitution given for {self.alphabet}{i + 1}")
-                val = values[i + 1]
-                if val.alphabet != alphabet:
-                    raise AlphabetMismatch("substitution values use the wrong alphabet")
-                got = powers[(i, e)] = val**e
-            return got
-
-        one = ParamPoly.const(alphabet, 1)
-        out: dict = {}
-        for expts, n in self._num.items():
-            factors = [power(i, e) for i, e in enumerate(expts) if e] or [one]
-            _add_param_product(out, math.prod(factors[:-1], start=one), factors[-1], n)
-        return _wrap_param(alphabet, {den * self._den: bucket for den, bucket in out.items()})
+        polynomial over `alphabet` (`substitute_all` on this one)."""
+        return substitute_all([self], values, alphabet)[0]
 
     def evaluate(self, assignment: Mapping[int, Rat]) -> "ParamPoly":
         """Partial numeric substitution; unassigned parameters survive."""
@@ -370,14 +393,10 @@ class ParamPoly(_Ring):
     # -- printing -----------------------------------------------------------
 
     def _sorted_terms(self):
-        width = self.max_index()
-
-        def key(item):
-            e = item[0]
-            padded = e + (0,) * (width - len(e))
-            return tuple(reversed(padded))
-
-        return sorted(self.terms.items(), key=key, reverse=True)
+        """(exponents, Fraction) pairs, largest monomial first: the keys
+        compare like their exponent tuples read from the highest index."""
+        return [(_unpack(e), Fraction(c, self._den))
+                for e, c in sorted(self._num.items(), reverse=True)]
 
     def _monomial_str(self, expts: tuple[int, ...]) -> str:
         factors = []
@@ -397,6 +416,45 @@ class ParamPoly(_Ring):
         return f"ParamPoly({self.alphabet!r}: {self})"
 
 
+def substitute_all(polys: Sequence[ParamPoly], values: Mapping[int, ParamPoly],
+                   alphabet: str) -> list[ParamPoly]:
+    """Every polynomial in `polys` with each parameter i replaced by
+    values[i], a polynomial over `alphabet`; every parameter present must
+    be mapped.
+
+    All of them share one memo of monomial images: the image of a key is
+    the image of the key less one unit of its top field, times that
+    field's value, so each monomial is built once per call however many
+    polynomials hold it.  Each polynomial sums its images on integers and
+    is divided by its denominator once.
+    """
+    images = {0: ParamPoly.const(alphabet, 1)}
+
+    def image(key: int, source: str) -> ParamPoly:
+        chain = []
+        while key not in images:
+            i = (key.bit_length() - 1) // _FIELD
+            val = values.get(i + 1)
+            if val is None:
+                raise ValueError(f"no substitution given for {source}{i + 1}")
+            if val.alphabet != alphabet:
+                raise AlphabetMismatch("substitution values use the wrong alphabet")
+            chain.append((key, val))
+            key -= 1 << (_FIELD * i)
+        got = images[key]
+        for key, val in reversed(chain):
+            got = images[key] = got * val
+        return got
+
+    out = []
+    for p in polys:
+        acc: dict = {}
+        for key, n in p._num.items():
+            _add_terms(acc, image(key, p.alphabet), n)
+        out.append(_wrap_param(alphabet, {den * p._den: b for den, b in acc.items()}))
+    return out
+
+
 # --------------------------------------------------------------------------
 # differential polynomials
 # --------------------------------------------------------------------------
@@ -414,15 +472,15 @@ def jet_weight(jet: Jet) -> int:
     return a + 1 + k
 
 
-def _add_coef(terms: dict, key, coef: ParamPoly, scale: Rat = 1) -> None:
-    """terms[key] += scale * coef for a nonzero scale, where terms maps keys
-    (jet monomials, or index tuples of a series) to ParamPoly accumulators
-    that the summing code owns; `_wrap_coefs` drops every key whose sum
-    is zero."""
+def _add_coef(terms: dict, key, coef: ParamPoly, scale: Rat = 1, den: int = 1) -> None:
+    """terms[key] += (scale / den) * coef for a nonzero scale and a positive
+    den, where terms maps keys (jet monomials, or index tuples of a series)
+    to ParamPoly accumulators that the summing code owns; `_wrap_coefs`
+    drops every key whose sum is zero."""
     inner = terms.get(key)
     if inner is None:
         inner = terms[key] = {}
-    _add_terms(inner, coef, scale)
+    _add_terms(inner, coef, scale, den)
     if not inner:
         del terms[key]
 

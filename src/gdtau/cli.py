@@ -8,14 +8,12 @@ stability error surfaced (nothing was silently truncated).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import ParamPoly, _join_signed, _signed_term
 from .bgw import (
@@ -41,8 +39,7 @@ class ConfigError(ValueError):
     """Bad combination of command line values."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     r: int = 0
     weight: int = 0
@@ -219,6 +216,12 @@ def _latex_bracket(I: tuple[int, ...]) -> str:
     return "\\langle " + " ".join(taus) + " \\rangle"
 
 
+def _json(payload: dict) -> str:
+    import json  # only the JSON renderers need it
+
+    return json.dumps(payload, indent=2)
+
+
 def _render_entries(cfg: RunConfig, table: CorrelatorTable,
                     entries: list[tuple[tuple[int, ...], ParamPoly]]) -> str:
     if cfg.fmt == "text":
@@ -231,7 +234,7 @@ def _render_entries(cfg: RunConfig, table: CorrelatorTable,
             "kind": table.kind,
             "entries": [{"indices": list(I), "value": str(v)} for I, v in entries],
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     if cfg.fmt == "csv":
         lines = ["indices;value"]
         lines += [f"{','.join(map(str, I))};{v}" for I, v in entries]
@@ -337,7 +340,7 @@ def _run_constants(cfg: RunConfig) -> str:
         payload = {"r": cfg.r}
         for title, prefix, fam in families:
             payload[title] = {f"{prefix}{a}": str(p) for a, p in sorted(fam.items())}
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     lines = []
     for title, prefix, fam in families:
         lines.append(f"# {title}")
@@ -357,7 +360,7 @@ def _run_stabilized(cfg: RunConfig) -> str:
             "alphabet": "c",
             "value": str(value),
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     if cfg.fmt == "csv":
         return "indices;value\n" + f"{','.join(map(str, I))};{value}"
     return f"\\[ {_latex_bracket(I)} = {_latex_poly(value)} \\]"

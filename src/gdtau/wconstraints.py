@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import ParamPoly, _add_coef, _add_param_product, _add_terms, _wrap_coefs, _wrap_param
+from .algebra import (ParamPoly, _add_coef, _add_param_product, _add_terms, _wrap_coefs,
+                      _wrap_param, substitute_all)
 from .bgw import (
     CorrelatorTable,
     Index,
@@ -62,21 +62,25 @@ from .errors import EngineError, InvariantViolated, NotStable, WeightExceeded
 from .hierarchy import initial_values
 
 
-@dataclass(frozen=True)
-class WOperatorSpec:
-    """Bidegree of one constraint operator: 1 <= alpha <= r-1, q >= alpha."""
-
+class _Bidegree(NamedTuple):
     r: int
     alpha: int
     q: int
 
-    def __post_init__(self):
-        if self.r < 2:
+
+class WOperatorSpec(_Bidegree):
+    """Bidegree of one constraint operator: 1 <= alpha <= r-1, q >= alpha."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, alpha: int, q: int):
+        if r < 2:
             raise ValueError("need r >= 2")
-        if not 1 <= self.alpha <= self.r - 1:
-            raise ValueError(f"alpha must lie in 1..{self.r - 1}")
-        if self.q < self.alpha:
+        if not 1 <= alpha <= r - 1:
+            raise ValueError(f"alpha must lie in 1..{r - 1}")
+        if q < alpha:
             raise ValueError("q must be >= alpha")
+        return super().__new__(cls, r, alpha, q)
 
     @property
     def shift(self) -> int:
@@ -110,9 +114,11 @@ def _splits(I: Index, size: int) -> tuple[tuple[Index, Index], ...]:
 
 
 def _coefficient_terms(I: Index, r: int, balance: int,
-                       orders: Index) -> dict[Index, Fraction]:
+                       orders: Index) -> tuple[dict[Index, int], int]:
     """Coefficient I of one normal-ordered current monomial applied to a
-    series, as a linear form {J: w_J} in the correlators <J> = a_J mult!(J).
+    series, as a linear form {J: w_J} in the correlators <J> = a_J mult!(J),
+    returned as integer numerators over one denominator, mult!(I):
+    ({J: w_J mult!(I)}, mult!(I)).
 
     `orders` lists the derivative order j of each factor.  A factor expands
     into elementary moves: multiply by the k-th variable with weight
@@ -155,7 +161,7 @@ def _coefficient_terms(I: Index, r: int, balance: int,
                             rec(gi + 1, kept, _normalize(K + Kg), lam_t - s, base * wk // mk)
 
     rec(0, I, (), 0, 1)
-    return {J: Fraction(v, denom) for J, v in nums.items()}
+    return nums, denom
 
 
 @cache
@@ -182,21 +188,25 @@ def _apply_power(series: TauSeries, op: WOperatorSpec,
     monomials (derivative orders, weight), exact through cap - shift - alpha.
 
     One pass over the output indices: the monomials' linear forms at I are
-    summed into one {J: w} before the series is read, so each output
-    coefficient takes one scaled add per correlator it involves.
+    summed on integers into one {J: w} over one denominator (the weights'
+    common denominator times mult!(I)) before the series is read, so each
+    output coefficient takes one scaled add per correlator it involves.
     """
     out_cap = _out_cap(series, op)
     balance = op.alpha + op.shift
+    lcd = math.lcm(*(cf.denominator for _, cf in monomials))
+    weights = [(orders, cf.numerator * (lcd // cf.denominator)) for orders, cf in monomials]
     terms: dict = {}
     for I in [()] + index_multisets(op.r, out_cap):
-        form: dict[Index, Fraction] = {}
-        for orders, cf in monomials:
-            for J, w in _coefficient_terms(I, op.r, balance, orders).items():
+        form: dict[Index, int] = {}
+        for orders, cf in weights:
+            nums, den = _coefficient_terms(I, op.r, balance, orders)
+            for J, w in nums.items():
                 form[J] = form.get(J, 0) + cf * w
         for J, w in form.items():
             aJ = series.get(J)
             if w and not aJ.is_zero():
-                _add_coef(terms, I, aJ, w * _mult_factorial(J))
+                _add_coef(terms, I, aJ, w * _mult_factorial(J), lcd * den)
     return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
 
 
@@ -357,14 +367,15 @@ def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
     """
     if r < 2:
         raise ValueError("the operator order r must be >= 2")
-    equations: dict[Index, tuple[Fraction, dict[Index, Fraction]]] = {}
+    equations: dict[Index, tuple[int, dict[Index, int]]] = {}
     stack = [M for M in targets if M]
     while stack:
         M = stack.pop()
         if M in equations:
             continue
         nu, A = M[-1], M[:-1]
-        terms = _coefficient_terms(A, r, nu, (0,) * (nu % r + 1))
+        # numerators over mult!(A): the equation times mult!(A)
+        terms, _ = _coefficient_terms(A, r, nu, (0,) * (nu % r + 1))
         lead = terms.pop(M)
         terms = {J: w for J, w in terms.items() if w}
         equations[M] = (lead, terms)
@@ -376,9 +387,8 @@ def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
         lead, terms = equations[M]
         nu, A = M[-1], M[:-1]
         val: dict = {}
-        if nu < r:  # q = alpha = nu: the eigenvalue term
-            eig = Fraction((-1) ** nu * (nu + 1), _mult_factorial(A))
-            _add_param_product(val, table[A], ParamPoly.var("sigma", nu), eig)
+        if nu < r:  # q = alpha = nu: the eigenvalue term, times mult!(A)
+            _add_param_product(val, table[A], ParamPoly.var("sigma", nu), (-1) ** nu * (nu + 1))
         for J, w in terms.items():
             _add_terms(val, table[J], -w)
         table[M] = _wrap_param("sigma", val) / lead
@@ -482,8 +492,7 @@ def rho_in_d(r: int) -> dict[int, ParamPoly]:
     return {a: p.substitute(sig, "d") for a, p in rho_from_sigma(r).items()}
 
 
-@dataclass(frozen=True)
-class ConstantsDictionary:
+class ConstantsDictionary(NamedTuple):
     """The five constant families for one hierarchy order."""
 
     r: int
@@ -516,8 +525,11 @@ def constants(r: int) -> ConstantsDictionary:
 
 def table_substitute(table: CorrelatorTable, mapping: Mapping[int, ParamPoly],
                      alphabet: str) -> CorrelatorTable:
-    values = {I: v.substitute(mapping, alphabet) for I, v in table.values.items()}
-    return CorrelatorTable(table.r, table.cap, alphabet, table.kind, values)
+    """The table with `mapping` substituted into every entry, all entries
+    sharing one memo of monomial images (`substitute_all`)."""
+    keys = list(table.values)
+    images = substitute_all([table.values[I] for I in keys], mapping, alphabet)
+    return CorrelatorTable(table.r, table.cap, alphabet, table.kind, dict(zip(keys, images)))
 
 
 def table_in_c(r: int, max_weight: int, path: str, kind: str = "connected") -> CorrelatorTable:
@@ -550,8 +562,7 @@ def table_in_c(r: int, max_weight: int, path: str, kind: str = "connected") -> C
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     r: int
     weight: int
     qextra: int

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gdtau import ParamPoly, wconstraints
-from gdtau.cli import _latex_poly, main
+from gdtau.cli import RunConfig, _build_parser, _config_from_args, _latex_poly, main
 
 
 def run(capsys, *argv):
@@ -19,6 +19,19 @@ def run(capsys, *argv):
 
 
 # -- correlators -------------------------------------------------------------
+
+
+def test_run_config_is_an_immutable_value():
+    cfg = _config_from_args(_build_parser().parse_args(
+        ["correlators", "--r", "3", "--weight", "4", "--set", "c1=1/2"]))
+    assert cfg == RunConfig("correlators", r=3, weight=4,
+                            assignments=((1, Fraction(1, 2)),))
+    assert hash(cfg) == hash(RunConfig("correlators", r=3, weight=4,
+                                       assignments=((1, Fraction(1, 2)),)))
+    assert (cfg.alphabet, cfg.kind, cfg.fmt, cfg.qextra, cfg.out) == ("c", "connected", "text", 2, None)
+    with pytest.raises(AttributeError):
+        cfg.r = 4
+    assert not hasattr(cfg, "__dict__")
 
 
 def test_correlators_text_r2(capsys):

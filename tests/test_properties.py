@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdtau import (
@@ -16,7 +17,9 @@ from gdtau import (
     minus_part,
     plus_part,
 )
+from gdtau.algebra import substitute_all
 from gdtau.bgw import TauSeries, index_multisets, log_tau, tau_exp
+from gdtau.errors import AlphabetMismatch, InvariantViolated
 from gdtau.wconstraints import WOperatorSpec, apply_S
 
 from oracle import (frac_add, frac_evaluate, frac_exp, frac_log, frac_mul, frac_scale,
@@ -193,6 +196,144 @@ def test_exp_log_match_plain_fractions(polys):
     back = log_tau(T)
     assert back == F
     assert {I: c.terms for I, c in back.coeffs.items()} == frac_log(Tref, cap)
+
+
+# -- packed monomial keys ------------------------------------------------------
+
+# an exponent field holds 0..32767; the next bit is the guard
+MAX_EXPONENT = 2**15 - 1
+
+
+def _trimmed(expts):
+    expts = tuple(expts)
+    while expts and expts[-1] == 0:
+        expts = expts[:-1]
+    return expts
+
+
+def _wide_poly(alphabet, spec):
+    """A ParamPoly from {exponent tuple: coefficient} specs, with its
+    plain-Fraction reference."""
+    poly, ref = ParamPoly.zero(alphabet), {}
+    for c, expts in spec:
+        poly = poly + ParamPoly(alphabet, {tuple(expts): c})
+        ref = frac_add(ref, {_trimmed(expts): c})
+    return poly, ref
+
+
+# parameter indices up to 24 (r = 25): keys span up to 24 fields
+wide_terms = st.lists(
+    st.tuples(kernel_fractions,
+              st.lists(st.integers(min_value=0, max_value=3), max_size=24)),
+    max_size=4,
+)
+wide_polys = st.builds(lambda spec: _wide_poly("c", spec), wide_terms)
+
+
+def _sparse(factors):
+    expts = [0] * 24
+    for index, e in factors:
+        expts[index - 1] += e
+    return expts
+
+
+# the same indices, at most three factors a term: substitution stays small
+sparse_terms = st.lists(
+    st.tuples(kernel_fractions,
+              st.lists(st.tuples(st.integers(min_value=1, max_value=24),
+                                 st.integers(min_value=1, max_value=2)),
+                       max_size=3).map(_sparse)),
+    max_size=4,
+)
+sparse_polys = st.builds(lambda spec: _wide_poly("c", spec), sparse_terms)
+
+
+def _assert_shape(p, ref):
+    assert_matches(p, ref)
+    assert p.max_index() == max((len(e) for e in ref), default=0)
+    assert p.degrees() == {sum(e * (i + 2) for i, e in enumerate(expts)) for expts in ref}
+    assert p.is_constant() == all(not e for e in ref)
+    if p.is_constant():
+        assert p.constant_value() == ref.get((), 0)
+    else:
+        with pytest.raises(ValueError):
+            p.constant_value()
+
+
+@settings(max_examples=100)
+@given(wide_polys, wide_polys)
+def test_packed_keys_span_many_fields(p_pair, q_pair):
+    (p, pref), (q, qref) = p_pair, q_pair
+    _assert_shape(p, pref)
+    _assert_shape(p + q, frac_add(pref, qref))
+    _assert_shape(p * q, frac_mul(pref, qref))
+    assert str(p * q) == str(q * p)
+
+
+near_guard = st.integers(min_value=MAX_EXPONENT - 3, max_value=MAX_EXPONENT)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=24),
+       st.integers(min_value=0, max_value=MAX_EXPONENT), near_guard,
+       st.lists(st.integers(min_value=0, max_value=3), max_size=24))
+def test_products_at_the_guard_raise_instead_of_wrapping(index, a, b, others):
+    # c_index^a * c_index^b next to the guard, times other factors in the
+    # neighbouring fields: exact while a + b fits the field, an error once
+    # it would reach the guard bit
+    field = [0] * (index - 1)
+    p = ParamPoly("c", {tuple(field) + (a,): 1}) + ParamPoly("c", {tuple(others): 3})
+    q = ParamPoly("c", {tuple(field) + (b,): Fraction(1, 2)})
+    pref = frac_add({_trimmed(field + [a]): Fraction(1)}, {_trimmed(others): Fraction(3)})
+    qref = {_trimmed(field + [b]): Fraction(1, 2)}
+    assert_matches(q, qref)
+    if a + b > MAX_EXPONENT:
+        with pytest.raises(InvariantViolated):
+            p * q
+        with pytest.raises(InvariantViolated):
+            q * p
+    else:
+        _assert_shape(p * q, frac_mul(pref, qref))
+
+
+def test_constructor_refuses_what_a_field_cannot_hold():
+    assert ParamPoly("c", {(0, MAX_EXPONENT): 1}).degrees() == {3 * MAX_EXPONENT}
+    for expts in [(MAX_EXPONENT + 1,), (0, 2**16), (-1,), (1.5,), (Fraction(1),), ("1",)]:
+        with pytest.raises(ValueError):
+            ParamPoly("c", {expts: 1})
+    for coef in [1.5, 0.0, "1/2", None]:
+        with pytest.raises(TypeError):
+            ParamPoly("c", {(1,): coef})
+    assert ParamPoly("c", {(1,): True}) == ParamPoly.var("c", 1)
+
+
+@settings(max_examples=60)
+@given(st.lists(sparse_polys, min_size=1, max_size=4),
+       st.lists(kernel_polys("d"), min_size=24, max_size=24))
+def test_shared_substitution_matches_each_polynomial_alone(pairs, vals):
+    values = {i + 1: v for i, (v, _) in enumerate(vals)}
+    refs = {i + 1: ref for i, (_, ref) in enumerate(vals)}
+    polys = [p for p, _ in pairs] * 2  # repeated monomials hit the shared memo
+    got = substitute_all(polys, values, "d")
+    assert len(got) == len(polys)
+    for out, (_, pref) in zip(got, pairs * 2):
+        assert_matches(out, frac_substitute(pref, refs))
+    assert got[:len(pairs)] == [p.substitute(values, "d") for p, _ in pairs]
+
+
+def test_shared_substitution_errors():
+    c1, c2 = ParamPoly.var("c", 1), ParamPoly.var("c", 2)
+    d1 = ParamPoly.var("d", 1)
+    with pytest.raises(ValueError, match="^no substitution given for c2$"):
+        substitute_all([c1 ** 2, c1 * c2], {1: d1}, "d")
+    with pytest.raises(ValueError, match="^no substitution given for sigma3$"):
+        substitute_all([ParamPoly.var("sigma", 3)], {1: d1}, "d")
+    with pytest.raises(AlphabetMismatch, match="^substitution values use the wrong alphabet$"):
+        substitute_all([c1, c2], {1: d1, 2: ParamPoly.var("e", 2)}, "d")
+    # a parameter that occurs nowhere needs no value, and nothing maps to nothing
+    assert substitute_all([c1 * 2 + 1, ParamPoly.zero("c")], {1: d1}, "d") == [
+        d1 * 2 + 1, ParamPoly.zero("d")]
+    assert substitute_all([], {}, "d") == []
 
 
 # -- jet polynomial calculus -------------------------------------------------

@@ -1,6 +1,8 @@
-"""The engine imports nothing outside the Python standard library."""
+"""The engine imports nothing outside the Python standard library, and a
+fresh `gdtau` process imports no more of it than it needs."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,3 +23,14 @@ def test_engine_imports_only_the_standard_library():
     seen = {name.split(".")[0] for path in sources for name in _absolute_imports(path)}
     assert seen, "no absolute import found"
     assert sorted(seen - set(sys.stdlib_module_names)) == []
+
+
+def test_cli_import_stays_light():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`; `json` is
+    # imported only by the JSON renderers.  -S keeps site hooks out.
+    heavy = ["ast", "dataclasses", "dis", "inspect", "json", "tokenize"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gdtau.cli; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

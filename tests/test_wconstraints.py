@@ -60,6 +60,23 @@ def test_operator_spec_validation():
         WOperatorSpec(3, 2, 1)
 
 
+def test_records_are_immutable_values():
+    spec = WOperatorSpec(5, 2, 4)
+    assert spec == WOperatorSpec(r=5, alpha=2, q=4) and spec != WOperatorSpec(5, 2, 3)
+    assert hash(spec) == hash(WOperatorSpec(5, 2, 4))
+    assert repr(spec) == "WOperatorSpec(r=5, alpha=2, q=4)"
+    with pytest.raises(ValueError, match="^alpha must lie in 1..4$"):
+        WOperatorSpec(r=5, alpha=5, q=6)
+    rep = verify_constraints(3, 4)
+    book = constants(3)
+    for record, field in ((spec, "alpha"), (rep, "ok"), (book, "r")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        assert not hasattr(record, "__dict__")
+    assert rep == verify_constraints(3, 4) and hash(rep) == hash(verify_constraints(3, 4))
+    assert book == constants.__wrapped__(3)
+
+
 def test_window_guard():
     tau = bgw_tau(3, 2)
     with pytest.raises(WeightExceeded):
@@ -171,8 +188,9 @@ def _per_monomial(series, op):
     out = {}
     for orders, cf in _current_monomials(op.alpha):
         for I in [()] + index_multisets(op.r, out_cap):
-            for J, w in _coefficient_terms(I, op.r, balance, orders).items():
-                scale = cf / (op.alpha + 1) * w * _mult_factorial(J)
+            nums, den = _coefficient_terms(I, op.r, balance, orders)
+            for J, w in nums.items():
+                scale = cf / (op.alpha + 1) * Fraction(w, den) * _mult_factorial(J)
                 out[I] = out.get(I, ParamPoly.zero("d")) + series.get(J) * scale
     return {I: v for I, v in out.items() if not v.is_zero()}
 
@@ -200,7 +218,7 @@ def test_single_factor_monomial_has_no_weight():
         for alpha in range(1, r):
             for q in range(alpha, alpha + 3):
                 for I in [()] + index_multisets(r, 8):
-                    form = _coefficient_terms(I, r, alpha + (q - alpha) * r, (alpha,))
+                    form, _ = _coefficient_terms(I, r, alpha + (q - alpha) * r, (alpha,))
                     assert not any(form.values()), (r, alpha, q, I)
                     cases += 1
     assert cases == 3660
