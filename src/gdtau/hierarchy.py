@@ -1,11 +1,11 @@
 """Commuting flows of the order-r reduced hierarchy.
 
 The time variables are t_i with i >= 1 and i not divisible by r (t_1 is x
-itself).  `check_index` is that rule, the one check of every entry point
-that takes an insertion index: flows, residues and densities here, and
-through `bgw.correlator_key` the correlators, their tables and the stabilized
-values.  An index below 1 raises ValueError("bad index i"), a multiple of r
-IndexDivisible("index i is a multiple of r").
+itself).  That rule is `psido.check_index`, run by the Lax operator's own
+reads (`LaxOperator.flow`, `LaxOperator.residue`), by `Hierarchy.t_derivative`
+and, through `bgw.correlator_key`, by the correlators, their tables and the
+stabilized values.  An index below 1 raises ValueError("bad index i"), a
+multiple of r IndexDivisible("index i is a multiple of r").
 
 The i-th flow moves the operator L = D^r + v1 D^(r-2) + ... by
 
@@ -13,9 +13,10 @@ The i-th flow moves the operator L = D^r + v1 D^(r-2) + ... by
 
 and its components X_a^i (the coefficient at D^(r-1-a)) tell how each v_a
 moves (`LaxOperator.flow`).  Derivatives of differential polynomials along a
-flow, and the densities (res L^(i/r) moved along further flows), are
-assembled from those components.  The correlators read them at the initial
-point, where v_a^(k) takes the value d_a (a+1)(a+2)...(a+k) (`initial_jet`).
+flow, and the densities (res L^(i/r), `LaxOperator.residue`, moved along
+further flows), are assembled from those components.  The correlators read
+them at the initial point, where v_a^(k) takes the value
+d_a (a+1)(a+2)...(a+k) (`initial_jet`).
 
 `InitialValues` is the Lax operator's power table run on those values: res
 L^(i/r) and the flow components at the initial point are reads of it, with
@@ -29,25 +30,12 @@ from functools import cache
 
 from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product, _wrap_diff,
                       _wrap_param, integrate_x, nth_diff_x)
-from .errors import IndexDivisible
-from .psido import LaxOperator, frac_power, residue
+from .psido import LaxOperator, check_index
 
 
 def initial_jet(a: int, k: int) -> ParamPoly:
     """Value of v_a^(k) at the initial point: d_a * (a+1)...(a+k)."""
     return ParamPoly.var("d", a) * math.perm(a + k, k)
-
-
-def check_index(r: int, i: int) -> None:
-    """Refuse i unless t_i is a time of the order-r hierarchy: i >= 1 and r
-    does not divide i.  The index is checked first, so a bad index is named
-    whatever r is; an order below 2 has no times at all."""
-    if i < 1:
-        raise ValueError(f"bad index {i}")
-    if r < 2:
-        raise ValueError("the operator order r must be >= 2")
-    if i % r == 0:
-        raise IndexDivisible(f"index {i} is a multiple of {r}")
 
 
 class Hierarchy:
@@ -67,14 +55,9 @@ class Hierarchy:
         self._flow_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (i, a) -> [X, X', ...]
         self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
-    def flow(self, i: int) -> dict[int, DiffPoly]:
-        """Components a -> X_a^i of the i-th flow."""
-        check_index(self.r, i)
-        return self.L.flow(i)
-
     def flow_derivative(self, i: int, a: int, k: int) -> DiffPoly:
         """k-th x-derivative of X_a^i."""
-        return nth_diff_x(self._flow_derivs.setdefault((i, a), [self.flow(i)[a]]), k)
+        return nth_diff_x(self._flow_derivs.setdefault((i, a), [self.L.flow(i)[a]]), k)
 
     def t_derivative(self, p: DiffPoly, j: int) -> DiffPoly:
         """Derivative of a differential polynomial along the t_j flow.
@@ -105,13 +88,8 @@ class Hierarchy:
             raise ValueError("a density needs at least one index")
         got = self._densities.get(I)
         if got is None:
-            for i in I:
-                check_index(self.r, i)
-            if len(I) > 1:
-                got = self.t_derivative(self.density(I[:-1]), I[-1])
-            else:
-                got = residue(frac_power(self.L, I[0], -1))
-            self._densities[I] = got
+            got = self._densities[I] = (self.t_derivative(self.density(I[:-1]), I[-1])
+                                        if len(I) > 1 else self.L.residue(I[0]))
         return got
 
     def t_derivative_value(self, p: DiffPoly, j: int) -> ParamPoly:
@@ -130,7 +108,7 @@ class Hierarchy:
         read off the value table (`initial_values`).  A jet monomial
         prod (v_a^(k))^e is worth prod d_a^e prod ((a+1)...(a+k))^e.
         """
-        check_index(self.r, j)
+        flow = initial_values(self.r).flow(j)
         groups: dict[int, dict] = {}
         for mono, coef in p.terms.items():
             expts = [0] * (self.r - 1)
@@ -147,7 +125,6 @@ class Hierarchy:
                 _add_param_product(groups.setdefault(a, {}), coef,
                                    ParamPoly("d", {tuple(expts): scale}))
                 expts[a - 1] += 1
-        flow = initial_values(self.r).flow(j)
         out: dict = {}
         for a, group in groups.items():
             g = _wrap_param("d", group)
@@ -180,17 +157,9 @@ class InitialValues(LaxOperator):
             chain.append(chain[-1] * (t + len(chain) - 1))
         return chain[j]
 
-    def flow(self, i: int) -> dict[int, DiffPoly]:
-        """The values a -> X_a^i at the initial point; i must be a time
-        (`check_index`)."""
-        check_index(self.r, i)
-        return super().flow(i)
-
     def residue(self, i: int) -> ParamPoly:
-        """res L^(i/r) at the initial point: row i + 1 of R^i."""
-        check_index(self.r, i)
-        self._fill(i, i + 1)
-        return self._rows[i][i + 1].terms.get((), ParamPoly.zero("d"))
+        """res L^(i/r) at the initial point: the constant of the row."""
+        return super().residue(i).terms.get((), ParamPoly.zero("d"))
 
 
 @cache
@@ -211,7 +180,7 @@ def lax(r: int) -> LaxOperator:
 
 def gd_flow(r: int, i: int) -> dict[int, DiffPoly]:
     """Components a -> X_a^i of the i-th flow of the order-r hierarchy."""
-    return hierarchy(r).flow(i)
+    return hierarchy(r).L.flow(i)
 
 
 def omega(r: int, i: int, j: int) -> DiffPoly:

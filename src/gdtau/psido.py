@@ -14,19 +14,21 @@ Composition uses the extended Leibniz rule
 
 which terminates for n >= 0 and produces an infinite tail for n < 0, hence
 the floor bookkeeping.
+
+`LaxOperator` owns the time-index rule (`check_index`) and the power table
+its flows and residues are read from; `compose`, `frac_power`, `residue` and
+`LaxOperator.power` build whole operators, which no command does.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
-from typing import Mapping, Optional, Union
+from functools import cache, reduce
+from typing import Mapping, Optional
 
 from .algebra import DiffPoly, ParamPoly, _add_diff, _add_diff_product, _wrap_diff, nth_diff_x
-from .errors import InsufficientDepth, InvariantViolated
-
-Rat = Union[int, Fraction]
+from .errors import IndexDivisible, InsufficientDepth, InvariantViolated
 
 _NEG_INF = float("-inf")
 
@@ -47,7 +49,7 @@ class PsiDO:
 
     def __init__(
         self,
-        coeffs: Mapping[int, DiffPoly | ParamPoly | Rat] | None = None,
+        coeffs: Mapping[int, DiffPoly | ParamPoly | int | Fraction] | None = None,
         floor: Optional[int] = None,
     ):
         self.floor = floor
@@ -135,13 +137,6 @@ class PsiDO:
     def __sub__(self, other: "PsiDO") -> "PsiDO":
         return self + (-other)
 
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction, ParamPoly)):
-            return NotImplemented
-        return PsiDO({e: c * scalar for e, c in self.coeffs.items()}, self.floor)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, PsiDO):
             return NotImplemented
@@ -156,21 +151,14 @@ class PsiDO:
         lines = [f"∂^{e} : {self.coeffs[e]}" for e in sorted(self.coeffs, reverse=True)]
         return "\n".join(lines) if lines else "0"
 
-    def __str__(self) -> str:
-        return self.dump().replace("\n", ";  ")
-
     def __repr__(self) -> str:
         tag = "exact" if self.floor is None else f"floor={self.floor}"
-        return f"PsiDO({tag}: {self})"
+        return f"PsiDO({tag}: {';  '.join(self.dump().splitlines())})"
 
 
 # --------------------------------------------------------------------------
 # composition and derived operations
 # --------------------------------------------------------------------------
-
-
-def _all_constant(B: PsiDO) -> bool:
-    return all(not c.jets() for c in B.coeffs.values())
 
 
 def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
@@ -191,7 +179,7 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
             raise InsufficientDepth(
                 "truncated operands: an explicit output floor is required"
             )
-        if A.coeffs and min(A.coeffs) < 0 and not _all_constant(B):
+        if A.coeffs and min(A.coeffs) < 0 and any(c.jets() for c in B.coeffs.values()):
             raise InsufficientDepth(
                 "composition has an infinite tail; request an explicit floor"
             )
@@ -245,6 +233,18 @@ def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
 # --------------------------------------------------------------------------
 
 
+def check_index(r: int, i: int) -> None:
+    """Refuse i unless t_i is a time of the order-r hierarchy: i >= 1 and r
+    does not divide i.  The index is checked first, so a bad index is named
+    whatever r is; an order below 2 has no times at all."""
+    if i < 1:
+        raise ValueError(f"bad index {i}")
+    if r < 2:
+        raise ValueError("the operator order r must be >= 2")
+    if i % r == 0:
+        raise IndexDivisible(f"index {i} is a multiple of {r}")
+
+
 @cache
 def _row_plan(m: int, t: int, top: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
     """The sum over s+j+n = t-1, 1 <= n <= top, of C(m-s, j) row_s f_n^(j),
@@ -275,7 +275,8 @@ class LaxOperator:
     and is solved from row t of R^r against L.  Above r, L commutes with its
     fractional powers, so R^k = R^(k-r) L: each product is a row of R^(k-r)
     times one jet.  Both recurrences read `_row_plan`; the flows (`flow`)
-    are read off the same table.
+    and the residues (`residue`) are read off the same table, each after
+    `check_index`.
 
     The ring enters only through `_lead` (L's coefficient at D^(r-t)),
     `_new_jet` (v_a^(j), memoised by `_jet`) and `_row_deriv` (the
@@ -362,10 +363,9 @@ class LaxOperator:
             [p_t D^m, v D^n] = sum_(k>=1) (C(m,k) p_t v^(k) - C(n,k) v p_t^(k)) D^(m+n-k),
 
         the k = 0 terms cancelling.  A surviving coefficient above D^(r-2)
-        raises InvariantViolated; an index below 1 raises ValueError.
+        raises InvariantViolated; i must be a time (`check_index`).
         """
-        if i < 1:
-            raise ValueError("the flow index must be >= 1")
+        check_index(self.r, i)
         got = self._flows.get(i)
         if got is None:
             r = self.r
@@ -389,6 +389,12 @@ class LaxOperator:
             got = self._flows[i] = {a: coeffs.get(r - 1 - a, DiffPoly.zero()) for a in range(1, r)}
         return got
 
+    def residue(self, i: int) -> DiffPoly:
+        """res L^(i/r): row i + 1 of R^i; i must be a time (`check_index`)."""
+        check_index(self.r, i)
+        self._fill(i, i + 1)
+        return self._rows[i][i + 1]
+
     def power(self, k: int, floor: int) -> PsiDO:
         """R^k exact at every power >= floor (needs the root down to floor-k+1)."""
         if k < 1:
@@ -399,13 +405,10 @@ class LaxOperator:
         self._fill(k, depth)
         return PsiDO({k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
 
-    def root(self, floor: int) -> PsiDO:
-        return self.power(1, floor)
-
 
 def rth_root(L: LaxOperator, floor: int) -> PsiDO:
     """The unique root D + u1 D^-1 + u2 D^-2 + ... of L, down to `floor`."""
-    return L.root(floor)
+    return L.power(1, floor)
 
 
 def frac_power(L: LaxOperator, i: int, floor: Optional[int] = None) -> PsiDO:
@@ -414,10 +417,7 @@ def frac_power(L: LaxOperator, i: int, floor: Optional[int] = None) -> PsiDO:
     if i < 1:
         raise ValueError("the power index must be >= 1")
     if i % L.r == 0:
-        acc = L.op
-        for _ in range(i // L.r - 1):
-            acc = compose(L.op, acc)  # differential x differential: exact
-        return acc
+        return reduce(compose, [L.op] * (i // L.r))  # differential x differential: exact
     if floor is None:
         raise InsufficientDepth("fractional powers have an infinite tail; give a floor")
     return L.power(i, floor)

@@ -387,7 +387,7 @@ def test_sums_never_mutate_shared_objects(monkeypatch):
         }
 
     connected_correlators_pde(4, 8)
-    H.flow(5)  # reads the lifted rows of R^5, which weight 8 does not build
+    H.L.flow(5)  # reads the lifted rows of R^5, which weight 8 does not build
     before = snapshot()
     connected_correlators_pde(4, 10)
     after = snapshot()

@@ -277,7 +277,8 @@ def test_table_starts_at_weight_one():
 # every entry point that takes insertion indices, called with one bad index
 # b next to a good one; r = 3 throughout
 INDEX_ENTRIES = {
-    "Hierarchy.flow": lambda b: hierarchy(3).flow(b),
+    "LaxOperator.flow": lambda b: hierarchy(3).L.flow(b),
+    "LaxOperator.residue": lambda b: hierarchy(3).L.residue(b),
     "InitialValues.residue": lambda b: initial_values(3).residue(b),
     "InitialValues.flow": lambda b: initial_values(3).flow(b),
     "Hierarchy.density": lambda b: hierarchy(3).density((2, b)),

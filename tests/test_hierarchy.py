@@ -142,7 +142,7 @@ def test_one_pass_evaluation_matches_the_reference(r):
         if j % r == 0:
             continue
         assert sorted(V.flow(j)) == list(range(1, r))
-        for a, X in H.flow(j).items():
+        for a, X in H.L.flow(j).items():
             assert V.flow(j)[a] == DiffPoly.const(X.evaluate(initial_jet)), (j, a)
 
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gdtau import (
     DiffPoly,
@@ -277,17 +277,19 @@ near_guard = st.integers(min_value=MAX_EXPONENT - 3, max_value=MAX_EXPONENT)
 @given(st.integers(min_value=1, max_value=24),
        st.integers(min_value=0, max_value=MAX_EXPONENT), near_guard,
        st.lists(st.integers(min_value=0, max_value=3), max_size=24))
+@example(index=2, a=0, b=32765, others=[0, 3])  # others' exponent of c_index overflows
 def test_products_at_the_guard_raise_instead_of_wrapping(index, a, b, others):
-    # c_index^a * c_index^b next to the guard, times other factors in the
-    # neighbouring fields: exact while a + b fits the field, an error once
-    # it would reach the guard bit
+    # (c_index^a + 3 prod c^others) * c_index^b next to the guard: exact
+    # while every exponent of c_index in p plus b fits the field, an error
+    # once one of them would reach the guard bit
     field = [0] * (index - 1)
     p = ParamPoly("c", {tuple(field) + (a,): 1}) + ParamPoly("c", {tuple(others): 3})
     q = ParamPoly("c", {tuple(field) + (b,): Fraction(1, 2)})
     pref = frac_add({_trimmed(field + [a]): Fraction(1)}, {_trimmed(others): Fraction(3)})
     qref = {_trimmed(field + [b]): Fraction(1, 2)}
     assert_matches(q, qref)
-    if a + b > MAX_EXPONENT:
+    in_field = [a] + others[index - 1:index]  # p's exponents of c_index
+    if max(in_field) + b > MAX_EXPONENT:
         with pytest.raises(InvariantViolated):
             p * q
         with pytest.raises(InvariantViolated):

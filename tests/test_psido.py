@@ -1,6 +1,9 @@
 """Operator calculus: composition, roots, fractional powers, residues."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,8 @@ from gdtau import (
     rth_root,
 )
 from gdtau.errors import InsufficientDepth, InvariantViolated
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def v(a, k=0):
@@ -116,10 +121,10 @@ def test_power_index_must_be_positive():
 
 
 def test_flow_index_must_be_positive():
-    # refused like a power index, not a KeyError from the power table
+    # refused by the one index rule, not a KeyError from the power table
     L = LaxOperator(3)
     for i in (0, -2):
-        with pytest.raises(ValueError, match="the flow index must be >= 1"):
+        with pytest.raises(ValueError, match="bad index"):
             L.flow(i)
 
 
@@ -217,7 +222,7 @@ def test_request_order_does_not_matter(r):
     requests = [(1, -9), (1, -3), (r - 1, -4), (r + 1, -2), (2 * r + 1, -3), (2 * r + 1, -1)]
 
     def ask(L, i, floor):
-        return L.root(floor) if i == 1 else frac_power(L, i, floor)
+        return rth_root(L, floor) if i == 1 else frac_power(L, i, floor)
 
     deep, shallow = LaxOperator(r), LaxOperator(r)
     deep_first = {(i, f): ask(deep, i, f) for i, f in requests}
@@ -280,6 +285,23 @@ def test_flow_commutator_stays_differential():
         assert min(C.coeffs) >= 0
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_flows_and_residues_match_the_composed_commutator(r):
+    # LaxOperator.flow expands [(R^i)_+, L] term by term on the table's rows;
+    # the reference composes the whole operators on a second table.  Its
+    # component X_a^i is the coefficient at D^(r-1-a), and nothing survives
+    # above D^(r-2)
+    L, ref = LaxOperator(r), LaxOperator(r)
+    for i in range(1, 2 * r):
+        if i % r == 0:
+            continue
+        R = frac_power(ref, i, -1)
+        C = commutator(plus_part(R), ref.op)
+        assert max(C.coeffs) <= r - 2 and min(C.coeffs) >= 0, i
+        assert L.flow(i) == {a: C.coeff(r - 1 - a) for a in range(1, r)}, i
+        assert L.residue(i) == residue(R), i
+
+
 # -- bookkeeping -----------------------------------------------------------------
 
 
@@ -308,3 +330,40 @@ def test_lax_operator_layout():
     assert L.op.coeff(0) == v(3)
     with pytest.raises(ValueError):
         LaxOperator(1)
+
+
+# -- the commands' routes -----------------------------------------------------------
+
+
+def test_commands_never_reach_the_operator_calculus():
+    # in a fresh interpreter (no table or constant memoised yet), with every
+    # whole-operator builder refusing to run, the density route, the
+    # constants and the stabilized values still succeed: they read flows and
+    # residues off the power table alone
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from gdtau import psido
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator calculus was reached")
+
+        for name in ("compose", "frac_power", "residue"):
+            setattr(psido, name, refuse)
+        psido.LaxOperator.power = refuse
+        try:
+            psido.rth_root(psido.LaxOperator(2), -1)
+        except AssertionError:
+            pass
+        else:
+            raise SystemExit("the patch does not bite")
+
+        from gdtau import c_from_d, connected_correlators_pde, stabilized_correlators
+        connected_correlators_pde(4, 10)
+        c_from_d(6)
+        stabilized_correlators((2, 3))
+        print("ok")
+    """
+    out = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                         capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stdout.strip()) == (0, "ok"), out.stderr
