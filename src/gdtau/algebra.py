@@ -1,29 +1,29 @@
 """Exact polynomial kernels.
 
-Two layers, both exact over the rationals and canonical-printing so that
-string comparison is a legitimate test:
+Two polynomial classes with one representation, both exact over the
+rationals and canonical-printing so that string comparison is a legitimate
+test:
 
 * :class:`ParamPoly` -- multivariate polynomial in an indexed parameter family
   ("alphabet"), e.g. the initial-data constants ``d1, d2, ...`` or the normal
   coordinates ``c1, c2, ...``.  The parameter with index ``a`` carries weight
-  ``a + 1``.  Each monomial is one int (the exponent of parameter ``i+1``
-  in bits ``[16 i, 16 i + 16)``, the top bit of every field a guard), so a
-  monomial product is one integer addition.  It stores integer numerators
-  over one positive denominator, with no common factor, so every kernel
-  sums on plain integers; ``terms`` is a read-only ``{exponents: Fraction}``
-  view for printers and tests.
-* :class:`DiffPoly` -- polynomial in jet variables with ParamPoly
-  coefficients over the jet parameters ``d``, the only alphabet the operator
-  layer sees.  The jet variable ``v{a}_{k}`` stands for the k-th
-  x-derivative of the a-th dependent variable and carries weight
-  ``a + 1 + k``.
+  ``a + 1`` and owns field ``a - 1`` of a packed monomial.
+* :class:`DiffPoly` -- polynomial in jet variables with rational
+  coefficients.  The jet variable ``v{a}_{k}`` stands for the k-th
+  x-derivative of the a-th dependent variable, carries weight
+  ``w = a + 1 + k`` and owns field ``(w-2)(w-1)/2 + a - 1``: fields are
+  ordered by weight, then by ``a``, whatever the order r.
 
-Both share one ring skeleton (``_Ring``: subtraction, negation, powers and
-the reflected operators, all from each class's own ``+`` and ``*``), and one
-printer joins signed terms (``_join_signed``) for them and for the LaTeX
-output.  No zero coefficient is ever stored and a ParamPoly is always in
-lowest terms, so equality compares stored fields exactly and ``str`` output
-is bit-stable across runs.
+Each monomial is one int (the exponent of the variable of field i in bits
+``[16 i, 16 i + 16)``, the top bit of every field a guard), so a monomial
+product is one integer addition.  Each polynomial stores integer numerators
+over one positive denominator, with no common factor, so every kernel sums
+on plain integers; ``terms`` is a read-only view for printers and tests.
+Both share one ring (``_Ring``: the fields, predicates, ``+``, ``*`` and
+powers), and one printer joins signed terms (``_join_signed``) for them and
+for the LaTeX output.  No zero coefficient is ever stored and a polynomial
+is always in lowest terms, so equality compares stored fields exactly and
+``str`` output is bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -40,34 +40,45 @@ from .errors import AlphabetMismatch, InvariantViolated, NotExact, NotHomogeneou
 Rat = Union[int, Fraction]
 
 # --------------------------------------------------------------------------
-# parameter polynomials
+# packed monomials
 # --------------------------------------------------------------------------
 
 
-# A monomial prod c_(i+1)^e_i is one int, the key sum e_i << (_FIELD * i).
+# A monomial prod x_i^e_i is one int, the key sum e_i << (_FIELD * i).
 # The top bit of each field is a guard: no wrapped polynomial sets one, so
 # the sum of two keys is the key of the product, with no carry from one
 # field into the next.  `_canonical` refuses any sum that reaches a guard.
 # As ints, keys compare like their exponent tuples read from the highest
-# index down.
+# field down.
 
 _FIELD = 16
 _MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 _MASK = (1 << _FIELD) - 1
 
 
+def _exponent(e, kind: str) -> int:
+    """e, if a field can hold it; ValueError otherwise."""
+    if not isinstance(e, int):
+        raise ValueError(f"{kind} exponents must be integers")
+    if e < 0:
+        raise ValueError(f"{kind} exponents must be >= 0")
+    if e > _MAX_EXPONENT:
+        raise ValueError(f"{kind} exponents must be <= {_MAX_EXPONENT}")
+    return e
+
+
 def _pack(expts: Iterable[int]) -> int:
     """The key of an exponent tuple (position i = parameter index i+1)."""
-    key = 0
-    for i, e in enumerate(expts):
-        if not isinstance(e, int):
-            raise ValueError("parameter exponents must be integers")
-        if e < 0:
-            raise ValueError("parameter exponents must be >= 0")
-        if e > _MAX_EXPONENT:
-            raise ValueError(f"parameter exponents must be <= {_MAX_EXPONENT}")
-        key |= e << (_FIELD * i)
-    return key
+    return sum(_exponent(e, "parameter") << (_FIELD * i) for i, e in enumerate(expts))
+
+
+def _fields(key: int):
+    """(field, exponent) for each nonzero field of a key, lowest first."""
+    while key:
+        i = ((key & -key).bit_length() - 1) // _FIELD
+        e = (key >> (_FIELD * i)) & _MASK
+        yield i, e
+        key -= e << (_FIELD * i)
 
 
 def _unpack(key: int) -> tuple[int, ...]:
@@ -88,7 +99,7 @@ def _guards(fields: int) -> int:
 # Sums are built in place, on integers.  An accumulator maps a denominator
 # to the integer numerators summed over it ({den: {key: int}}); the
 # summing code owns it and every bucket in it (fresh dicts, never one some
-# polynomial holds), and `_wrap_param` turns it into a ParamPoly once at the
+# polynomial holds), and a `_wrap` turns it into a polynomial once at the
 # end: one lcm over the buckets, one gcd to take out the content.  A
 # numerator whose sum cancels is deleted on the spot; terms that cancel
 # across buckets vanish in the wrap, so an accumulator can be nonempty and
@@ -113,13 +124,14 @@ def _add_scaled(acc: dict, num: Mapping[int, int], n: int, den: int) -> None:
         del acc[den]
 
 
-def _add_terms(acc: dict, p: "ParamPoly", scale: Rat = 1, den: int = 1) -> None:
+def _add_terms(acc: dict, p: "_Ring", scale: Rat = 1, den: int = 1) -> None:
     """acc += (scale / den) * p for a nonzero scale and a positive den."""
     _add_scaled(acc, p._num, scale.numerator, p._den * scale.denominator * den)
 
 
-def _add_param_product(acc: dict, p: "ParamPoly", q: "ParamPoly", scale: Rat = 1) -> None:
-    """acc += scale * p * q for a nonzero scale.
+def _add_param_product(acc: dict, p: "_Ring", q: "_Ring", scale: Rat = 1) -> None:
+    """acc += scale * p * q for a nonzero scale and two polynomials of one
+    class.
 
     A constant factor is one integer scaling of the other.  Otherwise each
     product of monomials is the sum of their keys.
@@ -173,7 +185,7 @@ def _canonical(acc: dict) -> tuple[dict, int]:
         return {}, 1
     bits = reduce(or_, num)
     if bits & _guards(-(-bits.bit_length() // _FIELD)):
-        raise InvariantViolated(f"a parameter exponent exceeds {_MAX_EXPONENT}")
+        raise InvariantViolated(f"an exponent exceeds {_MAX_EXPONENT}")
     g = math.gcd(den, *num.values())
     if g > 1:
         num = {e: c // g for e, c in num.items()}
@@ -214,12 +226,45 @@ def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
 
 
 class _Ring:
-    """What ParamPoly and DiffPoly share.  Each subclass stores no zero
-    coefficient and supplies ``is_zero``, ``_coerce`` (an operand of its own
-    type, or NotImplemented), ``__add__``, ``__mul__``, ``__eq__`` and
-    ``_one``."""
+    """What ParamPoly and DiffPoly share: integer numerators ``_num`` keyed
+    by packed monomials over one positive denominator ``_den``, in lowest
+    terms, and the ring operations on them.  Each subclass supplies
+    ``_coerce`` (an operand of its own type, or NotImplemented), ``_wrap``
+    (a polynomial of its own type around an accumulator) and ``__eq__``."""
 
-    __slots__ = ()
+    __slots__ = ("_num", "_den")
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def is_constant(self) -> bool:
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant")
+        return Fraction(self._num.get(0, 0), self._den)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        acc: dict = {}
+        _add_terms(acc, self)
+        _add_terms(acc, o)
+        return self._wrap(acc)
+
+    def __mul__(self, other):
+        acc: dict = {}
+        if isinstance(other, (int, Fraction)):
+            if other:
+                _add_terms(acc, self, other)
+            return self._wrap(acc)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        _add_param_product(acc, self, o)
+        return self._wrap(acc)
 
     def __radd__(self, other):
         return self + other
@@ -242,7 +287,7 @@ class _Ring:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = self._one()
+        out = self._wrap({1: {0: 1}})
         for _ in range(n):
             out = out * self
         return out
@@ -255,9 +300,10 @@ class ParamPoly(_Ring):
 
     A term is keyed by one int, its packed monomial: the exponent of
     parameter i+1 sits in bits [16 i, 16 i + 16), and the top bit of each
-    field is a guard that stays clear, so exponents run up to 32767.  The coefficients are stored as nonzero integer numerators
-    over one positive denominator that shares no factor with all of them,
-    so two equal polynomials store equal fields.  Only this module reads
+    field is a guard that stays clear, so exponents run up to 32767.  The
+    coefficients are stored as nonzero integer numerators over one positive
+    denominator that shares no factor with all of them (`_Ring`), so two
+    equal polynomials store equal fields.  Only this module reads
     that representation; ``terms`` is a fresh read-only view
     ``{exponent tuple: Fraction}`` (position i = parameter index i+1,
     trailing zeros stripped).  The constructor takes that view's shape and
@@ -266,7 +312,7 @@ class ParamPoly(_Ring):
     refuses a product whose exponent reaches a guard (InvariantViolated).
     """
 
-    __slots__ = ("alphabet", "_num", "_den")
+    __slots__ = ("alphabet",)
 
     def __init__(self, alphabet: str, terms: Mapping[tuple[int, ...], Rat] | None = None):
         self.alphabet = alphabet
@@ -304,17 +350,6 @@ class ParamPoly(_Ring):
         """The coefficients as ``{exponents: Fraction}``, built afresh."""
         return {_unpack(e): Fraction(c, self._den) for e, c in self._num.items()}
 
-    def is_zero(self) -> bool:
-        return not self._num
-
-    def is_constant(self) -> bool:
-        return not self._num or (len(self._num) == 1 and 0 in self._num)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return Fraction(self._num.get(0, 0), self._den)
-
     def max_index(self) -> int:
         """Largest parameter index that occurs (0 for constants)."""
         return -(-max(self._num, default=0).bit_length() // _FIELD)
@@ -332,29 +367,7 @@ class ParamPoly(_Ring):
             return ParamPoly.const(self.alphabet, other)
         return NotImplemented  # type: ignore[return-value]
 
-    def _one(self) -> "ParamPoly":
-        return ParamPoly.const(self.alphabet, 1)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        acc: dict = {}
-        _add_terms(acc, self)
-        _add_terms(acc, o)
-        return _wrap_param(self.alphabet, acc)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            acc: dict = {}
-            if other:
-                _add_terms(acc, self, other)
-            return _wrap_param(self.alphabet, acc)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        acc = {}
-        _add_param_product(acc, self, o)
+    def _wrap(self, acc: dict) -> "ParamPoly":
         return _wrap_param(self.alphabet, acc)
 
     def __truediv__(self, scalar: Rat):
@@ -416,11 +429,11 @@ class ParamPoly(_Ring):
         return f"ParamPoly({self.alphabet!r}: {self})"
 
 
-def substitute_all(polys: Sequence[ParamPoly], values: Mapping[int, ParamPoly],
+def substitute_all(polys: Sequence[_Ring], values: Mapping[int, ParamPoly],
                    alphabet: str) -> list[ParamPoly]:
-    """Every polynomial in `polys` with each parameter i replaced by
-    values[i], a polynomial over `alphabet`; every parameter present must
-    be mapped.
+    """Every polynomial in `polys` with the variable of each field i-1
+    replaced by values[i], a polynomial over `alphabet`; every variable
+    present must be mapped (a parameter i owns field i-1).
 
     All of them share one memo of monomial images: the image of a key is
     the image of the key less one unit of its top field, times that
@@ -430,13 +443,13 @@ def substitute_all(polys: Sequence[ParamPoly], values: Mapping[int, ParamPoly],
     """
     images = {0: ParamPoly.const(alphabet, 1)}
 
-    def image(key: int, source: str) -> ParamPoly:
+    def image(key: int, source: _Ring) -> ParamPoly:
         chain = []
         while key not in images:
             i = (key.bit_length() - 1) // _FIELD
             val = values.get(i + 1)
             if val is None:
-                raise ValueError(f"no substitution given for {source}{i + 1}")
+                raise ValueError(f"no substitution given for {source.alphabet}{i + 1}")
             if val.alphabet != alphabet:
                 raise AlphabetMismatch("substitution values use the wrong alphabet")
             chain.append((key, val))
@@ -450,7 +463,7 @@ def substitute_all(polys: Sequence[ParamPoly], values: Mapping[int, ParamPoly],
     for p in polys:
         acc: dict = {}
         for key, n in p._num.items():
-            _add_terms(acc, image(key, p.alphabet), n)
+            _add_terms(acc, image(key, p), n)
         out.append(_wrap_param(alphabet, {den * p._den: b for den, b in acc.items()}))
     return out
 
@@ -463,20 +476,53 @@ Jet = tuple[int, int]  # (variable index a >= 1, derivative order k >= 0)
 JetMono = tuple[tuple[Jet, int], ...]  # ((a,k), exponent), sorted ascending
 
 
-def _mono_from_dict(d: Mapping[Jet, int]) -> JetMono:
-    return tuple(sorted((jet, e) for jet, e in d.items() if e))
-
-
 def jet_weight(jet: Jet) -> int:
     a, k = jet
     return a + 1 + k
 
 
+def _jet_field(a: int, k: int) -> int:
+    """The field of the jet (a, k): (w-2)(w-1)/2 + a - 1 at weight w."""
+    if a < 1 or k < 0:
+        raise ValueError("jet variables need a >= 1, k >= 0")
+    w = a + 1 + k
+    return (w - 2) * (w - 1) // 2 + a - 1
+
+
+@cache
+def _field_jet(i: int) -> Jet:
+    """The jet of field i: weight n + 2 owns fields n(n+1)/2 .. n(n+1)/2 + n."""
+    n = (math.isqrt(8 * i + 1) - 1) // 2
+    a = i - n * (n + 1) // 2 + 1
+    return a, n + 1 - a
+
+
+@cache
+def _x_step(i: int) -> int:
+    """What d/dx adds to a key for one unit of field i: (a, k) -> (a, k+1)."""
+    a, k = _field_jet(i)
+    return (1 << (_FIELD * _jet_field(a, k + 1))) - (1 << (_FIELD * i))
+
+
+def _jet_key(mono: Iterable[tuple[Jet, int]]) -> int:
+    """The key of ((a, k), exponent) pairs in any order, a jet repeated or
+    not; a bad jet or exponent raises ValueError."""
+    expts: dict[int, int] = {}
+    for (a, k), e in mono:
+        i = _jet_field(a, k)
+        expts[i] = expts.get(i, 0) + _exponent(e, "jet")
+    return sum(_exponent(e, "jet") << (_FIELD * i) for i, e in expts.items())
+
+
+def _jet_mono(key: int) -> JetMono:
+    return tuple(sorted((_field_jet(i), e) for i, e in _fields(key)))
+
+
 def _add_coef(terms: dict, key, coef: ParamPoly, scale: Rat = 1, den: int = 1) -> None:
     """terms[key] += (scale / den) * coef for a nonzero scale and a positive
-    den, where terms maps keys (jet monomials, or index tuples of a series)
-    to ParamPoly accumulators that the summing code owns; `_wrap_coefs`
-    drops every key whose sum is zero."""
+    den, where terms maps keys (the index tuples of a series) to ParamPoly
+    accumulators that the summing code owns; `_wrap_coefs` drops every key
+    whose sum is zero."""
     inner = terms.get(key)
     if inner is None:
         inner = terms[key] = {}
@@ -495,24 +541,6 @@ def _add_coef_product(terms: dict, key, p: ParamPoly, q: ParamPoly, scale: Rat =
         del terms[key]
 
 
-def _add_diff(terms: dict, p: Mapping[JetMono, "ParamPoly"], scale: Rat = 1) -> None:
-    """terms += scale * p for a DiffPoly term map and a nonzero scale."""
-    for mono, coef in p.items():
-        _add_coef(terms, mono, coef, scale)
-
-
-def _add_diff_product(terms: dict, p: Mapping[JetMono, "ParamPoly"],
-                      q: Mapping[JetMono, "ParamPoly"], scale: Rat = 1) -> None:
-    """terms += scale * p * q for DiffPoly term maps and a nonzero scale."""
-    for m1, c1 in p.items():
-        d1 = dict(m1)
-        for m2, c2 in q.items():
-            merged = dict(d1)
-            for jet, e in m2:
-                merged[jet] = merged.get(jet, 0) + e
-            _add_coef_product(terms, _mono_from_dict(merged), c1, c2, scale)
-
-
 def _wrap_coefs(alphabet: str, terms: dict) -> dict:
     """ParamPoly coefficients around the accumulators of a keyed sum, the
     keys whose coefficient sums to zero left out."""
@@ -524,9 +552,11 @@ def _wrap_coefs(alphabet: str, terms: dict) -> dict:
     return out
 
 
-def _wrap_diff(terms: dict) -> "DiffPoly":
-    res = DiffPoly()
-    res.terms = _wrap_coefs("d", terms)
+def _wrap_diff(acc: dict) -> "DiffPoly":
+    """A DiffPoly around what an accumulator sums to; the accumulator is
+    used up."""
+    res = DiffPoly.__new__(DiffPoly)
+    res._num, res._den = _canonical(acc)
     return res
 
 
@@ -541,21 +571,32 @@ def _coef_over(alphabet: str, value: ParamPoly | Rat) -> ParamPoly:
 
 
 class DiffPoly(_Ring):
-    """Differential polynomial: jet monomials with ParamPoly coefficients,
-    all over the jet parameters ``d``.  The constructor refuses a jet
-    (a, k) with a < 1 or k < 0, the one check behind `jet`; the kernels
-    wrap their sums unchecked (`_wrap_diff`)."""
+    """Differential polynomial: jet monomials with rational coefficients.
 
-    __slots__ = ("terms",)
+    A term is keyed by its packed monomial, jet (a, k) in the field
+    `_jet_field(a, k)`, and stored as in ParamPoly (`_Ring`).  ``terms`` is
+    a fresh read-only view ``{JetMono: constant ParamPoly over d}``.  The
+    constructor takes that view's shape, jets in any order and repeated
+    jets summed; it refuses a jet (a, k) with a < 1 or k < 0 and an
+    exponent that is not an int in 0..32767 (ValueError), and a coefficient
+    that is a ParamPoly over another alphabet (AlphabetMismatch) or over
+    ``d`` but not constant (ValueError).  The kernels wrap their sums
+    unchecked (`_wrap_diff`).
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[JetMono, ParamPoly | Rat] | None = None):
-        out: dict = {}
+        acc: dict = {}
         if terms:
             for mono, coef in terms.items():
-                if any(a < 1 or k < 0 for (a, k), _ in mono):
-                    raise ValueError("jet variables need a >= 1, k >= 0")
-                _add_coef(out, mono, _coef_over("d", coef))
-        self.terms = _wrap_coefs("d", out)
+                key = _jet_key(mono)
+                coef = _coef_over("d", coef)
+                if not coef.is_constant():
+                    raise ValueError(f"jet coefficients are rational, not {coef}")
+                if coef._num:
+                    _add_scaled(acc, {key: coef._num[0]}, 1, coef._den)
+        self._num, self._den = _canonical(acc)
 
     # -- constructors ------------------------------------------------------
 
@@ -573,14 +614,14 @@ class DiffPoly(_Ring):
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict[JetMono, ParamPoly]:
+        """The coefficients as ``{jet monomial: ParamPoly}``, built afresh."""
+        return {_jet_mono(key): ParamPoly.const("d", Fraction(c, self._den))
+                for key, c in self._num.items()}
 
     def jets(self) -> set[Jet]:
-        out: set[Jet] = set()
-        for mono in self.terms:
-            out.update(jet for jet, _ in mono)
-        return out
+        return {_field_jet(i) for i, _ in _fields(reduce(or_, self._num, 0))}
 
     # -- ring ops -------------------------------------------------------------
 
@@ -591,113 +632,59 @@ class DiffPoly(_Ring):
             return DiffPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def _one(self) -> "DiffPoly":
-        return DiffPoly.const(1)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        out: dict = {}
-        _add_diff(out, self.terms)
-        _add_diff(out, o.terms)
-        return _wrap_diff(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational scalar scales each coefficient, no product needed
-            if not other:
-                return DiffPoly.zero()
-            res = DiffPoly()
-            res.terms = {m: k * other for m, k in self.terms.items()}
-            return res
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        out: dict = {}
-        _add_diff_product(out, self.terms, o.terms)
-        return _wrap_diff(out)
+    def _wrap(self, acc: dict) -> "DiffPoly":
+        return _wrap_diff(acc)
 
     def __eq__(self, other):
-        if isinstance(other, ParamPoly) and other.alphabet != "d":
-            return False  # as ParamPoly answers across alphabets
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            other = DiffPoly.const(other)
+        if isinstance(other, ParamPoly):
+            if other.alphabet != "d" or not other.is_constant():
+                return False  # as ParamPoly answers across alphabets
+            other = other.constant_value()
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return (self._den, self._num) == (other._den, other._num)
 
     # -- calculus --------------------------------------------------------------
 
     def partial(self, a: int, k: int) -> "DiffPoly":
         """Partial derivative with respect to the jet variable (a, k)."""
-        jet = (a, k)
-        out: dict = {}
-        for mono, coef in self.terms.items():
-            d = dict(mono)
-            e = d.get(jet)
-            if not e:
-                continue
-            if e == 1:
-                del d[jet]
-            else:
-                d[jet] = e - 1
-            _add_coef(out, _mono_from_dict(d), coef, e)
-        return _wrap_diff(out)
+        shift = _FIELD * _jet_field(a, k)
+        unit = 1 << shift
+        num = {}
+        for key, c in self._num.items():
+            e = (key >> shift) & _MASK
+            if e:
+                num[key - unit] = c * e
+        return _wrap_diff({self._den: num})
 
     def evaluate(self, value: Callable[[int, int], ParamPoly]) -> ParamPoly:
-        """Substitute every jet variable via ``value(a, k)`` (over ``d``)."""
-        out: dict = {}
-        for mono, coef in self.terms.items():
-            term = coef
-            for (a, k), e in mono:
-                term = term * value(a, k) ** e
-            _add_terms(out, term)
-        return _wrap_param("d", out)
+        """Substitute every jet variable via ``value(a, k)`` (over ``d``): one
+        `substitute_all`, each field mapped to the value of its jet."""
+        fields = _fields(reduce(or_, self._num, 0))
+        return substitute_all([self], {i + 1: value(*_field_jet(i)) for i, _ in fields}, "d")[0]
 
     # -- printing ----------------------------------------------------------------
 
-    @staticmethod
-    def _mono_weight(mono: JetMono) -> int:
-        return sum(e * jet_weight(jet) for jet, e in mono)
-
-    @staticmethod
-    def _desc_jets(mono: JetMono) -> tuple[Jet, ...]:
-        seq: list[Jet] = []
-        for jet, e in mono:
-            seq.extend([jet] * e)
-        return tuple(sorted(seq, reverse=True))
-
-    def _sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (self._mono_weight(item[0]), self._desc_jets(item[0])),
-            reverse=True,
-        )
-
-    @staticmethod
-    def _jet_name(jet: Jet) -> str:
-        a, k = jet
-        return f"v{a}" if k == 0 else f"v{a}_{k}"
-
-    def _monomial_str(self, mono: JetMono) -> str:
-        factors = []
-        for jet, e in sorted(mono, reverse=True):
-            name = self._jet_name(jet)
-            factors.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(factors)
-
     def __str__(self) -> str:
-        def term(mono: JetMono, coef: ParamPoly) -> tuple[bool, str]:
-            mstr = self._monomial_str(mono)
-            if coef.is_constant():
-                return _signed_term(coef.constant_value(), mstr)
-            return False, f"({coef})*{mstr}" if mstr else f"({coef})"
+        def order(term) -> tuple:
+            """Heaviest first, ties broken by the descending jet sequence."""
+            mono = term[0]
+            return (sum(e * jet_weight(jet) for jet, e in mono),
+                    tuple(jet for jet, e in reversed(mono) for _ in range(e)))
 
-        return _join_signed(term(mono, coef) for mono, coef in self._sorted_terms())
+        def factor(a: int, k: int, e: int) -> str:
+            name = f"v{a}" if k == 0 else f"v{a}_{k}"
+            return name if e == 1 else f"{name}^{e}"
+
+        terms = [(_jet_mono(key), Fraction(c, self._den)) for key, c in self._num.items()]
+        return _join_signed(
+            _signed_term(coef, "*".join(factor(a, k, e) for (a, k), e in reversed(mono)))
+            for mono, coef in sorted(terms, key=order, reverse=True))
 
     def __repr__(self) -> str:
-        return f"DiffPoly('d': {self})"
+        return f"DiffPoly({self})"
 
 
 # --------------------------------------------------------------------------
@@ -705,25 +692,18 @@ class DiffPoly(_Ring):
 # --------------------------------------------------------------------------
 
 
-def _add_diff_x(terms: dict, mono: JetMono, coef: ParamPoly, scale: Rat = 1) -> None:
-    """terms += scale * d/dx (coef * mono) for a nonzero scale."""
-    base = dict(mono)
-    for (a, k), e in mono:
-        d = dict(base)
-        if e == 1:
-            del d[(a, k)]
-        else:
-            d[(a, k)] = e - 1
-        d[(a, k + 1)] = d.get((a, k + 1), 0) + 1
-        _add_coef(terms, _mono_from_dict(d), coef, scale * e)
-
-
 def diff_x(p: DiffPoly) -> DiffPoly:
     """Total x-derivative: v{a}_{k} -> v{a}_{k+1} plus Leibniz."""
-    out: dict = {}
-    for mono, coef in p.terms.items():
-        _add_diff_x(out, mono, coef)
-    return _wrap_diff(out)
+    num: dict = {}
+    for key, c in p._num.items():
+        for i, e in _fields(key):
+            m = key + _x_step(i)
+            v = num.get(m, 0) + c * e
+            if v:
+                num[m] = v
+            else:
+                del num[m]
+    return _wrap_diff({p._den: num})
 
 
 def nth_diff_x(chain: list[DiffPoly], k: int) -> DiffPoly:
@@ -734,14 +714,15 @@ def nth_diff_x(chain: list[DiffPoly], k: int) -> DiffPoly:
     return chain[k]
 
 
-def _peel_key(mono: JetMono) -> tuple:
+def _peel_key(key: int) -> tuple:
     """Heap key of the exactness peeling, smallest first for the largest
     monomial.  Monomials are ordered by their descending jet sequence, jets
     compared by (derivative order, variable index); the key negates each
     jet and ends with (1,), which beats every negated jet, so that a proper
     prefix (a smaller monomial) gets the larger key."""
     seq: list[tuple[int, int]] = []
-    for (a, k), e in mono:
+    for i, e in _fields(key):
+        a, k = _field_jet(i)
         seq.extend([(-k, -a)] * e)
     seq.sort()
     seq.append((1,))
@@ -757,53 +738,47 @@ def integrate_x(p: DiffPoly) -> DiffPoly:
     larger variable index.  Any violation certifies non-exactness.  The
     remainder's monomials wait in a heap, each keyed once when it enters.
     """
-    rem: dict = {}
-    _add_diff(rem, p.terms)
-    heap = [(_peel_key(mono), mono) for mono in rem]
+    rem = {key: Fraction(c, p._den) for key, c in p._num.items()}
+    heap = [(_peel_key(key), key) for key in rem]
     heapify(heap)
     out: dict = {}
     while rem:
-        mono = heappop(heap)[1]
-        acc = rem.pop(mono, None)
-        if acc is None:
+        key = heappop(heap)[1]
+        coef = rem.pop(key, None)
+        if coef is None:
             continue  # cancelled after it was queued
-        coef = _wrap_param("d", acc)
-        if coef.is_zero():
-            continue  # cancelled across denominators
-        if not mono:
+        if not key:
             raise NotExact("nonzero constant term cannot be integrated")
-        (k, a) = max((k, a) for (a, k), _ in mono)
+        d = {_field_jet(i): e for i, e in _fields(key)}
+        (k, a) = max((k, a) for (a, k) in d)
         if k == 0:
-            raise NotExact(f"monomial {DiffPoly({mono: 1})} is not a total derivative")
-        d = dict(mono)
+            raise NotExact(f"monomial {DiffPoly({_jet_mono(key): 1})} is not a total derivative")
         if d[(a, k)] != 1:
             raise NotExact("highest jet occurs with exponent > 1")
-        if any(kk == k and (aa, kk) != (a, k) for (aa, kk) in d):
+        if any(kk == k and aa != a for (aa, kk) in d):
             raise NotExact("two distinct jets share the highest derivative order")
         if any(kk == k - 1 and aa > a for (aa, kk) in d):
             raise NotExact("order/index pattern not reachable by differentiation")
-        del d[(a, k)]
-        d[(a, k - 1)] = d.get((a, k - 1), 0) + 1
-        candidate = _mono_from_dict(d)
-        coef = coef * Fraction(1, d[(a, k - 1)])
-        _add_coef(out, candidate, coef)
-        peeled: dict = {}
-        _add_diff_x(peeled, candidate, coef, -1)
-        del peeled[mono]  # minus the coefficient just taken out of rem
-        for m, acc in peeled.items():
+        candidate = key - _x_step(_jet_field(a, k - 1))  # v_a^(k) back to v_a^(k-1)
+        coef /= d.get((a, k - 1), 0) + 1
+        _add_scaled(out, {candidate: coef.numerator}, 1, coef.denominator)
+        for i, e in _fields(candidate):  # rem -= d/dx (coef * candidate)
+            m = candidate + _x_step(i)
+            if m == key:
+                continue  # its coefficient is the one just taken out of rem
             if m not in rem:
                 heappush(heap, (_peel_key(m), m))
-            _add_coef(rem, m, _wrap_param("d", acc))
+            v = rem.get(m, 0) - coef * e
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
     return _wrap_diff(out)
 
 
 def degrees(p: DiffPoly) -> set[int]:
-    """All weights present in p (jet weights plus parameter weights)."""
-    out: set[int] = set()
-    for mono, coef in p.terms.items():
-        base = DiffPoly._mono_weight(mono)
-        out.update(base + d for d in coef.degrees())
-    return out
+    """All weights present in p."""
+    return {sum(e * jet_weight(_field_jet(i)) for i, e in _fields(key)) for key in p._num}
 
 
 def grading(p: DiffPoly) -> int:

@@ -18,9 +18,10 @@ further flows), are assembled from those components.  The correlators read
 them at the initial point, where v_a^(k) takes the value
 d_a (a+1)(a+2)...(a+k) (`initial_jet`).
 
-`InitialValues` is the Lax operator's power table run on those values: res
-L^(i/r) and the flow components at the initial point are reads of it, with
-no differential polynomial built (`wconstraints.c_from_d`, `pde_correlator`).
+`InitialValues` is the Lax operator's power table run on those values: its
+rows, jets and flow components are plain ParamPolys over d, so res L^(i/r)
+and the flows at the initial point are reads of it, with no differential
+polynomial built (`wconstraints.c_from_d`, `pde_correlator`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .algebra import (DiffPoly, ParamPoly, _add_diff_product, _add_param_product, _wrap_diff,
-                      _wrap_param, integrate_x, nth_diff_x)
+from .algebra import (_FIELD, DiffPoly, ParamPoly, _add_param_product, _add_scaled, _field_jet,
+                      _fields, _wrap_diff, _wrap_param, integrate_x, nth_diff_x)
 from .psido import LaxOperator, check_index
 
 
@@ -68,7 +69,7 @@ class Hierarchy:
         check_index(self.r, j)
         out: dict = {}
         for (a, k) in sorted(p.jets()):
-            _add_diff_product(out, self.flow_derivative(j, a, k).terms, p.partial(a, k).terms)
+            _add_param_product(out, self.flow_derivative(j, a, k), p.partial(a, k))
         return _wrap_diff(out)
 
     def omega(self, i: int, j: int) -> DiffPoly:
@@ -102,34 +103,30 @@ class Hierarchy:
 
             value(dP/dt_j) = sum_(a,k) value(dP/dv_a^(k)) perm(a+j+k, k) value(X_a^j)
 
-        for any P, homogeneous or not, with parameter coefficients too.  One
-        pass over P sums the first two factors into one group G_a per
-        variable; the result is sum_a G_a value(X_a^j), each value(X_a^j)
+        for any P, homogeneous or not.  One pass over P sums the first two
+        factors into one group G_a per variable, on P's own integer
+        numerators; the result is sum_a G_a value(X_a^j), each value(X_a^j)
         read off the value table (`initial_values`).  A jet monomial
         prod (v_a^(k))^e is worth prod d_a^e prod ((a+1)...(a+k))^e.
         """
         flow = initial_values(self.r).flow(j)
         groups: dict[int, dict] = {}
-        for mono, coef in p.terms.items():
-            expts = [0] * (self.r - 1)
-            factor = 1
-            for (a, k), e in mono:
+        for key, c in p._num.items():
+            jets = [(_field_jet(i), e) for i, e in _fields(key)]
+            dkey, factor = 0, 1
+            for (a, k), e in jets:
                 if not 1 <= a <= self.r - 1:
                     raise ValueError(f"no variable v{a} for r={self.r}")
-                expts[a - 1] += e
+                dkey += e << (_FIELD * (a - 1))
                 factor *= math.perm(a + k, k) ** e
-            for (a, k), e in mono:
+            for (a, k), e in jets:
                 # the monomial without one v_a^(k): perm(a+k, k) divides factor
-                expts[a - 1] -= 1
                 scale = e * math.perm(a + j + k, k) * factor // math.perm(a + k, k)
-                _add_param_product(groups.setdefault(a, {}), coef,
-                                   ParamPoly("d", {tuple(expts): scale}))
-                expts[a - 1] += 1
+                _add_scaled(groups.setdefault(a, {}), {dkey - (1 << (_FIELD * (a - 1))): c},
+                            scale, p._den)
         out: dict = {}
         for a, group in groups.items():
-            g = _wrap_param("d", group)
-            for value in flow[a].terms.values():  # a value row is a constant
-                _add_param_product(out, g, value)
+            _add_param_product(out, _wrap_param("d", group), flow[a])
         return _wrap_param("d", out)
 
 
@@ -139,27 +136,28 @@ class InitialValues(LaxOperator):
     There every coefficient of weight w is E (1-x)^(-w) with E in Q[d], and
     d/dx maps it to w E (1-x)^(-w-1).  Evaluation commutes with sums,
     products and d/dx, so `LaxOperator`'s own recurrence runs on the values
-    E: each row is a constant DiffPoly, v_a is d_a, v_a^(j) is
-    `initial_jet(a, j)`, and the j-th x-derivative of row t of R^k (weight t)
-    is t (t+1) ... (t+j-1) times the row.  Each row and flow is the symbolic
-    one under `DiffPoly.evaluate(initial_jet)`, the tests' reference.
+    E: each row, jet and flow component is a ParamPoly over d, v_a is d_a,
+    v_a^(j) is `initial_jet(a, j)`, and the j-th x-derivative of row t of
+    R^k (weight t) is t (t+1) ... (t+j-1) times the row.  Each row and flow
+    is the symbolic one under `DiffPoly.evaluate(initial_jet)`, the tests'
+    reference; `residue` and `flow` are the inherited reads.  `power` is
+    not: an operator holds DiffPoly coefficients.
     """
 
-    def _lead(self, t: int) -> DiffPoly:
-        return DiffPoly.const(initial_jet(t - 1, 0)) if 1 < t <= self.r else DiffPoly.zero()
+    def _wrap(self, acc: dict) -> ParamPoly:
+        return _wrap_param("d", acc)
 
-    def _new_jet(self, a: int, j: int) -> DiffPoly:
-        return DiffPoly.const(initial_jet(a, j))
+    def _lead(self, t: int) -> ParamPoly:
+        return initial_jet(t - 1, 0) if 1 < t <= self.r else self._wrap({})
 
-    def _row_deriv(self, k: int, t: int, j: int) -> DiffPoly:
+    def _new_jet(self, a: int, j: int) -> ParamPoly:
+        return initial_jet(a, j)
+
+    def _row_deriv(self, k: int, t: int, j: int) -> ParamPoly:
         chain = self._row_derivs.setdefault((k, t), [self._rows[k][t]])
         while len(chain) <= j:
             chain.append(chain[-1] * (t + len(chain) - 1))
         return chain[j]
-
-    def residue(self, i: int) -> ParamPoly:
-        """res L^(i/r) at the initial point: the constant of the row."""
-        return super().residue(i).terms.get((), ParamPoly.zero("d"))
 
 
 @cache

@@ -1,12 +1,13 @@
 """Pseudo-differential operator calculus over differential polynomials.
 
 An operator is a formal sum ``sum_e a_e * D^e`` (``D`` = d/dx) with
-:class:`~gdtau.algebra.DiffPoly` coefficients, whose parameters are the jet
-parameters ``d``.  Truncation is explicit: an operator either knows *all* its
-coefficients (``floor is None``; finitely many are nonzero) or only those at
-powers ``>= floor``.  Every operation computes the depth it can honestly
-guarantee and raises :class:`~gdtau.errors.InsufficientDepth` instead of
-silently truncating.
+:class:`~gdtau.algebra.DiffPoly` coefficients: jet polynomials with rational
+coefficients, summed and multiplied by the packed-monomial kernels of
+`algebra` (`_add_terms`, `_add_param_product`).  Truncation is explicit: an
+operator either knows *all* its coefficients (``floor is None``; finitely
+many are nonzero) or only those at powers ``>= floor``.  Every operation
+computes the depth it can honestly guarantee and raises
+:class:`~gdtau.errors.InsufficientDepth` instead of silently truncating.
 
 Composition uses the extended Leibniz rule
 
@@ -16,8 +17,10 @@ which terminates for n >= 0 and produces an infinite tail for n < 0, hence
 the floor bookkeeping.
 
 `LaxOperator` owns the time-index rule (`check_index`) and the power table
-its flows and residues are read from; `compose`, `frac_power`, `residue` and
-`LaxOperator.power` build whole operators, which no command does.
+its flows and residues are read from, in any ring with those kernels (its
+`_wrap` hook: DiffPoly here, ParamPoly values in `hierarchy.InitialValues`);
+`compose`, `frac_power`, `residue` and `LaxOperator.power` build whole
+operators, which no command does.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from typing import Mapping, Optional
 
-from .algebra import DiffPoly, ParamPoly, _add_diff, _add_diff_product, _wrap_diff, nth_diff_x
+from .algebra import DiffPoly, ParamPoly, _add_param_product, _add_terms, _wrap_diff, nth_diff_x
 from .errors import IndexDivisible, InsufficientDepth, InvariantViolated
 
 _NEG_INF = float("-inf")
@@ -42,8 +45,7 @@ def _binom(n: int, k: int) -> int:
 
 
 class PsiDO:
-    """Truncated formal sum of powers of D with DiffPoly coefficients (over
-    the jet parameters ``d``)."""
+    """Truncated formal sum of powers of D with DiffPoly coefficients."""
 
     __slots__ = ("coeffs", "floor")
 
@@ -128,7 +130,7 @@ class PsiDO:
         out: dict[int, dict] = {}
         for op in (self, other):
             for e, c in op.coeffs.items():
-                _add_diff(out.setdefault(e, {}), c.terms)
+                _add_terms(out.setdefault(e, {}), c)
         return PsiDO({e: _wrap_diff(acc) for e, acc in out.items()}, self._merge_floor(other))
 
     def __neg__(self) -> "PsiDO":
@@ -203,7 +205,7 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
                     break
                 c = _binom(i, k)
                 if c:
-                    _add_diff_product(out.setdefault(i + j - k, {}), ai.terms, deriv.terms, c)
+                    _add_param_product(out.setdefault(i + j - k, {}), ai, deriv, c)
                 k += 1
     return PsiDO({e: _wrap_diff(acc) for e, acc in out.items()}, floor)
 
@@ -278,11 +280,11 @@ class LaxOperator:
     and the residues (`residue`) are read off the same table, each after
     `check_index`.
 
-    The ring enters only through `_lead` (L's coefficient at D^(r-t)),
-    `_new_jet` (v_a^(j), memoised by `_jet`) and `_row_deriv` (the
-    x-derivatives of a row, u_n^(j) among them); a subclass that overrides
-    the three runs the same table and flows on values
-    (`hierarchy.InitialValues`).
+    The ring enters only through `_wrap` (a ring element around a kernel
+    accumulator), `_lead` (L's coefficient at D^(r-t)), `_new_jet` (v_a^(j),
+    memoised by `_jet`) and `_row_deriv` (the x-derivatives of a row, u_n^(j)
+    among them); a subclass that overrides the four runs the same table and
+    flows on values (`hierarchy.InitialValues`).
     """
 
     def __init__(self, r: int):
@@ -293,11 +295,14 @@ class LaxOperator:
         for a in range(1, r):
             coeffs[r - 1 - a] = DiffPoly.jet(a, 0)
         self.op = PsiDO(coeffs)
-        one = DiffPoly.const(1)
+        one = self._wrap({1: {0: 1}})
         self._rows: dict[int, list[DiffPoly]] = {k: [one] for k in range(1, r + 1)}
         self._row_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (k, t) -> [row, row', ...]
         self._flows: dict[int, dict[int, DiffPoly]] = {}
         self._jets: dict[tuple[int, int], DiffPoly] = {}
+
+    def _wrap(self, acc: dict) -> DiffPoly:
+        return _wrap_diff(acc)
 
     def _lead(self, t: int) -> DiffPoly:
         return self.op.coeff(self.r - t)
@@ -316,25 +321,24 @@ class LaxOperator:
         """The j-th x-derivative of row t of R^k."""
         return nth_diff_x(self._row_derivs.setdefault((k, t), [self._rows[k][t]]), j)
 
-    @staticmethod
-    def _row(base: DiffPoly, rows: list[DiffPoly], plan, f) -> DiffPoly:
+    def _row(self, base: DiffPoly, rows: list[DiffPoly], plan, f) -> DiffPoly:
         """base + the sum `plan` lays out (`_row_plan`) over `rows`, with
         f(n, j) the factor f_n^(j)."""
         acc: dict = {}
-        _add_diff(acc, base.terms)
+        _add_terms(acc, base)
         for s, terms in plan:
             if rows[s].is_zero():
                 continue
             inner: dict = {}
             for j, n, c in terms:
-                _add_diff(inner, f(n, j).terms, c)
-            _add_diff_product(acc, rows[s].terms, _wrap_diff(inner).terms)
-        return _wrap_diff(acc)
+                _add_terms(inner, f(n, j), c)
+            _add_param_product(acc, rows[s], self._wrap(inner))
+        return self._wrap(acc)
 
     def _grow_root(self, depth: int) -> None:
         """Fill R^1..R^r down to row `depth`, one root coefficient per row."""
         for t in range(len(self._rows[1]), depth + 1):
-            partial = [DiffPoly.zero()]
+            partial = [self._wrap({})]
             for k in range(2, self.r + 1):
                 partial.append(self._row(partial[-1], self._rows[k - 1], _row_plan(k - 1, t, t - 2),
                                          lambda n, j: self._row_deriv(1, n + 1, j)))
@@ -375,18 +379,18 @@ class LaxOperator:
                 m = i - t
                 for k in range(1, m + 1):
                     for b in range(1, r):
-                        _add_diff_product(out.setdefault(m + r - 1 - b - k, {}), p.terms,
-                                          self._jet(b, k).terms, _binom(m, k))
+                        _add_param_product(out.setdefault(m + r - 1 - b - k, {}), p,
+                                           self._jet(b, k), _binom(m, k))
                 for k in range(1, r + 1):
                     dp = self._row_deriv(i, t, k)
-                    _add_diff(out.setdefault(m + r - k, {}), dp.terms, -_binom(r, k))
+                    _add_terms(out.setdefault(m + r - k, {}), dp, -_binom(r, k))
                     for b in range(1, r - k):  # C(r-1-b, k) = 0 once k > r-1-b
-                        _add_diff_product(out.setdefault(m + r - 1 - b - k, {}), dp.terms,
-                                          self._jet(b, 0).terms, -_binom(r - 1 - b, k))
-            coeffs = {e: _wrap_diff(acc) for e, acc in out.items()}
+                        _add_param_product(out.setdefault(m + r - 1 - b - k, {}), dp,
+                                           self._jet(b, 0), -_binom(r - 1 - b, k))
+            coeffs = {e: self._wrap(acc) for e, acc in out.items()}
             if any(not c.is_zero() for e, c in coeffs.items() if e > r - 2):
                 raise InvariantViolated("flow commutator reaches above D^(r-2)")
-            got = self._flows[i] = {a: coeffs.get(r - 1 - a, DiffPoly.zero()) for a in range(1, r)}
+            got = self._flows[i] = {a: coeffs.get(r - 1 - a, self._wrap({})) for a in range(1, r)}
         return got
 
     def residue(self, i: int) -> DiffPoly:

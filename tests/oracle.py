@@ -16,7 +16,10 @@ The ``frac_*`` functions are a plain-``Fraction`` model of the parameter
 polynomial kernels: a polynomial is a ``{exponents: Fraction}`` dict (the
 ``ParamPoly.terms`` view), every sum and product is spelled out term by
 term, and ``frac_exp`` / ``frac_log`` are the truncated power series of
-exp and log over such dicts.
+exp and log over such dicts.  The ``jet_*`` functions model the jet
+polynomial kernels the same way, over ``{jet monomial: Fraction}`` dicts
+(monomials as sorted ``((a, k), exponent)`` tuples, the ``DiffPoly.terms``
+shape); ``frac_add`` and ``frac_scale`` serve both.
 """
 
 import math
@@ -284,3 +287,50 @@ def frac_log(series, cap):
         for I, v in power.items():
             out[I] = frac_add(out.get(I, {}), frac_scale(v, Fraction((-1) ** (n + 1), n)))
     return {I: v for I, v in out.items() if v}
+
+
+# -- plain-Fraction model of the DiffPoly kernels -------------------------------
+
+
+def jet_mono(factors):
+    """((a, k), exponent) pairs, in any order and repeated, as one sorted
+    monomial with no zero exponent."""
+    out = {}
+    for jet, e in factors:
+        out[jet] = out.get(jet, 0) + e
+    return tuple(sorted((jet, e) for jet, e in out.items() if e))
+
+
+def jet_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = jet_mono(m1 + m2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def jet_partial(a, jet):
+    out = {}
+    for mono, c in a.items():
+        e = dict(mono).get(jet, 0)
+        if e:
+            out = frac_add(out, {jet_mono(mono + ((jet, -1),)): c * e})
+    return out
+
+
+def jet_diff_x(a):
+    """Leibniz, one jet at a time: (v_a^(k))^e -> e (v_a^(k))^(e-1) v_a^(k+1)."""
+    out = {}
+    for mono, c in a.items():
+        for (v, k), e in mono:
+            out = frac_add(out, {jet_mono(mono + (((v, k), -1), ((v, k + 1), 1))): c * e})
+    return out
+
+
+def jet_jets(a):
+    return {jet for mono in a for jet, _ in mono}
+
+
+def jet_degrees(a):
+    return {sum(e * (v + 1 + k) for (v, k), e in mono) for mono in a}

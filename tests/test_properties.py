@@ -17,13 +17,14 @@ from gdtau import (
     minus_part,
     plus_part,
 )
-from gdtau.algebra import substitute_all
+from gdtau.algebra import degrees, substitute_all
 from gdtau.bgw import TauSeries, index_multisets, log_tau, tau_exp
 from gdtau.errors import AlphabetMismatch, InvariantViolated
 from gdtau.wconstraints import WOperatorSpec, apply_S
 
 from oracle import (frac_add, frac_evaluate, frac_exp, frac_log, frac_mul, frac_scale,
-                    frac_substitute)
+                    frac_substitute, jet_degrees, jet_diff_x, jet_jets, jet_mono, jet_mul,
+                    jet_partial)
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -351,6 +352,78 @@ def test_integrate_undoes_diff(p):
     assert integrate_x(diff_x(p)) == p
 
 
+# every jet up to weight 16: the heaviest own fields 105..119
+JETS = [(a, w - 1 - a) for w in range(2, 17) for a in range(1, w)]
+
+
+def _jet_poly(spec):
+    """A DiffPoly summed term by term through `+`, each term built from
+    factors in the order drawn (unsorted, a jet possibly repeated), with its
+    plain-Fraction reference."""
+    poly, ref = DiffPoly.zero(), {}
+    for c, factors in spec:
+        poly = poly + DiffPoly({tuple(factors): c})
+        ref = frac_add(ref, {jet_mono(factors): c})
+    return poly, ref
+
+
+jet_polys = st.builds(_jet_poly, st.lists(
+    st.tuples(kernel_fractions,
+              st.lists(st.tuples(st.sampled_from(JETS), st.integers(min_value=1, max_value=3)),
+                       max_size=3)),
+    max_size=4))
+
+
+def assert_jet_matches(p, ref):
+    assert_canonical(p)
+    view = p.terms
+    assert all(c.alphabet == "d" and c.is_constant() for c in view.values()), p
+    assert {m: c.constant_value() for m, c in view.items()} == ref
+
+
+@settings(max_examples=100)
+@given(jet_polys, jet_polys, kernel_fractions.filter(bool), st.sampled_from(JETS))
+def test_packed_jet_kernels_match_plain_fractions(p_pair, q_pair, s, jet):
+    (p, pref), (q, qref) = p_pair, q_pair
+    assert_jet_matches(p, pref)
+    assert_jet_matches(p + q, frac_add(pref, qref))
+    assert_jet_matches(p - q, frac_add(pref, frac_scale(qref, -1)))
+    assert_jet_matches(p * q, jet_mul(pref, qref))
+    assert_jet_matches(p * s, frac_scale(pref, s))
+    assert_jet_matches(diff_x(p), jet_diff_x(pref))
+    assert_jet_matches(p.partial(*jet), jet_partial(pref, jet))
+    assert p.jets() == jet_jets(pref)
+    assert degrees(p) == jet_degrees(pref)
+    assert (p == q) == (pref == qref)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(JETS), st.integers(min_value=0, max_value=MAX_EXPONENT), near_guard)
+@example(jet=(1, 0), a=0, b=MAX_EXPONENT)  # v1 in p reaches the guard of v1
+def test_jet_products_and_derivatives_at_the_guard_raise(jet, a, b):
+    # (jet^a + 3 v1) * jet^b, and d/dx of jet * (its derivative)^b: exact
+    # while every exponent fits the field, an error once one would reach
+    # the guard bit, never a carry into the next jet's field
+    p = DiffPoly({((jet, a),): 1}) + DiffPoly({(((1, 0), 1),): 3})
+    q = DiffPoly({((jet, b),): Fraction(1, 2)})
+    pref = frac_add({jet_mono([(jet, a)]): Fraction(1)}, {(((1, 0), 1),): Fraction(3)})
+    in_field = [a, 1 if jet == (1, 0) else 0]  # p's exponents of jet
+    if max(in_field) + b > MAX_EXPONENT:
+        with pytest.raises(InvariantViolated):
+            p * q
+        with pytest.raises(InvariantViolated):
+            q * p
+    else:
+        assert_jet_matches(p * q, jet_mul(pref, {jet_mono([(jet, b)]): Fraction(1, 2)}))
+    up = (jet[0], jet[1] + 1)
+    r = DiffPoly({((jet, 1), (up, b)): 1})
+    if b + 1 > MAX_EXPONENT:
+        with pytest.raises(InvariantViolated):
+            diff_x(r)
+    else:
+        assert_jet_matches(diff_x(r), jet_diff_x({jet_mono([(jet, 1), (up, b)]): Fraction(1)}))
+
+
 monomial_specs = st.tuples(
     st.lists(
         st.tuples(st.integers(min_value=1, max_value=3),
@@ -365,7 +438,7 @@ monomial_specs = st.tuples(
 
 def _monomial(spec):
     factors, param_idx = spec
-    term = DiffPoly.const(ParamPoly.var("d", param_idx) if param_idx else Fraction(3, 2))
+    term = DiffPoly.const(Fraction(3, 2) * (param_idx + 1))
     for a, k, e in factors:
         term = term * DiffPoly.jet(a, k) ** e
     return term

@@ -337,13 +337,14 @@ def test_lax_operator_layout():
 
 def test_commands_never_reach_the_operator_calculus():
     # in a fresh interpreter (no table or constant memoised yet), with every
-    # whole-operator builder refusing to run, the density route, the
-    # constants and the stabilized values still succeed: they read flows and
-    # residues off the power table alone
+    # whole-operator builder and the DiffPoly.terms view refusing to run, the
+    # density route, the constants, the stabilized values and the constraint
+    # checks still succeed: they read flows and residues off the power table
+    # alone, and the kernels read the packed fields
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
-        from gdtau import psido
+        from gdtau import algebra, psido
 
         def refuse(*args, **kwargs):
             raise AssertionError("the operator calculus was reached")
@@ -351,17 +352,22 @@ def test_commands_never_reach_the_operator_calculus():
         for name in ("compose", "frac_power", "residue"):
             setattr(psido, name, refuse)
         psido.LaxOperator.power = refuse
-        try:
-            psido.rth_root(psido.LaxOperator(2), -1)
-        except AssertionError:
-            pass
-        else:
-            raise SystemExit("the patch does not bite")
+        algebra.DiffPoly.terms = property(refuse)
+        for bite in (lambda: psido.rth_root(psido.LaxOperator(2), -1),
+                     lambda: algebra.DiffPoly.jet(1).terms):
+            try:
+                bite()
+            except AssertionError:
+                pass
+            else:
+                raise SystemExit("the patch does not bite")
 
-        from gdtau import c_from_d, connected_correlators_pde, stabilized_correlators
+        from gdtau import (c_from_d, connected_correlators_pde, stabilized_correlators,
+                           verify_constraints)
         connected_correlators_pde(4, 10)
         c_from_d(6)
         stabilized_correlators((2, 3))
+        assert verify_constraints(4, 8).ok
         print("ok")
     """
     out = subprocess.run([sys.executable, "-c", code, str(SRC)],
