@@ -18,12 +18,13 @@ Each monomial is one int (the exponent of the variable of field i in bits
 ``[16 i, 16 i + 16)``, the top bit of every field a guard), so a monomial
 product is one integer addition.  Each polynomial stores integer numerators
 over one positive denominator, with no common factor, so every kernel sums
-on plain integers; ``terms`` is a read-only view for printers and tests.
-Both share one ring (``_Ring``: the fields, predicates, ``+``, ``*`` and
-powers), and one printer joins signed terms (``_join_signed``) for them and
-for the LaTeX output.  No zero coefficient is ever stored and a polynomial
-is always in lowest terms, so equality compares stored fields exactly and
-``str`` output is bit-stable across runs.
+on plain integers; ``terms`` is a read-only ``Fraction`` view.  Both share
+one ring (``_Ring``: the fields, predicates, ``+``, ``*`` and powers).  No
+zero coefficient is ever stored and a polynomial is put in lowest terms
+once, by the kernel that builds it, so equality compares stored fields
+exactly.  One printer (``_join_terms``) reads the stored integers, not the
+view, for both classes and for the LaTeX output, so ``str`` output is
+bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -202,26 +203,26 @@ def _wrap_param(alphabet: str, acc: dict) -> "ParamPoly":
     return res
 
 
-def _signed_term(coef: Fraction, mono: str, fmt: Callable[[Fraction], str] = str,
-                 times: str = "*") -> tuple[bool, str]:
-    """A rational multiple of a printed monomial as a (negative, body) pair:
-    the magnitude alone, the monomial alone (magnitude 1), or both."""
-    mag = abs(coef)
-    if not mono:
-        return coef < 0, fmt(mag)
-    return coef < 0, mono if mag == 1 else f"{fmt(mag)}{times}{mono}"
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms as ``str(Fraction(n, d))`` prints it."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
-    """``a - b + c`` from (negative, body) pairs, a leading minus bare; "0"
-    when there are no terms."""
+def _join_terms(terms: Iterable[tuple[int, int]], den: int, mono: Callable[[int], str],
+                coef: Callable[[int, int], str] = _ratio, times: str = "*") -> str:
+    """``a - b + c`` from (key, numerator) pairs over one denominator, in the
+    order given, a leading minus bare: each magnitude in lowest terms
+    (one gcd) printed by ``coef(n, d)`` and left out when it is 1 beside a
+    monomial ``mono(key)``; "0" when there are no terms."""
     out: list[str] = []
-    for negative, body in pieces:
+    for key, c in terms:
         if out:
-            out.append(" - " if negative else " + ")
-        elif negative:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
             out.append("-")
-        out.append(body)
+        g = math.gcd(c, den)
+        n, d, m = abs(c) // g, den // g, mono(key)
+        out.append(coef(n, d) if not m else m if n == d else f"{coef(n, d)}{times}{m}")
     return "".join(out) or "0"
 
 
@@ -405,25 +406,19 @@ class ParamPoly(_Ring):
 
     # -- printing -----------------------------------------------------------
 
-    def _sorted_terms(self):
-        """(exponents, Fraction) pairs, largest monomial first: the keys
-        compare like their exponent tuples read from the highest index."""
-        return [(_unpack(e), Fraction(c, self._den))
-                for e, c in sorted(self._num.items(), reverse=True)]
+    def format(self, factor: Callable[[int, int], str], coef: Callable[[int, int], str] = _ratio,
+               times: str = "*") -> str:
+        """The terms largest monomial first (keys compare like their
+        exponent tuples read from the highest index), each monomial the
+        ``factor(index, exponent)`` of its parameters, highest index first,
+        joined by `times` (`_join_terms`)."""
+        def mono(key: int) -> str:
+            return times.join(factor(i + 1, e) for i, e in reversed(list(_fields(key))))
 
-    def _monomial_str(self, expts: tuple[int, ...]) -> str:
-        factors = []
-        for i in range(len(expts) - 1, -1, -1):
-            e = expts[i]
-            if not e:
-                continue
-            name = f"{self.alphabet}{i + 1}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(factors)
+        return _join_terms(sorted(self._num.items(), reverse=True), self._den, mono, coef, times)
 
     def __str__(self) -> str:
-        return _join_signed(_signed_term(coef, self._monomial_str(expts))
-                            for expts, coef in self._sorted_terms())
+        return self.format(lambda i, e: f"{self.alphabet}{i}" + (f"^{e}" if e > 1 else ""))
 
     def __repr__(self) -> str:
         return f"ParamPoly({self.alphabet!r}: {self})"
@@ -668,20 +663,17 @@ class DiffPoly(_Ring):
     # -- printing ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        def order(term) -> tuple:
+        def order(item) -> tuple:
             """Heaviest first, ties broken by the descending jet sequence."""
-            mono = term[0]
+            mono = _jet_mono(item[0])
             return (sum(e * jet_weight(jet) for jet, e in mono),
                     tuple(jet for jet, e in reversed(mono) for _ in range(e)))
 
-        def factor(a: int, k: int, e: int) -> str:
-            name = f"v{a}" if k == 0 else f"v{a}_{k}"
-            return name if e == 1 else f"{name}^{e}"
+        def mono(key: int) -> str:
+            return "*".join((f"v{a}" if k == 0 else f"v{a}_{k}") + (f"^{e}" if e > 1 else "")
+                            for (a, k), e in reversed(_jet_mono(key)))
 
-        terms = [(_jet_mono(key), Fraction(c, self._den)) for key, c in self._num.items()]
-        return _join_signed(
-            _signed_term(coef, "*".join(factor(a, k, e) for (a, k), e in reversed(mono)))
-            for mono, coef in sorted(terms, key=order, reverse=True))
+        return _join_terms(sorted(self._num.items(), key=order, reverse=True), self._den, mono)
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"

@@ -47,7 +47,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import ParamPoly, _add_coef, _add_coef_product, _coef_over, _wrap_coefs
+from .algebra import (ParamPoly, _add_coef, _add_coef_product, _add_param_product, _add_terms,
+                      _coef_over, _wrap_coefs, _wrap_param)
 from .errors import WeightExceeded
 from .hierarchy import hierarchy, initial_values
 from .psido import check_index
@@ -147,7 +148,9 @@ class TauSeries:
 
     Keys are ascending index tuples; t^I is the plain monomial (no
     multiplicity factorials — those belong to the correlator dictionary).
-    Indices below 1 are refused; keys naming the same multiset add up.
+    Indices below 1 are refused.  Each coefficient is stored as given: keys
+    naming the same multiset add up, and zero sums and keys above the cap
+    are dropped.
     """
 
     __slots__ = ("alphabet", "cap", "coeffs")
@@ -158,14 +161,15 @@ class TauSeries:
             raise ValueError("the weight cap must be >= 0")
         self.alphabet = alphabet
         self.cap = cap
-        terms: dict = {}
-        if coeffs:
-            for I, c in coeffs.items():
-                I = _series_key(I)
-                poly = _coef_over(alphabet, c)
-                if sum(I) <= cap:
-                    _add_coef(terms, I, poly)
-        self.coeffs: dict[Index, ParamPoly] = _wrap_coefs(alphabet, terms)
+        self.coeffs: dict[Index, ParamPoly] = {}
+        for I, c in (coeffs or {}).items():
+            I = _series_key(I)
+            c = _coef_over(alphabet, c)
+            if sum(I) <= cap:
+                if I in self.coeffs:
+                    c = self.coeffs.pop(I) + c
+                if c._num:
+                    self.coeffs[I] = c
 
     @classmethod
     def one(cls, alphabet: str, cap: int) -> "TauSeries":
@@ -199,12 +203,10 @@ class TauSeries:
         return TauSeries(self.alphabet, cap, self.coeffs)
 
     def __add__(self, other: "TauSeries") -> "TauSeries":
-        terms: dict = {}
-        for series in (self, other):
-            for I, c in series.coeffs.items():
-                _add_coef(terms, I, _coef_over(self.alphabet, c))
-        return TauSeries(self.alphabet, min(self.cap, other.cap),
-                         _wrap_coefs(self.alphabet, terms))
+        coeffs = dict(self.coeffs)
+        for I, c in other.coeffs.items():
+            coeffs[I] = coeffs[I] + c if I in coeffs else c
+        return TauSeries(self.alphabet, min(self.cap, other.cap), coeffs)
 
     def __neg__(self) -> "TauSeries":
         return TauSeries(self.alphabet, self.cap, {I: -c for I, c in self.coeffs.items()})
@@ -425,9 +427,9 @@ def _string_constant(alphabet: str, r: int) -> ParamPoly:
 def string_residual(tau: TauSeries, r: int) -> TauSeries:
     """Coefficients of the lowest-weight constraint applied to a tau series.
 
-    Entry at I (any weight <= cap-1):
+    Entry at I (any weight <= cap-1), summed in one accumulator:
 
-        (sum I) a_I  -  (mult_I(1) + 1) a_(I + [1])  +  const * a_I
+        a_I (const + sum I)  -  (mult_I(1) + 1) a_(I + [1])
 
     with const the alphabet's own value of the weight-one constant.  For an
     actual tau series every entry vanishes.
@@ -437,15 +439,14 @@ def string_residual(tau: TauSeries, r: int) -> TauSeries:
     const = _string_constant(tau.alphabet, r)
     out: dict[Index, ParamPoly] = {}
     # entries can be nonzero only where one of the two source coefficients is
-    candidates = {I for I in tau.coeffs if sum(I) <= tau.cap - 1}
-    for I in tau.coeffs:
-        if I and I[0] == 1 and sum(I) <= tau.cap:
-            candidates.add(I[1:])
+    candidates = {I for I in tau.coeffs if sum(I) < tau.cap}
+    candidates.update(I[1:] for I in tau.coeffs if I and I[0] == 1)
     for I in sorted(candidates, key=entry_order):
-        if sum(I) > tau.cap - 1:
-            continue
-        m1 = sum(1 for x in I if x == 1)
-        val = tau.get(I) * sum(I) - tau.get(I + (1,)) * (m1 + 1) + const * tau.get(I)
-        if not val.is_zero():
-            out[I] = val
+        acc: dict = {}
+        a, a1 = tau.coeffs.get(I), tau.coeffs.get((1,) + I)
+        if a is not None:
+            _add_param_product(acc, a, const + sum(I))
+        if a1 is not None:
+            _add_terms(acc, a1, -(I.count(1) + 1))
+        out[I] = _wrap_param(tau.alphabet, acc)
     return TauSeries(tau.alphabet, tau.cap - 1, out)

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import ParamPoly, _join_signed, _signed_term
+from .algebra import ParamPoly
 from .bgw import (
     CorrelatorTable,
     TauSeries,
@@ -191,22 +191,15 @@ def _bracket(I: tuple[int, ...]) -> str:
 _LATEX_SYMBOL = {"d": "d", "c": "c", "sigma": "\\sigma"}
 
 
-def _latex_coeff(q: Fraction) -> str:
-    """A magnitude: an integer, or a \\tfrac."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"\\tfrac{{{q.numerator}}}{{{q.denominator}}}"
+def _latex_coeff(n: int, d: int) -> str:
+    """A magnitude n/d in lowest terms: an integer, or a \\tfrac."""
+    return str(n) if d == 1 else f"\\tfrac{{{n}}}{{{d}}}"
 
 
 def _latex_poly(p: ParamPoly) -> str:
     sym = _LATEX_SYMBOL.get(p.alphabet, p.alphabet)
-
-    def term(expts: tuple[int, ...], coeff: Fraction) -> tuple[bool, str]:
-        mono = " ".join(f"{sym}_{{{pos + 1}}}" + (f"^{{{e}}}" if e > 1 else "")
-                        for pos, e in reversed(list(enumerate(expts))) if e)
-        return _signed_term(coeff, mono, _latex_coeff, " ")
-
-    return _join_signed(term(expts, coeff) for expts, coeff in p._sorted_terms())
+    return p.format(lambda i, e: f"{sym}_{{{i}}}" + (f"^{{{e}}}" if e > 1 else ""),
+                    _latex_coeff, " ")
 
 
 def _latex_bracket(I: tuple[int, ...]) -> str:
@@ -286,17 +279,17 @@ def _correlator_table(cfg: RunConfig) -> CorrelatorTable:
     if cfg.alphabet == "d":
         conn = connected_correlators_pde(cfg.r, cfg.weight)
         return conn if cfg.kind == "connected" else disconnected_from_connected(conn)
-    # the weight recursion disagrees with the density route from r = 4 on
-    # (ROADMAP item 1), so only the density route serves those orders
-    if cfg.r >= 4:
-        if cfg.alphabet == "sigma":
+    if cfg.alphabet == "sigma":
+        if cfg.r >= 4:
             raise ConfigError("the sigma alphabet comes from the weight recursion, "
                               "which is unverified for r >= 4; use --alphabet c or d")
-        return table_in_c(cfg.r, cfg.weight, "pde", cfg.kind)
-    if cfg.alphabet == "sigma":
         disc = recursion_correlators(cfg.r, cfg.weight)
         return disc if cfg.kind == "disconnected" else connected_from_disconnected(disc)
-    return table_in_c(cfg.r, cfg.weight, "recursion", cfg.kind)
+    # each route serves the kind it builds, connected tables the density
+    # route and disconnected ones the weight recursion, which disagrees with
+    # the density route from r = 4 on (ROADMAP item 1) and serves only r <= 3
+    path = "recursion" if cfg.kind == "disconnected" and cfg.r <= 3 else "pde"
+    return table_in_c(cfg.r, cfg.weight, path, cfg.kind)
 
 
 def _run_correlators(cfg: RunConfig) -> str:

@@ -204,8 +204,8 @@ def _apply_power(series: TauSeries, op: WOperatorSpec,
             for J, w in nums.items():
                 form[J] = form.get(J, 0) + cf * w
         for J, w in form.items():
-            aJ = series.get(J)
-            if w and not aJ.is_zero():
+            aJ = series.coeffs.get(J)
+            if w and aJ is not None:
                 _add_coef(terms, I, aJ, w * _mult_factorial(J), lcd * den)
     return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
 

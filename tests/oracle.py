@@ -20,6 +20,11 @@ exp and log over such dicts.  The ``jet_*`` functions model the jet
 polynomial kernels the same way, over ``{jet monomial: Fraction}`` dicts
 (monomials as sorted ``((a, k), exponent)`` tuples, the ``DiffPoly.terms``
 shape); ``frac_add`` and ``frac_scale`` serve both.
+
+The ``print_*`` functions are the reference printers: they read the
+``terms`` views, one ``Fraction`` per term, and join signed terms the way
+the engine prints them.  ``string_residual_reference`` spells the string
+residual out with five polynomial operations per entry.
 """
 
 import math
@@ -334,3 +339,95 @@ def jet_jets(a):
 
 def jet_degrees(a):
     return {sum(e * (v + 1 + k) for (v, k), e in mono) for mono in a}
+
+
+# -- reference printers on Fraction views ---------------------------------------
+
+
+def _signed_term(coef, mono, fmt=str, times="*"):
+    """A rational multiple of a printed monomial as a (negative, body) pair:
+    the magnitude alone, the monomial alone (magnitude 1), or both."""
+    mag = abs(coef)
+    if not mono:
+        return coef < 0, fmt(mag)
+    return coef < 0, mono if mag == 1 else f"{fmt(mag)}{times}{mono}"
+
+
+def _join_signed(pieces):
+    """``a - b + c`` from (negative, body) pairs, a leading minus bare; "0"
+    when there are no terms."""
+    out = []
+    for negative, body in pieces:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def _sorted_terms(p):
+    """(exponents, Fraction) pairs of a ParamPoly, largest monomial first:
+    exponent tuples compared from the highest index down."""
+    return sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0][::-1]), reverse=True)
+
+
+def _print_param(p, factor, fmt=str, times="*"):
+    def mono(expts):
+        return times.join(factor(i, e) for i, e in reversed(list(enumerate(expts, start=1))) if e)
+
+    return _join_signed(_signed_term(c, mono(e), fmt, times) for e, c in _sorted_terms(p))
+
+
+def print_param(p):
+    """``str`` of a ParamPoly: ``-3/4*c2^2 + c1 - 1``."""
+    return _print_param(p, lambda i, e: f"{p.alphabet}{i}" + (f"^{e}" if e > 1 else ""))
+
+
+def print_latex(p):
+    """The LaTeX form of a ParamPoly: ``-\\tfrac{3}{4} c_{2}^{2} + c_{1} - 1``."""
+    sym = {"sigma": "\\sigma"}.get(p.alphabet, p.alphabet)
+
+    def fmt(q):
+        return str(q) if q.denominator == 1 else f"\\tfrac{{{q.numerator}}}{{{q.denominator}}}"
+
+    return _print_param(p, lambda i, e: f"{sym}_{{{i}}}" + (f"^{{{e}}}" if e > 1 else ""),
+                        fmt, " ")
+
+
+def print_jet(p):
+    """``str`` of a DiffPoly: heaviest monomial first, ties broken by the
+    descending jet sequence, each monomial's jets printed highest first."""
+    def order(term):
+        mono = term[0]
+        return (sum(e * (a + 1 + k) for (a, k), e in mono),
+                tuple(jet for jet, e in reversed(mono) for _ in range(e)))
+
+    def name(a, k, e):
+        return (f"v{a}" if k == 0 else f"v{a}_{k}") + (f"^{e}" if e > 1 else "")
+
+    return _join_signed(
+        _signed_term(c.constant_value(), "*".join(name(a, k, e) for (a, k), e in reversed(mono)))
+        for mono, c in sorted(p.terms.items(), key=order, reverse=True))
+
+
+# -- the string residual, term by term -------------------------------------------
+
+
+def string_residual_reference(tau, const):
+    """{I: entry} of the string residual of a TauSeries, over every ascending
+    index tuple of weight below the cap: (sum I) a_I - (mult_I(1) + 1)
+    a_(I + [1]) + const a_I, five polynomial operations, zeros left out."""
+    out = {}
+
+    def rec(prefix, start, left):
+        m1 = prefix.count(1)
+        val = (tau.get(prefix) * sum(prefix) - tau.get(prefix + (1,)) * (m1 + 1)
+               + const * tau.get(prefix))
+        if not val.is_zero():
+            out[prefix] = val
+        for i in range(start, left + 1):
+            rec(prefix + (i,), i, left - i)
+
+    rec((), 1, tau.cap - 1)
+    return out

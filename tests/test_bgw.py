@@ -372,6 +372,37 @@ def test_series_adds_reordered_duplicate_keys():
     assert TauSeries("d", 3, {(1, 2): d(1), (2, 1): -d(1)}).is_zero()
 
 
+def test_series_store_the_coefficients_they_are_given():
+    p = d(1) * d(2) - Fraction(1, 3)
+    assert TauSeries("d", 3, {(1, 2): p}).coeffs[(1, 2)] is p
+    assert TauSeries("d", 3, {(2, 1): p}).coeffs[(1, 2)] is p
+    s = TauSeries("d", 3, {(2, 1): p, (1, 2): d(2), (1,): d(1), (1, 1): d(1) * 2,
+                           (1, 1, 1): -d(1) * 2, (3,): 0, (2, 2): d(1), (4,): 1})
+    # reordered duplicates sum, zero sums and zeros vanish, keys above the cap
+    # are dropped
+    assert s.coeffs == {(1, 2): p + d(2), (1,): d(1), (1, 1): d(1) * 2, (1, 1, 1): -d(1) * 2}
+    assert TauSeries("d", 3, {(2, 1): d(1), (1, 2): -d(1), (1,): d(2)}).coeffs == {(1,): d(2)}
+    assert TauSeries("d", 2, {(2, 1): p, (1, 2): p}).is_zero()
+
+
+def test_string_residual_of_a_perturbed_series_matches_the_reference():
+    tau = bgw_tau(3, 7)
+    assert string_residual(tau, 3).is_zero()
+    bumped = dict(tau.coeffs)
+    for I, bump in (((1,), Fraction(1, 7)), ((2, 4), d(1) * d(2)), ((1, 5), -d(2)),
+                    ((1, 1, 2), Fraction(-3, 2)), ((1, 1, 1, 1, 2), d(1)), ((7,), d(2) ** 2)):
+        bumped[I] = bumped.get(I, 0) + bump
+    res = string_residual(TauSeries("d", 7, bumped), 3)
+    want = oracle.string_residual_reference(TauSeries("d", 7, bumped), d(1) * Fraction(1, 3))
+    assert res.cap == 6 and len(want) > 3
+    assert res.coeffs == want
+    c1, c2 = ParamPoly.var("c", 1), ParamPoly.var("c", 2)
+    c_series = TauSeries("c", 5, {(): 1, (1,): c1, (1, 1): c1 * c2 - 2, (2,): Fraction(3, 5),
+                                  (1, 2): c2, (1, 1, 1, 2): c1 ** 2, (4,): c2 * Fraction(-1, 4)})
+    want = oracle.string_residual_reference(c_series, c1)
+    assert string_residual(c_series, 3).coeffs == want and len(want) > 3
+
+
 def test_correlator_table_refuses_duplicate_keys():
     with pytest.raises(ValueError):
         CorrelatorTable(3, 3, "d", "connected", {(1, 2): d(1), (2, 1): d(2)})

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gdtau import ParamPoly, wconstraints
+from gdtau import ParamPoly, bgw, wconstraints
 from gdtau.cli import RunConfig, _build_parser, _config_from_args, _latex_poly, main
 
 
@@ -79,6 +79,28 @@ def test_correlators_r4_c_alphabet_uses_density_route(capsys):
     code, out, _ = run(capsys, "correlators", "--r", "4", "--weight", "5")
     assert code == 0
     assert "<t3 t2> = -6*c2*c1 - 12*c2" in out.splitlines()
+
+
+@pytest.mark.parametrize("name, kind, bite", [
+    ("log_tau", "--connected",
+     lambda: bgw.connected_from_disconnected(wconstraints.recursion_correlators(3, 4))),
+    ("tau_exp", "--disconnected",
+     lambda: bgw.disconnected_from_connected(bgw.connected_correlators_pde(3, 4))),
+])
+def test_c_tables_come_from_the_route_that_builds_their_kind(capsys, monkeypatch, name, kind,
+                                                            bite):
+    # connected c tables come from the density route, disconnected ones at
+    # r <= 3 from the weight recursion: with the log (or exp) refusing to
+    # run, the r = 3 table of that kind still prints
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was reached")
+
+    monkeypatch.setattr(bgw, name, refuse)
+    with pytest.raises(AssertionError):  # the patch bites
+        bite()
+    code, out, _ = run(capsys, "correlators", "--r", "3", "--weight", "10", kind)
+    assert code == 0
+    assert len(out.splitlines()) == len(bgw.index_multisets(3, 10))
 
 
 def test_correlators_r4_weight_one(capsys):

@@ -19,12 +19,13 @@ from gdtau import (
 )
 from gdtau.algebra import degrees, substitute_all
 from gdtau.bgw import TauSeries, index_multisets, log_tau, tau_exp
+from gdtau.cli import _latex_poly
 from gdtau.errors import AlphabetMismatch, InvariantViolated
 from gdtau.wconstraints import WOperatorSpec, apply_S
 
 from oracle import (frac_add, frac_evaluate, frac_exp, frac_log, frac_mul, frac_scale,
                     frac_substitute, jet_degrees, jet_diff_x, jet_jets, jet_mono, jet_mul,
-                    jet_partial)
+                    jet_partial, print_jet, print_latex, print_param)
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -422,6 +423,48 @@ def test_jet_products_and_derivatives_at_the_guard_raise(jet, a, b):
             diff_x(r)
     else:
         assert_jet_matches(diff_x(r), jet_diff_x({jet_mono([(jet, 1), (up, b)]): Fraction(1)}))
+
+
+# -- the printers against a Fraction reference ---------------------------------
+
+# small numerators over denominators sharing factors: terms of one
+# polynomial reduce to different ratios, and +-1 and integers come up often
+print_fractions = st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+                            st.sampled_from([1, 1, 2, 3, 4, 6, 12]))
+print_params = st.lists(
+    st.tuples(print_fractions, st.lists(st.integers(min_value=0, max_value=2), max_size=3)),
+    max_size=4)
+print_jets = st.lists(
+    st.tuples(print_fractions,
+              st.lists(st.tuples(st.sampled_from(JETS[:10]), st.integers(min_value=1, max_value=2)),
+                       max_size=3)),
+    max_size=4)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["c", "d", "sigma"]), print_params, print_jets, st.booleans())
+@example(alphabet="c", param_spec=[], jet_spec=[], cancel=False)  # zero
+@example(alphabet="c", param_spec=[(Fraction(-1), [])], jet_spec=[(Fraction(-1), [])],
+         cancel=False)
+@example(alphabet="sigma", param_spec=[(Fraction(-1), [0, 1]), (Fraction(4, 6), [2]),
+                                       (Fraction(1), [0, 0, 1]), (Fraction(9, 6), [])],
+         jet_spec=[(Fraction(-1), [((1, 0), 1)]), (Fraction(3, 6), [((2, 1), 2)]),
+                   (Fraction(-6, 4), [])], cancel=False)
+def test_printers_match_the_fraction_reference(alphabet, param_spec, jet_spec, cancel):
+    # `cancel` adds the negation of every other term, so terms cancel and
+    # the zero polynomial comes up
+    if cancel:
+        param_spec = param_spec + [(-c, e) for c, e in param_spec[::2]]
+        jet_spec = jet_spec + [(-c, f) for c, f in jet_spec[::2]]
+    p = ParamPoly.zero(alphabet)
+    for c, expts in param_spec:
+        p = p + ParamPoly(alphabet, {tuple(expts): c})
+    q = DiffPoly.zero()
+    for c, factors in jet_spec:
+        q = q + DiffPoly({tuple(factors): c})
+    assert str(p) == print_param(p)
+    assert _latex_poly(p) == print_latex(p)
+    assert str(q) == print_jet(q)
 
 
 monomial_specs = st.tuples(

@@ -52,6 +52,16 @@ GRID = {
         "1fbbeba48f71624dca3b17c9458cdfedc2b7f67b3aeff845df9619e7418eff80",
     "constants --r 6 --format json":
         "f71cf397d94fc358724d424574f46cec9690d46998be5dd7b60bb785630fae42",
+    "correlators --r 2 --weight 12":
+        "5a503306babf67401990640fde59a761a07e9e8fcd1d21fec983006b5694bf62",
+    "correlators --r 3 --weight 12 --disconnected --format latex":
+        "fa55eb1448cb2765865eedcacf27effabc6093233879b33aaf15cfc8c9628c4f",
+    "correlators --r 4 --weight 12 --alphabet d --format latex":
+        "cf753f995374388befa46e58dc07ecbbefe53d21f1115d80e84ebc3c80a50440",
+    "correlators --r 2 --weight 8 --set c1=-1/2 --format csv":
+        "7d5e08a2327899118c54e187c507d467b92e55748190449040adff6d57df9134",
+    "stabilized --indices 3,5 --format latex":
+        "91be6e14f303035e03fb35531fe2a148fc760a4379b45ce61740c443824d2475",
 }
 
 
