@@ -54,9 +54,7 @@ from .wconstraints import (
     constants,
     d_from_c,
     recursion_correlators,
-    rho_from_sigma,
     rho_in_d,
-    sigma_in_d,
     solve_sigma_from_c,
     stabilized_correlators,
     table_in_c,

@@ -246,14 +246,17 @@ class _Ring:
             raise ValueError("polynomial is not constant")
         return Fraction(self._num.get(0, 0), self._den)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         acc: dict = {}
         _add_terms(acc, self)
-        _add_terms(acc, o)
+        _add_terms(acc, o, sign)
         return self._wrap(acc)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __mul__(self, other):
         acc: dict = {}
@@ -277,10 +280,7 @@ class _Ring:
         return self * -1
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -208,11 +208,11 @@ class TauSeries:
             coeffs[I] = coeffs[I] + c if I in coeffs else c
         return TauSeries(self.alphabet, min(self.cap, other.cap), coeffs)
 
-    def __neg__(self) -> "TauSeries":
-        return TauSeries(self.alphabet, self.cap, {I: -c for I, c in self.coeffs.items()})
-
     def __sub__(self, other: "TauSeries") -> "TauSeries":
-        return self + (-other)
+        coeffs = dict(self.coeffs)
+        for I, c in other.coeffs.items():
+            coeffs[I] = coeffs[I] - c if I in coeffs else -c
+        return TauSeries(self.alphabet, min(self.cap, other.cap), coeffs)
 
     def scale(self, s: ParamPoly | Rat) -> "TauSeries":
         return TauSeries(self.alphabet, self.cap,

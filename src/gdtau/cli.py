@@ -243,10 +243,20 @@ def _emit(text: str, out: Optional[str]) -> None:
     """Print `text`, or write it to `out`.  A new or regular file is written
     atomically: a temp file in the same directory, then a rename over `out`.
     Anything else (a symlink, a device such as /dev/stdout, a FIFO) is opened
-    and written in place, so the link or node itself is kept.  I/O failures
-    are usage errors."""
+    and written in place, so the link or node itself is kept.  I/O failures,
+    a closed standard output among them, are usage errors."""
     if out is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            # the reader is gone: point stdout at the null device, so the
+            # interpreter's last flush finds nothing to fail on
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
+            raise ConfigError("cannot write to standard output: the pipe is closed") from exc
         return
     try:
         try:
@@ -280,14 +290,11 @@ def _correlator_table(cfg: RunConfig) -> CorrelatorTable:
         conn = connected_correlators_pde(cfg.r, cfg.weight)
         return conn if cfg.kind == "connected" else disconnected_from_connected(conn)
     if cfg.alphabet == "sigma":
-        if cfg.r >= 4:
-            raise ConfigError("the sigma alphabet comes from the weight recursion, "
-                              "which is unverified for r >= 4; use --alphabet c or d")
         disc = recursion_correlators(cfg.r, cfg.weight)
         return disc if cfg.kind == "disconnected" else connected_from_disconnected(disc)
-    # each route serves the kind it builds, connected tables the density
-    # route and disconnected ones the weight recursion, which disagrees with
-    # the density route from r = 4 on (ROADMAP item 1) and serves only r <= 3
+    # both routes give the same table; the faster one serves: the weight
+    # recursion for disconnected tables at r <= 3 (r = 3, weight 18: 0.17 s
+    # against 0.26 s, each in a fresh process), the density route elsewhere
     path = "recursion" if cfg.kind == "disconnected" and cfg.r <= 3 else "pde"
     return table_in_c(cfg.r, cfg.weight, path, cfg.kind)
 
@@ -323,9 +330,6 @@ def _run_verify(cfg: RunConfig) -> tuple[bool, str]:
 def _run_constants(cfg: RunConfig) -> str:
     book = constants(cfg.r)
     families = [
-        ("sigma(c)", "sigma", book.sigma_c),
-        ("rho(sigma)", "rho", book.rho_sigma),
-        ("rho(c)", "rho", book.rho_c),
         ("c(d)", "c", book.c_d),
         ("d(c)", "d", book.d_c),
     ]

@@ -1,29 +1,33 @@
 """Symmetry constraints on the tau series and everything they pin down.
 
-Two viewpoints are implemented and cross-checked:
+One rule serves everything: the reduced operator of bidegree (alpha, q),
+the residue of the expanded degree-(alpha+1) current power at exponent
+alpha + (q - alpha) r, each monomial weighted over alpha + 1
+(`_reduced_operator`).  It kills the tau series for q > alpha and
+reproduces it with eigenvalue (-1)^alpha rho_alpha at q = alpha.  Two
+viewpoints read it:
 
-* `apply_S` / `apply_Wred` act on a truncated tau series coefficient-wise.
-  The reduced operator of bidegree (alpha, q) kills the tau series for
-  q > alpha and reproduces it with eigenvalue (-1)^alpha rho_alpha at
-  q = alpha: that is what `verify_constraints` checks window by window.
+* `apply_Wred` acts on a truncated tau series coefficient-wise, and
+  `verify_constraints` checks it window by window against rho_alpha.
 
 * The same identities, read off at a single coefficient, give a recursion
   that determines every disconnected correlator from lower weight.  Running
-  it with formal eigenvalue constants (`sigma` alphabet) produces tables
-  whose entries can then be rewritten in terms of the one-point constants
-  (`c`) or the jet parameters (`d`).
+  it with formal eigenvalues (`sigma` alphabet) produces tables whose
+  entries can then be rewritten in terms of the one-point constants (`c`)
+  or the jet parameters (`d`); sigma(c) solves the one-point entries.
 
 Both read one kernel, `_coefficient_terms`: coefficient I of one
 normal-ordered current monomial applied to a series, as a linear form in the
-correlators.  The plain operator is the leading monomial (alpha + 1 underived
-factors); the reduced operator sums every monomial of the current power.
-Both apply through `_apply_power`, which sums the monomials' forms at each
-output index before it reads the series.
+correlators, summed over the operator's monomials by `_linear_form`.  The
+plain operator `apply_S` is the leading monomial alone (alpha + 1 underived
+factors).
 
 c(d) is read off the Lax operator's power table at the initial point
 (`hierarchy.initial_values`).  Every change of constants back, d(c) in
-either normalization, sigma(c) and the mixing constants (rho written in the
-raw diagonal eigenvalues), is one `_triangular_inverse`.
+either normalization and sigma(c), is one `_triangular_inverse`.  The
+eigenvalues that `verify_constraints` checks, rho_alpha in the jets, are
+sigma(c) composed with c(d): both come from the initial point, and nothing
+is fitted on the series under test.
 
 The `c` alphabet comes in two normalizations.  Tables use the one-point
 value itself (c_alpha = <tau_alpha>); residue formulas produce the scaled
@@ -58,7 +62,7 @@ from .bgw import (
     _mult_factorial,
     _normalize,
 )
-from .errors import EngineError, InvariantViolated, NotStable, WeightExceeded
+from .errors import InvariantViolated, NotStable, WeightExceeded
 from .hierarchy import initial_values
 
 
@@ -172,41 +176,39 @@ def _factor_moves(r: int, total: int, length: int, j: int) -> tuple[tuple[Index,
                  for K in valid_multisets(r, total, length))
 
 
-def _out_cap(series: TauSeries, op: WOperatorSpec) -> int:
-    """Weight through which an operator's image of the series is exact."""
-    out_cap = series.cap - op.shift - op.alpha
-    if out_cap < 0:
-        raise WeightExceeded(
-            f"cap {series.cap} leaves no window for (alpha={op.alpha}, q={op.q})"
-        )
-    return out_cap
+def _linear_form(I: Index, r: int, balance: int,
+                 monomials: Sequence[tuple[Index, int]]) -> dict[Index, int]:
+    """Coefficient I of a sum of current monomials (derivative orders,
+    integer weight) applied to a series, as one linear form {J: w} in the
+    correlators: `_coefficient_terms` summed on integers over mult!(I)."""
+    form: dict[Index, int] = {}
+    for orders, cf in monomials:
+        nums, _ = _coefficient_terms(I, r, balance, orders)
+        for J, w in nums.items():
+            form[J] = form.get(J, 0) + cf * w
+    return form
 
 
 def _apply_power(series: TauSeries, op: WOperatorSpec,
-                 monomials: Sequence[tuple[Index, Fraction]]) -> TauSeries:
+                 monomials: Sequence[tuple[Index, int]]) -> TauSeries:
     """Image of a truncated series under a sum of normal-ordered current
-    monomials (derivative orders, weight), exact through cap - shift - alpha.
+    monomials, each weighted by an integer over alpha + 1, exact through
+    cap - shift - alpha.
 
     One pass over the output indices: the monomials' linear forms at I are
-    summed on integers into one {J: w} over one denominator (the weights'
-    common denominator times mult!(I)) before the series is read, so each
-    output coefficient takes one scaled add per correlator it involves.
+    summed into one {J: w} before the series is read, so each output
+    coefficient takes one scaled add per correlator it involves.
     """
-    out_cap = _out_cap(series, op)
-    balance = op.alpha + op.shift
-    lcd = math.lcm(*(cf.denominator for _, cf in monomials))
-    weights = [(orders, cf.numerator * (lcd // cf.denominator)) for orders, cf in monomials]
+    out_cap = series.cap - op.shift - op.alpha
+    if out_cap < 0:
+        raise WeightExceeded(f"cap {series.cap} leaves no window for (alpha={op.alpha}, q={op.q})")
     terms: dict = {}
     for I in [()] + index_multisets(op.r, out_cap):
-        form: dict[Index, int] = {}
-        for orders, cf in weights:
-            nums, den = _coefficient_terms(I, op.r, balance, orders)
-            for J, w in nums.items():
-                form[J] = form.get(J, 0) + cf * w
-        for J, w in form.items():
+        den = (op.alpha + 1) * _mult_factorial(I)
+        for J, w in _linear_form(I, op.r, op.alpha + op.shift, monomials).items():
             aJ = series.coeffs.get(J)
             if w and aJ is not None:
-                _add_coef(terms, I, aJ, w * _mult_factorial(J), lcd * den)
+                _add_coef(terms, I, aJ, w * _mult_factorial(J), den)
     return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
 
 
@@ -214,133 +216,49 @@ def apply_S(series: TauSeries, op: WOperatorSpec) -> TauSeries:
     """Image of a truncated series under the plain bidegree-(alpha, q)
     operator, exact through cap - shift - alpha.  It is the leading current
     monomial: alpha + 1 underived factors."""
-    return _apply_power(series, op, [((0,) * (op.alpha + 1), Fraction(1, op.alpha + 1))])
+    return _apply_power(series, op, [((0,) * (op.alpha + 1), 1)])
 
 
 @cache
-def _current_monomials(alpha: int) -> tuple[tuple[Index, Fraction], ...]:
+def _current_monomials(alpha: int) -> tuple[tuple[Index, int], ...]:
     """Normal-ordered monomials of the degree-(alpha+1) current power.
 
     Raising the degree by one multiplies by a fresh factor or differentiates
     one existing factor (product rule), so each monomial is recorded as the
-    ascending tuple of per-factor derivative orders with a rational
-    multiplicity.  alpha = 1 gives {(0, 0): 1, (1,): 1}; from alpha = 3 on,
-    mixed monomials such as (1, 1) appear that no rebracketing removes.
+    ascending tuple of per-factor derivative orders with its multiplicity.
+    alpha = 1 gives {(0, 0): 1, (1,): 1}; from alpha = 3 on, mixed monomials
+    such as (1, 1) appear that no rebracketing removes.
     """
-    P: dict[Index, Fraction] = {(0,): Fraction(1)}
+    P: dict[Index, int] = {(0,): 1}
     for _ in range(alpha):
-        nxt: dict[Index, Fraction] = {}
+        nxt: dict[Index, int] = {}
         for mono, cf in P.items():
             grown = tuple(sorted(mono + (0,)))
-            nxt[grown] = nxt.get(grown, Fraction(0)) + cf
+            nxt[grown] = nxt.get(grown, 0) + cf
             for s in range(len(mono)):
                 bumped = list(mono)
                 bumped[s] += 1
                 key = tuple(sorted(bumped))
-                nxt[key] = nxt.get(key, Fraction(0)) + cf
+                nxt[key] = nxt.get(key, 0) + cf
         P = nxt
     return tuple(sorted(P.items()))
 
 
-def _reduced_raw(series: TauSeries, op: WOperatorSpec) -> TauSeries:
-    """Reduced operator before the lower-order normalization: the residue of
-    the expanded degree-(alpha+1) current power at exponent alpha + shift."""
-    # skip (alpha,): its multiply move needs t_k at k = -(q - alpha) r and its
-    # derivative move k = (q - alpha) r, and neither is a valid time
-    return _apply_power(series, op, [(orders, cf / (op.alpha + 1))
-                                     for orders, cf in _current_monomials(op.alpha)
-                                     if orders != (op.alpha,)])
-
-
-def _raw_images(series: TauSeries, r: int):
-    """Raw reduced images of one series, each computed once.
-
-    The returned function maps a chain ((alpha, q), (beta, beta), ...) of
-    bidegrees to the raw reduced operators applied to the series in turn,
-    the first innermost; every prefix of a chain is itself remembered.
-    """
-    memo: dict[tuple[tuple[int, int], ...], TauSeries] = {}
-
-    def image(chain: tuple[tuple[int, int], ...]) -> TauSeries:
-        got = memo.get(chain)
-        if got is None:
-            inner = image(chain[:-1]) if len(chain) > 1 else series
-            got = memo[chain] = _reduced_raw(inner, WOperatorSpec(r, *chain[-1]))
-        return got
-
-    return image
-
-
 @cache
-def _raw_eigenvalues(r: int) -> dict[int, ParamPoly]:
-    """Diagonal eigenvalues of the un-normalized reduced operators on the
-    density-built tau series, as polynomials in the jet parameters."""
-    conn = connected_correlators_pde(r, r - 1)
-    tau = tau_exp(series_from_correlators(conn))
-    return {
-        alpha: _reduced_raw(tau, WOperatorSpec(r, alpha, alpha)).get(())
-        * ((-1) ** alpha)
-        for alpha in range(1, r)
-    }
-
-
-@cache
-def _normalization(r: int, alpha: int) -> dict[Index, Fraction]:
-    """Mixing constants for the lower-order pieces of the reduced operator.
-
-    Keys are ascending multisets B of lower orders; the piece for B composes
-    the un-normalized reduced operators of those orders, the innermost
-    carrying the whole column shift.  On the diagonal the raw operator of
-    order b multiplies tau by e_b = (-1)^b hat_b, hat_b = d_b / r + (lower
-    jets), so the mixing is (-1)^alpha (rho_alpha - hat_alpha) written in
-    the e_b: each monomial prod e_b is the piece B, its coefficient h_B.
-    Off the diagonal every piece annihilates, so the mixing cannot disturb
-    those windows as long as each B is nonempty with sum(B) <= alpha.
-    Products of orders enter from r = 6.
-    """
-    hat = _raw_eigenvalues(r)
-    target = (rho_in_d(r)[alpha] - hat[alpha]) * ((-1) ** alpha)
-    unsafe = f"no window-safe normalization matches rho_{alpha} at r={r}: target {target}"
-    if target.max_index() >= alpha:
-        raise EngineError(unsafe)
-    lower = range(1, alpha)
-    jets = _triangular_inverse({b: hat[b] * ((-1) ** b) for b in lower},
-                               {b: Fraction((-1) ** b, r) for b in lower},
-                               "e", "raw eigenvalue is not triangular in d")
-    got = {tuple(b for b, m in enumerate(expts, start=1) for _ in range(m)): h
-           for expts, h in target.substitute(jets, "e").terms.items()}
-    if any(not B or sum(B) > alpha for B in got):
-        raise EngineError(unsafe)
-    return got
+def _reduced_operator(alpha: int) -> tuple[tuple[Index, int], ...]:
+    """The reduced operator of order alpha: every monomial of the
+    degree-(alpha+1) current power, weighted by its multiplicity over
+    alpha + 1.  The monomial (alpha,) is left out: its multiply move needs
+    t_k at k = -(q - alpha) r and its derivative move k = (q - alpha) r,
+    and neither is a valid time."""
+    return tuple(m for m in _current_monomials(alpha) if m[0] != (alpha,))
 
 
 def apply_Wred(series: TauSeries, op: WOperatorSpec) -> TauSeries:
-    """Image under the reduced operator of bidegree (alpha, q).
-
-    The expanded current power plus lower-order pieces whose mixing
-    constants pin the diagonal (q = alpha) eigenvalues to the rho
-    dictionary.  Exact through cap - shift - alpha.
-    """
-    return _wred(_raw_images(series, op.r), op)
-
-
-def _wred(image, op: WOperatorSpec) -> TauSeries:
-    """apply_Wred on the series behind `image` (see _raw_images).  Every
-    piece's order pattern sums to at most alpha, so each raw image reaches
-    at least the cap of the operator's own one."""
-    raw = image(((op.alpha, op.q),))
-    terms: dict = {}
-    for I, c in raw.coeffs.items():
-        _add_coef(terms, I, c)
-    qshift = op.q - op.alpha
-    for B, h in sorted(_normalization(op.r, op.alpha).items()):
-        if not h:
-            continue
-        chain = ((B[0], B[0] + qshift),) + tuple((beta, beta) for beta in B[1:])
-        for I, c in image(chain).coeffs.items():
-            if sum(I) <= raw.cap:
-                _add_coef(terms, I, c, h)
-    return TauSeries(raw.alphabet, raw.cap, _wrap_coefs(raw.alphabet, terms))
+    """Image under the reduced operator of bidegree (alpha, q): the residue
+    of the expanded degree-(alpha+1) current power at exponent alpha + shift,
+    over alpha + 1.  Exact through cap - shift - alpha."""
+    return _apply_power(series, op, _reduced_operator(op.alpha))
 
 
 # --------------------------------------------------------------------------
@@ -352,15 +270,15 @@ def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
     """Disconnected correlators in the sigma alphabet: the targets, every
     entry their equations reach, and the empty set (value 1).
 
-    Each M = A + (nu,), nu its largest index, comes from the plain operator
-    of bidegree (alpha, q) with nu = alpha + (q - alpha) r, read off at
-    coefficient A: it vanishes for q > alpha and is (-1)^alpha sigma_alpha
-    a_A at q = alpha (the kernel's leading monomial is alpha + 1 times that
-    operator).  Of the correlators it involves, only <M> reaches weight |M|.
+    Each M = A + (nu,), nu its largest index, comes from the reduced
+    operator of bidegree (alpha, q) with nu = alpha + (q - alpha) r, read
+    off at coefficient A: it vanishes for q > alpha and is (-1)^alpha
+    sigma_alpha a_A at q = alpha, so sigma_alpha is the operator's diagonal
+    eigenvalue.  Of the correlators it involves, only <M> reaches weight |M|.
 
     So the entries are solved in two passes.  The first collects the
     closure of the targets under the equations, with an explicit stack and
-    one kernel call per entry, keeping each equation; the second solves the
+    one linear form per entry, keeping each equation; the second solves the
     closure in `entry_order`, where every other entry of an equation (and A)
     comes earlier.  Every value depends on its own equation only, so a
     closure entry equals the same entry of the full table.
@@ -374,8 +292,8 @@ def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
         if M in equations:
             continue
         nu, A = M[-1], M[:-1]
-        # numerators over mult!(A): the equation times mult!(A)
-        terms, _ = _coefficient_terms(A, r, nu, (0,) * (nu % r + 1))
+        # numerators over (alpha + 1) mult!(A): the equation times that
+        terms = _linear_form(A, r, nu, _reduced_operator(nu % r))
         lead = terms.pop(M)
         terms = {J: w for J, w in terms.items() if w}
         equations[M] = (lead, terms)
@@ -387,7 +305,7 @@ def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
         lead, terms = equations[M]
         nu, A = M[-1], M[:-1]
         val: dict = {}
-        if nu < r:  # q = alpha = nu: the eigenvalue term, times mult!(A)
+        if nu < r:  # q = alpha = nu: the eigenvalue term, times (nu + 1) mult!(A)
             _add_param_product(val, table[A], ParamPoly.var("sigma", nu), (-1) ** nu * (nu + 1))
         for J, w in terms.items():
             _add_terms(val, table[J], -w)
@@ -395,20 +313,14 @@ def _solve_entries(r: int, targets: Iterable[Index]) -> dict[Index, ParamPoly]:
     return table
 
 
-def _recursion_values(r: int, max_weight: int) -> dict[Index, ParamPoly]:
-    """Every disconnected correlator through max_weight, sigma alphabet,
-    empty set included (`_solve_entries` on the full table)."""
-    return _solve_entries(r, index_multisets(r, max_weight))
-
-
 def recursion_correlators(r: int, max_weight: int) -> CorrelatorTable:
     """Disconnected correlators through max_weight, sigma alphabet."""
-    values = {I: v for I, v in _recursion_values(r, max_weight).items() if I}
+    values = {I: v for I, v in _solve_entries(r, index_multisets(r, max_weight)).items() if I}
     return CorrelatorTable(r, max_weight, "sigma", "disconnected", values)
 
 
 # --------------------------------------------------------------------------
-# constants: sigma, rho, c, d and the maps between them
+# constants: sigma, c, d and the maps between them
 # --------------------------------------------------------------------------
 
 
@@ -427,25 +339,13 @@ def _triangular_inverse(images: Mapping[int, ParamPoly], leads: Mapping[int, Fra
 
 
 def solve_sigma_from_c(r: int) -> dict[int, ParamPoly]:
-    """sigma_alpha as a polynomial in the one-point constants c (table
+    """sigma_alpha, the diagonal eigenvalue of the reduced operator of
+    order alpha, as a polynomial in the one-point constants c (table
     normalization), solved triangularly from <tau_alpha> = c_alpha."""
     singles = _solve_entries(r, [(a,) for a in range(1, r)])
     return _triangular_inverse({a: singles[(a,)] for a in range(1, r)},
                                {a: Fraction(1) for a in range(1, r)}, "c",
                                "one-point value is not triangular in sigma")
-
-
-def rho_from_sigma(r: int) -> dict[int, ParamPoly]:
-    """Eigenvalue constants of the reduced operators in terms of sigma."""
-    out: dict[int, ParamPoly] = {}
-    for alpha in range(1, r):
-        terms = {(0,) * (alpha - 1) + (1,): Fraction(1)}
-        for beta in range(1, alpha):
-            terms[(0,) * (beta - 1) + (1,)] = -Fraction(math.factorial(alpha), alpha + 1) * (
-                Fraction((-1) ** beta, math.factorial(beta))
-            )
-        out[alpha] = ParamPoly("sigma", terms)
-    return out
 
 
 def c_from_d(r: int) -> dict[int, ParamPoly]:
@@ -480,42 +380,28 @@ def d_of_ctab(r: int) -> dict[int, ParamPoly]:
                                "residue constant is not triangular in d")
 
 
-def sigma_in_d(r: int) -> dict[int, ParamPoly]:
+@cache
+def rho_in_d(r: int) -> dict[int, ParamPoly]:
+    """The diagonal eigenvalues rho_alpha of the reduced operators in the
+    jets: sigma(c) composed with the table-normalized c(d).  Both come from
+    the initial point alone, so no value is fitted on the series a check
+    reads.  Memoised per r."""
     tab_in_d = _ctab_in_d(r)
     return {a: p.substitute(tab_in_d, "d") for a, p in solve_sigma_from_c(r).items()}
 
 
-@cache
-def rho_in_d(r: int) -> dict[int, ParamPoly]:
-    """rho in the jets; memoised, as every `_normalization(r, alpha)` reads it."""
-    sig = sigma_in_d(r)
-    return {a: p.substitute(sig, "d") for a, p in rho_from_sigma(r).items()}
-
-
 class ConstantsDictionary(NamedTuple):
-    """The five constant families for one hierarchy order."""
+    """The jet bridge for one hierarchy order: the residue-normalized
+    one-point constants in the jets, and back."""
 
     r: int
-    sigma_c: Mapping[int, ParamPoly]
-    rho_sigma: Mapping[int, ParamPoly]
-    rho_c: Mapping[int, ParamPoly]
     c_d: Mapping[int, ParamPoly]
     d_c: Mapping[int, ParamPoly]
 
 
 @cache
 def constants(r: int) -> ConstantsDictionary:
-    sigma_c = solve_sigma_from_c(r)
-    rho_sigma = rho_from_sigma(r)
-    rho_c = {a: p.substitute(sigma_c, "c") for a, p in rho_sigma.items()}
-    return ConstantsDictionary(
-        r=r,
-        sigma_c=sigma_c,
-        rho_sigma=rho_sigma,
-        rho_c=rho_c,
-        c_d=c_from_d(r),
-        d_c=d_from_c(r),
-    )
+    return ConstantsDictionary(r=r, c_d=c_from_d(r), d_c=d_from_c(r))
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +473,6 @@ def verify_constraints(r: int, max_weight: int, qextra: int = 2,
     if tau.alphabet != "d":
         raise ValueError("verification expects a tau series over the d alphabet")
     rho = rho_in_d(r)
-    image = _raw_images(tau, r)
     lines: list[str] = []
     all_ok = True
 
@@ -609,7 +494,7 @@ def verify_constraints(r: int, max_weight: int, qextra: int = 2,
             if window < 0:
                 check(label, window, None)
                 continue
-            res = _wred(image, WOperatorSpec(r, alpha, q))
+            res = apply_Wred(tau, WOperatorSpec(r, alpha, q))
             if q == alpha:
                 eig = rho[alpha] * ((-1) ** alpha)
                 res = res - tau.trim(window).scale(eig)

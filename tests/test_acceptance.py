@@ -20,6 +20,7 @@ from gdtau.hierarchy import omega
 from gdtau.wconstraints import (
     constants,
     rho_in_d,
+    solve_sigma_from_c,
     stabilized_correlators,
     table_in_c,
     verify_constraints,
@@ -126,16 +127,14 @@ def test_criterion_03_order_four_tables():
 def test_criterion_04_constant_dictionaries():
     c1, c2, c3 = C(1), C(2), C(3)
     for r in (2, 3, 4):
-        book = constants(r)
-        assert book.rho_c[1] == c1
-        assert book.sigma_c[1] == c1
-        assert book.d_c[1] == c1 * r
+        assert solve_sigma_from_c(r)[1] == c1
+        assert constants(r).d_c[1] == c1 * r
     three = constants(3)
-    assert three.rho_c[2] == c2 + c1 * Fraction(2, 3)
     assert three.d_c[2] == c2 * Fraction(3, 2) + c1 * 3
     four = constants(4)
-    assert four.sigma_c[3] == c3 - c1 * c1 * Fraction(3, 2) - c1 * Fraction(3, 2)
-    assert four.rho_c[3] == c3 - c2 * Fraction(3, 4) - c1 * c1 * Fraction(3, 2)
+    sigma = solve_sigma_from_c(4)
+    assert sigma[2] == c2 + c1 * 2
+    assert sigma[3] == c3 + c2 * Fraction(9, 2) - c1 * c1 * Fraction(3, 2) + c1 * Fraction(9, 2)
     assert four.d_c[3] == c3 * Fraction(4, 3) + c2 * 3 + c1 * c1 * 2 + c1 * 10
     print("CRITERION 4 PASS")
 
@@ -161,7 +160,7 @@ def test_criterion_06_eigenvalue_shape():
 
 
 def test_criterion_07_routes_agree():
-    for r in (2, 3):
+    for r in (2, 3, 4, 5, 6):
         for kind in ("connected", "disconnected"):
             a = table_in_c(r, 10, "pde", kind)
             b = table_in_c(r, 10, "recursion", kind)

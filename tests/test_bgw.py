@@ -423,6 +423,8 @@ def test_containers_refuse_coefficients_over_another_alphabet():
                   lambda: TauSeries("c", 1, {(2,): d(1)}),  # refused past the cap too
                   lambda: c + other,
                   lambda: other + c,
+                  lambda: c - other,
+                  lambda: other - c,
                   lambda: CorrelatorTable(3, 3, "c", "connected", {(1,): d(2)})):
         with pytest.raises(AlphabetMismatch):
             build()
@@ -434,6 +436,18 @@ def test_series_sum_takes_shallower_cap():
     b = TauSeries("d", 3, {(1,): 2})
     assert (a + b).cap == 3
     assert (a + b).get((1,)) == 3
+
+
+def test_series_difference_is_taken_key_by_key():
+    p = d(1) * d(2) - Fraction(1, 3)
+    a = TauSeries("d", 5, {(1,): p, (2,): d(1), (1, 2): d(2)})
+    b = TauSeries("d", 4, {(1,): p, (2,): d(2), (3,): d(1) * 2})
+    diff = a - b
+    # (1,) cancels to zero and is dropped; (3,) lives only in the subtrahend
+    assert diff.cap == 4
+    assert diff.coeffs == {(2,): d(1) - d(2), (1, 2): d(2), (3,): d(1) * -2}
+    assert diff.coeffs[(1, 2)] is a.coeffs[(1, 2)]  # a key b lacks is kept as given
+    assert (a - a).is_zero()
 
 
 def test_exp_log_round_trip():

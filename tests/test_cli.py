@@ -1,15 +1,19 @@
-"""End-to-end runs of the command line front end (no subprocesses)."""
+"""End-to-end runs of the command line front end, in process but for the
+closed-pipe run, which needs an interpreter of its own."""
 
 import json
 import os
 import stat
+import subprocess
 import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
 from gdtau import ParamPoly, bgw, wconstraints
-from gdtau.cli import RunConfig, _build_parser, _config_from_args, _latex_poly, main
+from gdtau.cli import (RunConfig, _bracket, _build_parser, _config_from_args, _latex_poly,
+                       main)
 
 
 def run(capsys, *argv):
@@ -75,7 +79,8 @@ def test_correlators_weight_one_single_entry(capsys):
 
 
 def test_correlators_r4_c_alphabet_uses_density_route(capsys):
-    # the weight recursion gives -6*c2*c1 - 15*c2 here, the density route -12*c2
+    # the first entry a recursion on the plain operator alone gets wrong
+    # (-15*c2); both routes print the density value
     code, out, _ = run(capsys, "correlators", "--r", "4", "--weight", "5")
     assert code == 0
     assert "<t3 t2> = -6*c2*c1 - 12*c2" in out.splitlines()
@@ -109,13 +114,20 @@ def test_correlators_r4_weight_one(capsys):
     assert out.splitlines() == ["<t1> = c1"]
 
 
-def test_correlators_r4_sigma_alphabet_refused(capsys):
-    code, out, err = run(capsys, "correlators", "--r", "4", "--weight", "3",
-                         "--alphabet", "sigma")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "unverified" in err
+def test_correlators_r4_sigma_alphabet(capsys):
+    # sigma(c) takes the sigma table to the c table of the same order
+    code, out, _ = run(capsys, "correlators", "--r", "4", "--weight", "6",
+                       "--alphabet", "sigma")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "<t1> = sigma1"
+    assert len(lines) == len(bgw.index_multisets(4, 6))
+    sigma = wconstraints.recursion_correlators(4, 6)
+    in_c = wconstraints.table_substitute(bgw.connected_from_disconnected(sigma),
+                                         wconstraints.solve_sigma_from_c(4), "c")
+    code, out, _ = run(capsys, "correlators", "--r", "4", "--weight", "6")
+    assert code == 0
+    assert out.splitlines() == [f"{_bracket(I)} = {in_c.value(I)}" for I in in_c.keys()]
 
 
 def test_correlators_set_evaluates_exactly(capsys):
@@ -320,10 +332,10 @@ def test_constants_text(capsys):
     code, out, _ = run(capsys, "constants", "--r", "4")
     assert code == 0
     lines = out.splitlines()
-    assert "# rho(c)" in lines
-    assert "rho3 = c3 - 3/4*c2 - 3/2*c1^2" in lines
-    assert "sigma3 = c3 - 3/2*c1^2 - 3/2*c1" in lines
+    assert [line for line in lines if line.startswith("#")] == ["# c(d)", "# d(c)"]
+    assert "c3 = 3/4*d3 - 9/8*d2 - 3/32*d1^2 + 3/8*d1" in lines
     assert "d3 = 4/3*c3 + 3*c2 + 2*c1^2 + 10*c1" in lines
+    assert len(lines) == 2 + 2 * 3
 
 
 def test_constants_text_small_orders(capsys):
@@ -332,16 +344,15 @@ def test_constants_text_small_orders(capsys):
     assert "d1 = 2*c1" in out.splitlines()
     code, out, _ = run(capsys, "constants", "--r", "3")
     assert code == 0
-    lines = out.splitlines()
-    assert "sigma2 = c2" in lines
-    assert "rho2 = c2 + 2/3*c1" in lines
+    assert out.splitlines() == ["# c(d)", "c1 = 1/3*d1", "c2 = 2/3*d2 - 2/3*d1",
+                                "# d(c)", "d1 = 3*c1", "d2 = 3/2*c2 + 3*c1"]
 
 
 def test_constants_json(capsys):
     code, out, _ = run(capsys, "constants", "--r", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"r", "sigma(c)", "rho(sigma)", "rho(c)", "c(d)", "d(c)"}
+    assert set(payload) == {"r", "c(d)", "d(c)"}
     assert payload["d(c)"]["d2"] == "3/2*c2 + 3*c1"
     assert payload["c(d)"]["c2"] == "2/3*d2 - 2/3*d1"
 
@@ -436,46 +447,39 @@ def test_invariant_violation_exits_three(capsys, monkeypatch):
         assert err.splitlines() == ["error: residue constant is not triangular in d"]
 
 
-def _verify_with_patched(capsys, monkeypatch, **fakes):
-    # the mixing constants are memoised per (r, alpha): clear them around
-    # the patched run so no other test sees its values
-    for name, fake in fakes.items():
-        monkeypatch.setattr(wconstraints, name, fake)
-    wconstraints._normalization.cache_clear()
-    try:
-        return run(capsys, "verify", "--r", "3", "--weight", "6")
-    finally:
-        wconstraints._normalization.cache_clear()
-
-
-def test_mixing_target_at_the_operator_order_exits_three(capsys, monkeypatch):
-    # a rho_2 with a d2 term left over cannot come from the order-1 piece
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_verify_fails_on_a_bumped_eigenvalue(capsys, monkeypatch, r):
+    # rho comes from the initial point, not from the series under test, so
+    # one eigenvalue off by d1 fails its diagonal check
     real = wconstraints.rho_in_d
-    d2 = ParamPoly.var("d", 2)
-    code, out, err = _verify_with_patched(
-        capsys, monkeypatch, rho_in_d=lambda r: {**real(r), 2: real(r)[2] + d2})
-    assert code == 3
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: no window-safe normalization matches rho_2 at r=3")
+    d1 = ParamPoly.var("d", 1)
+    for alpha in range(1, r):
+        monkeypatch.setattr(wconstraints, "rho_in_d",
+                            lambda r, a=alpha: {**real(r), a: real(r)[a] + d1})
+        code, out, _ = run(capsys, "verify", "--r", str(r), "--weight", "8")
+        assert code == 1, alpha
+        assert [line.split(" window=")[0] for line in out.splitlines()
+                if "FAIL" in line][0] == f"r={r} alpha={alpha} q={alpha}"
 
 
-def test_raw_eigenvalue_without_jet_lead_exits_three(capsys, monkeypatch):
-    # hat_1 and rho_1 both lose their d1 / r lead, so the order-1 target
-    # stays zero, but the order-2 mixing has nothing to solve d1 from
-    real_hat, real_rho = wconstraints._raw_eigenvalues, wconstraints.rho_in_d
-
-    def drop_lead(values, r):
-        return {**values, 1: values[1] - ParamPoly.var("d", 1) * Fraction(1, r)}
-
-    code, out, err = _verify_with_patched(
-        capsys, monkeypatch,
-        _raw_eigenvalues=lambda r: drop_lead(real_hat(r), r),
-        rho_in_d=lambda r: drop_lead(real_rho(r), r))
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == ["error: raw eigenvalue is not triangular in d"]
+def test_closed_stdout_exits_two():
+    # the reader's end is closed before the command starts, so its first
+    # write fails however small the table is
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "gdtau", "correlators", "--r", "3",
+                                 "--weight", "6"], stdout=write_end, stderr=subprocess.PIPE,
+                                env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode().splitlines() == [
+        "error: cannot write to standard output: the pipe is closed"]
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -43,15 +43,17 @@ GRID = {
     "correlators --r 3 --weight 14 --format json":
         "877ec3f5062234019add1d4ac161ef8adf7687c4f115dc48c723d86041246dd4",
     "correlators --r 3 --weight 10 --alphabet sigma --format latex":
-        "70e86da28397536a44c59c53c7aac407c8b267b5e61cdf7aaef95a4302bfd125",
+        "d24a76e5d4beee470ce28bb6aa694b9cd53462466f2396179ad3ca299a973ef1",
+    "correlators --r 4 --weight 8 --alphabet sigma":
+        "1d20f00d497cc44a7286151b37c9cf0d33512691365fce3e979d59efad3e8f84",
     "correlators --r 4 --weight 10 --alphabet c --format csv":
         "de251e387ef941e7de13ff9e37691147f44b85d0c6e0e201915cdde80a7b5927",
     "verify --r 4 --weight 10":
         "b78b0ed0308685ac624365bd2529a10396068a436f2f7d6c8153d4d098d37856",
     "constants --r 6":
-        "1fbbeba48f71624dca3b17c9458cdfedc2b7f67b3aeff845df9619e7418eff80",
+        "d46f31269e09e010fd4a75a17b54202697f77cb73808a1737a34681d5c41b332",
     "constants --r 6 --format json":
-        "f71cf397d94fc358724d424574f46cec9690d46998be5dd7b60bb785630fae42",
+        "eb4ee99d600258da8a614a37ff4e7844b556135c28d6eb70623a6f225f59e0fb",
     "correlators --r 2 --weight 12":
         "5a503306babf67401990640fde59a761a07e9e8fcd1d21fec983006b5694bf62",
     "correlators --r 3 --weight 12 --disconnected --format latex":

@@ -6,7 +6,9 @@ import pytest
 import sympy as sp
 
 from gdtau.algebra import ParamPoly
-from gdtau.bgw import TauSeries, _mult_factorial, connected_from_disconnected, index_multisets
+from gdtau.bgw import (TauSeries, _mult_factorial, connected_correlators_pde,
+                       connected_from_disconnected, index_multisets, series_from_correlators,
+                       tau_exp)
 from gdtau import wconstraints
 from gdtau.errors import WeightExceeded
 from gdtau.hierarchy import hierarchy, initial_jet, initial_values
@@ -14,10 +16,6 @@ from gdtau.wconstraints import (
     WOperatorSpec,
     _coefficient_terms,
     _current_monomials,
-    _normalization,
-    _raw_eigenvalues,
-    _recursion_values,
-    _reduced_raw,
     _solve_entries,
     apply_S,
     apply_Wred,
@@ -117,7 +115,7 @@ def test_expanded_power_matches_brute_force(alpha, q):
     op = WOperatorSpec(3, alpha, q)
     out_cap = tau.cap - op.shift - alpha
     _assert_matches(
-        _reduced_raw(tau, op),
+        apply_Wred(tau, op),
         oracle.brute_expanded(td, 3, alpha, q, out_cap, tau.cap),
         syms,
     )
@@ -150,7 +148,7 @@ def test_operators_match_brute_force_off_solution():
             syms,
         )
         _assert_matches(
-            _reduced_raw(arb, op),
+            apply_Wred(arb, op),
             oracle.brute_expanded(td, 3, alpha, q, out_cap, arb.cap),
             syms,
         )
@@ -163,7 +161,7 @@ def test_top_order_expanded_power_matches_brute_force():
     syms = oracle.symbols_for(4)
     td = oracle.series_to_dict(tau, syms)
     _assert_matches(
-        _reduced_raw(tau, WOperatorSpec(4, 3, 3)),
+        apply_Wred(tau, WOperatorSpec(4, 3, 3)),
         oracle.brute_expanded(td, 4, 3, 3, tau.cap - 3, tau.cap),
         syms,
     )
@@ -175,7 +173,7 @@ def test_fifth_power_matches_brute_force():
     syms = oracle.symbols_for(5)
     td = oracle.series_to_dict(tau, syms)
     _assert_matches(
-        _reduced_raw(tau, WOperatorSpec(5, 4, 4)),
+        apply_Wred(tau, WOperatorSpec(5, 4, 4)),
         oracle.brute_expanded(td, 5, 4, 4, tau.cap - 4, tau.cap),
         syms,
     )
@@ -190,7 +188,7 @@ def _per_monomial(series, op):
         for I in [()] + index_multisets(op.r, out_cap):
             nums, den = _coefficient_terms(I, op.r, balance, orders)
             for J, w in nums.items():
-                scale = cf / (op.alpha + 1) * Fraction(w, den) * _mult_factorial(J)
+                scale = Fraction(cf * w, (op.alpha + 1) * den) * _mult_factorial(J)
                 out[I] = out.get(I, ParamPoly.zero("d")) + series.get(J) * scale
     return {I: v for I, v in out.items() if not v.is_zero()}
 
@@ -203,15 +201,15 @@ def test_one_pass_kernel_equals_per_monomial_sum(r):
             op = WOperatorSpec(r, alpha, q)
             if tau.cap < op.shift + alpha:
                 with pytest.raises(WeightExceeded):
-                    _reduced_raw(tau, op)
+                    apply_Wred(tau, op)
                 continue
-            got = _reduced_raw(tau, op)
+            got = apply_Wred(tau, op)
             assert got.cap == tau.cap - op.shift - alpha
             assert got.coeffs == _per_monomial(tau, op), (alpha, q)
 
 
 def test_single_factor_monomial_has_no_weight():
-    # `_reduced_raw` skips the monomial (alpha,): its moves would need the
+    # `_reduced_operator` skips the monomial (alpha,): its moves would need the
     # times k = -(q - alpha) r and k = (q - alpha) r, neither of them valid
     cases = 0
     for r in range(2, 8):
@@ -265,7 +263,6 @@ def test_highest_plain_operator_fails_to_annihilate(tau4):
 
 
 def test_reduced_equals_plain_for_first_order(tau3):
-    assert _normalization(3, 1) == {}
     for q in (1, 2):
         op = WOperatorSpec(3, 1, q)
         assert _same(apply_Wred(tau3, op), apply_S(tau3, op))
@@ -274,7 +271,7 @@ def test_reduced_equals_plain_for_first_order(tau3):
 def test_reduced_diagonal_eigenvalues(tau3):
     rho = rho_in_d(3)
     assert str(rho[1]) == "1/3*d1"
-    assert str(rho[2]) == "1/3*d2 - 1/9*d1"
+    assert str(rho[2]) == "1/3*d2 + 1/3*d1"
     for alpha in (1, 2):
         out = apply_Wred(tau3, WOperatorSpec(3, alpha, alpha))
         eig = rho[alpha] * (-1) ** alpha
@@ -286,49 +283,18 @@ def test_reduced_off_diagonal_annihilates(tau3, tau4):
     assert apply_Wred(tau4, WOperatorSpec(4, 3, 4)).is_zero()
 
 
-def test_normalization_constants_frozen():
-    assert _normalization(3, 2) == {(1,): Fraction(4, 3)}
-    assert _normalization(4, 3) == {(2,): Fraction(21, 4), (1,): Fraction(6)}
-    assert _normalization(5, 4) == {
-        (3,): Fraction(36, 5),
-        (2,): Fraction(6),
-        (1,): Fraction(-12),
-    }
-    # from r = 6 on, products of lower orders enter the mixing
-    assert _normalization(6, 5) == {
-        (1,): Fraction(20), (1, 1): Fraction(10), (2,): Fraction(35),
-        (3,): Fraction(130, 3), (4,): Fraction(40, 3),
-    }
-    assert _normalization(7, 6) == {
-        (1,): Fraction(-3048, 7), (1, 1): Fraction(780, 7), (1, 2): Fraction(60),
-        (2,): Fraction(-462), (3,): Fraction(-80), (4,): Fraction(60),
-        (5,): Fraction(120, 7),
-    }
-    assert _normalization(8, 7) == {
-        (1,): Fraction(322), (1, 1): Fraction(1953, 2), (1, 1, 1): Fraction(-70),
-        (1, 2): Fraction(1995, 2), (1, 3): Fraction(140), (2,): Fraction(-7035, 4),
-        (2, 2): Fraction(315, 4), (3,): Fraction(-1071), (4,): Fraction(315, 2),
-        (5,): Fraction(168), (6,): Fraction(203, 8),
-    }
-
-
-def test_normalization_is_independent_of_r():
-    assert _normalization(4, 2) == _normalization(3, 2)
-    assert _normalization(5, 3) == _normalization(4, 3)
-
-
 def test_raw_eigenvalues_frozen():
-    assert {a: str(p) for a, p in _raw_eigenvalues(2).items()} == {1: "1/2*d1"}
-    assert {a: str(p) for a, p in _raw_eigenvalues(3).items()} == {
+    assert {a: str(p) for a, p in rho_in_d(2).items()} == {1: "1/2*d1"}
+    assert {a: str(p) for a, p in rho_in_d(3).items()} == {
         1: "1/3*d1",
         2: "1/3*d2 + 1/3*d1",
     }
-    assert {a: str(p) for a, p in _raw_eigenvalues(4).items()} == {
+    assert {a: str(p) for a, p in rho_in_d(4).items()} == {
         1: "1/4*d1",
         2: "1/4*d2",
         3: "1/4*d3 + 3/4*d2 - 1/8*d1^2 - d1",
     }
-    assert {a: str(p) for a, p in _raw_eigenvalues(5).items()} == {
+    assert {a: str(p) for a, p in rho_in_d(5).items()} == {
         1: "1/5*d1",
         2: "1/5*d2 - 1/5*d1",
         3: "1/5*d3 + 3/10*d2 - 1/10*d1^2 - 7/5*d1",
@@ -336,49 +302,52 @@ def test_raw_eigenvalues_frozen():
     }
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
+def test_eigenvalues_match_the_density_series(r):
+    # rho_in_d is sigma(c) after c(d), both from the initial point; the
+    # diagonal images of the density-built series must carry the same values
+    tau = tau_exp(series_from_correlators(connected_correlators_pde(r, r - 1)))
+    rho = rho_in_d(r)
+    for alpha in range(1, r):
+        image = apply_Wred(tau, WOperatorSpec(r, alpha, alpha))
+        assert image.get(()) * (-1) ** alpha == rho[alpha], alpha
+
+
 # -- constant dictionaries ---------------------------------------------------
 
 
 def test_dictionaries_match_pinned_values():
     two = constants(2)
-    assert str(two.sigma_c[1]) == "c1"
-    assert str(two.rho_c[1]) == "c1"
+    assert str(solve_sigma_from_c(2)[1]) == "c1"
     assert str(two.d_c[1]) == "2*c1"
 
     three = constants(3)
-    assert str(three.sigma_c[2]) == "c2"
-    assert str(three.rho_sigma[2]) == "sigma2 + 2/3*sigma1"
-    assert str(three.rho_c[2]) == "c2 + 2/3*c1"
+    assert str(solve_sigma_from_c(3)[2]) == "c2 + 2*c1"
     assert str(three.c_d[2]) == "2/3*d2 - 2/3*d1"
     assert str(three.d_c[1]) == "3*c1"
     assert str(three.d_c[2]) == "3/2*c2 + 3*c1"
 
     four = constants(4)
-    assert str(four.sigma_c[3]) == "c3 - 3/2*c1^2 - 3/2*c1"
-    assert str(four.rho_sigma[3]) == "sigma3 - 3/4*sigma2 + 3/2*sigma1"
-    assert str(four.rho_c[3]) == "c3 - 3/4*c2 - 3/2*c1^2"
+    assert str(solve_sigma_from_c(4)[2]) == "c2 + 2*c1"
+    assert str(solve_sigma_from_c(4)[3]) == "c3 + 9/2*c2 - 3/2*c1^2 + 9/2*c1"
     assert str(four.c_d[3]) == "3/4*d3 - 9/8*d2 - 3/32*d1^2 + 3/8*d1"
     assert str(four.d_c[3]) == "4/3*c3 + 3*c2 + 2*c1^2 + 10*c1"
 
 
 def test_recursion_dictionaries_above_four_pinned():
-    # sigma(c) and rho(c) come from the weight recursion; captured at r = 6
-    six = constants(6)
-    assert {a: str(p) for a, p in six.sigma_c.items()} == {
+    # sigma(c) comes from the weight recursion; captured at r = 6, where every
+    # value is also the one of every smaller order that has it
+    six = solve_sigma_from_c(6)
+    assert {a: str(p) for a, p in six.items()} == {
         1: "c1",
-        2: "c2",
-        3: "c3 - 3/2*c1^2 - 3/2*c1",
-        4: "c4 - 4*c2*c1 - 8*c2",
-        5: "c5 - 5*c3*c1 - 25*c3 - 5/2*c2^2 + 10/3*c1^3 + 15*c1^2 + 35/3*c1",
+        2: "c2 + 2*c1",
+        3: "c3 + 9/2*c2 - 3/2*c1^2 + 9/2*c1",
+        4: "c4 + 8*c3 - 4*c2*c1 + 16*c2 - 12*c1^2 + 12*c1",
+        5: "c5 + 25/2*c4 - 5*c3*c1 + 125/3*c3 - 5/2*c2^2 - 50*c2*c1 + 50*c2"
+           " + 10/3*c1^3 - 75*c1^2 + 125/3*c1",
     }
-    assert {a: str(p) for a, p in six.rho_c.items()} == {
-        1: "c1",
-        2: "c2 + 2/3*c1",
-        3: "c3 - 3/4*c2 - 3/2*c1^2",
-        4: "c4 + 4/5*c3 - 4*c2*c1 - 52/5*c2 - 6/5*c1^2 + 18/5*c1",
-        5: "c5 - 5/6*c4 - 5*c3*c1 - 65/3*c3 - 5/2*c2^2 + 10/3*c2*c1 - 10/3*c2"
-           " + 10/3*c1^3 + 10*c1^2 + 80/3*c1",
-    }
+    for r in range(2, 6):
+        assert solve_sigma_from_c(r) == {a: six[a] for a in range(1, r)}, r
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -391,8 +360,8 @@ def test_jet_constant_round_trip(r):
 
 
 def test_constants_build_no_hierarchy():
-    # c(d) comes from the value table and sigma(c) from the recursion, so a
-    # cold constants(12) never asks for hierarchy(12) (neither hit nor miss)
+    # c(d) and d(c) come from the value table, so a cold constants(12)
+    # never asks for hierarchy(12) (neither hit nor miss)
     constants.cache_clear()
     initial_values.cache_clear()
     before = hierarchy.cache_info()
@@ -420,7 +389,7 @@ def test_value_ring_equals_symbolic_residues(r):
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 12])
 def test_closure_solver_matches_full_table(r):
-    full = _recursion_values(r, r - 1)
+    full = _solve_entries(r, index_multisets(r, r - 1))
     part = _solve_entries(r, [(a,) for a in range(1, r)])
     assert all((a,) in part for a in range(1, r))
     for I, value in part.items():
@@ -460,17 +429,17 @@ def test_both_routes_agree_at_low_weight(r, kind):
         assert a.value(I) == b.value(I), I
 
 
-def test_routes_diverge_at_weight_five_for_larger_r():
-    # the recursion stops agreeing with the density route once an index
-    # congruent to -1 survives; the first witness is (2, 3)
-    rec4 = table_in_c(4, 5, "recursion", "connected").value((2, 3))
-    pde4 = table_in_c(4, 5, "pde", "connected").value((2, 3))
-    assert str(rec4) == "-6*c2*c1 - 15*c2"
-    assert str(pde4) == "-6*c2*c1 - 12*c2"
-    rec5 = table_in_c(5, 5, "recursion", "connected").value((2, 3))
-    pde5 = table_in_c(5, 5, "pde", "connected").value((2, 3))
-    assert str(rec5) == "6*c4 - 6*c2*c1 - 15*c2"
-    assert str(pde5) == "6*c4 - 6*c2*c1 - 12*c2"
+def test_routes_agree_for_every_order():
+    # the reduced operator's recursion equals the density route entry by
+    # entry; (2, 3) at r = 4 is the first entry a recursion on the plain
+    # operator alone gets wrong (-6*c2*c1 - 15*c2)
+    for r, weight in ((2, 12), (3, 12), (4, 10), (4, 12), (5, 10), (6, 10), (7, 9), (8, 9)):
+        for kind in ("connected", "disconnected"):
+            pde = table_in_c(r, weight, "pde", kind)
+            rec = table_in_c(r, weight, "recursion", kind)
+            assert pde.values.keys() == rec.values.keys()
+            assert [I for I in pde.values if pde.value(I) != rec.value(I)] == [], (r, kind)
+    assert str(table_in_c(4, 5, "recursion").value((2, 3))) == "-6*c2*c1 - 12*c2"
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -505,8 +474,7 @@ def test_verification_report_all_pass():
 @pytest.mark.parametrize("r", [5, 6, 7, 8])
 def test_verification_passes_with_mixed_monomials(r):
     # alpha = 4, 5 are the first powers with monomials such as (0, 1, 1)
-    # and (1, 2); r = 7, 8 also mix through the product pieces (1, 2) and
-    # (1, 1, 1); every check of the sweep must still pass
+    # and (1, 2); every check of the sweep must still pass
     rep = verify_constraints(r, 8)
     assert rep.ok, [line for line in rep.lines if "FAIL" in line]
     assert f"r={r} alpha=4 q=4 window=4 PASS" in rep.lines
@@ -524,28 +492,23 @@ def test_verification_detects_corruption():
 
 
 def test_verification_builds_each_raw_image_once(monkeypatch):
-    # the normalization pieces reuse the raw images the sweep's own checks
-    # build on the same series; warm the per-r caches first
-    from gdtau import wconstraints
-
+    # one reduced operator per check: no check builds a second image
     tau = bgw_tau(4, 10)
-    for alpha in (2, 3):
-        wconstraints._normalization(4, alpha)
     seen = []
-    real = wconstraints._reduced_raw
+    real = wconstraints.apply_Wred
 
     def counting(series, op):
-        seen.append((str(sorted(series.coeffs.items())), op))
+        seen.append(op)
         return real(series, op)
 
-    monkeypatch.setattr(wconstraints, "_reduced_raw", counting)
+    monkeypatch.setattr(wconstraints, "apply_Wred", counting)
     assert verify_constraints(4, 10, tau=tau).ok
     assert len(seen) == len(set(seen)) == 8  # one per non-vacuous (alpha, q)
 
 
 def test_verification_solves_the_one_point_closure_once(monkeypatch):
-    # rho_in_d is memoised per r, so the mixing constants of every alpha and
-    # the diagonal checks share one solve of sigma(c)
+    # rho_in_d is memoised per r, so the diagonal checks of every alpha
+    # share one solve of sigma(c)
     calls = []
     real = wconstraints.solve_sigma_from_c
 
@@ -554,14 +517,11 @@ def test_verification_solves_the_one_point_closure_once(monkeypatch):
         return real(r)
 
     monkeypatch.setattr(wconstraints, "solve_sigma_from_c", counting)
-    caches = (wconstraints.rho_in_d, wconstraints._normalization)
-    for fn in caches:
-        fn.cache_clear()
+    wconstraints.rho_in_d.cache_clear()
     try:
         assert verify_constraints(8, 8).ok
     finally:
-        for fn in caches:
-            fn.cache_clear()
+        wconstraints.rho_in_d.cache_clear()
     assert calls == [8]
 
 
