@@ -293,8 +293,8 @@ def _correlator_table(cfg: RunConfig) -> CorrelatorTable:
         disc = recursion_correlators(cfg.r, cfg.weight)
         return disc if cfg.kind == "disconnected" else connected_from_disconnected(disc)
     # both routes give the same table; the faster one serves: the weight
-    # recursion for disconnected tables at r <= 3 (r = 3, weight 18: 0.17 s
-    # against 0.26 s, each in a fresh process), the density route elsewhere
+    # recursion for disconnected tables at r <= 3 (r = 3, weight 18: 0.14 s
+    # against 0.20 s, each in a fresh process), the density route elsewhere
     path = "recursion" if cfg.kind == "disconnected" and cfg.r <= 3 else "pde"
     return table_in_c(cfg.r, cfg.weight, path, cfg.kind)
 

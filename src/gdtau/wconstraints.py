@@ -99,22 +99,15 @@ class WOperatorSpec(_Bidegree):
 @cache
 def _splits(I: Index, size: int) -> tuple[tuple[Index, Index], ...]:
     """Every way to take a sub-multiset of the given size out of I, as
-    ascending (taken, kept) pairs.  Memoised: the kernel asks for the same
-    splits for every output index and every monomial of a current power."""
-    groups = sorted(Counter(I).items())
-    out: list[tuple[Index, Index]] = []
-
-    def rec(gi: int, left: int, taken: Index, kept: Index) -> None:
-        if gi == len(groups):
-            if not left:
-                out.append((taken, kept))
-            return
-        v, m = groups[gi]
-        for take in range(min(m, left) + 1):
-            rec(gi + 1, left - take, taken + (v,) * take, kept + (v,) * (m - take))
-
-    rec(0, size, (), ())
-    return tuple(out)
+    ascending (taken, kept) pairs, peeling off the copies of the first
+    value.  Memoised: the kernel asks for the same splits for every output
+    index and every monomial of a current power."""
+    if not I:
+        return (((), ()),) if size == 0 else ()
+    v, m = I[0], I.count(I[0])
+    return tuple(((v,) * take + taken, (v,) * (m - take) + kept)
+                 for take in range(min(m, size) + 1)
+                 for taken, kept in _splits(I[m:], size - take))
 
 
 def _coefficient_terms(I: Index, r: int, balance: int,
@@ -131,19 +124,23 @@ def _coefficient_terms(I: Index, r: int, balance: int,
     the first variable with weight -1.  Each move carries a formal exponent
     (k-1-j, -k-1-j, or 0 respectively) and only configurations whose
     exponents plus `balance` sum to -1 survive the residue, which pins the
-    index sum of the last group's derivatives.  Differentiating t^J down to
-    the kept part of I multiplies by mult!(J) / mult!(kept), so each
+    index sum of all differentiation moves at once.  Differentiating t^J
+    down to the kept part of I multiplies by mult!(J) / mult!(kept), so each
     configuration weighs its coefficient over mult!(kept) on <J>.
     """
     groups = sorted(Counter(orders).items())
-    top = sum(I) + balance + 1
     # every mult!(kept) divides mult!(I): sum integers over that denominator
     denom = _mult_factorial(I)
     nums: dict[Index, int] = {}
 
-    def rec(gi: int, rest: Index, K: Index, lam: int, coef: int) -> None:
+    def rec(gi: int, rest: Index, moving: Index, lam: int, coef: int) -> None:
+        if gi == len(groups):
+            scale = denom // _mult_factorial(rest)
+            for K, wk in _derivative_moves(r, moving, lam + balance + 1).items():
+                J = _normalize(rest + K)
+                nums[J] = nums.get(J, 0) + coef * wk * scale
+            return
         j, n = groups[gi]
-        last = gi == len(groups) - 1
         for c in range(n + 1 if j == 0 else 1):
             for tlen in range(n - c + 1):
                 klen = n - c - tlen
@@ -153,27 +150,27 @@ def _coefficient_terms(I: Index, r: int, balance: int,
                         continue
                     lam_t = lam + sum(L) - (1 + j) * (tlen + klen)
                     base = coef * wl * (-1) ** (c + j * klen) * math.factorial(n)
-                    base //= math.factorial(c) * _mult_factorial(L)
-                    if last:
-                        scale = denom // _mult_factorial(kept)
-                        for Kg, wk, mk in _factor_moves(r, lam_t + balance + 1, klen, j):
-                            J = _normalize(kept + K + Kg)
-                            nums[J] = nums.get(J, 0) + base * wk // mk * scale
-                        continue
-                    for s in range(top - sum(K) + 1):
-                        for Kg, wk, mk in _factor_moves(r, s, klen, j):
-                            rec(gi + 1, kept, _normalize(K + Kg), lam_t - s, base * wk // mk)
+                    # `_derivative_moves` orders each group's indices: take klen! off
+                    base //= math.factorial(c) * _mult_factorial(L) * math.factorial(klen)
+                    rec(gi + 1, kept, moving + (j,) * klen, lam_t, base)
 
     rec(0, I, (), 0, 1)
     return nums, denom
 
 
 @cache
-def _factor_moves(r: int, total: int, length: int, j: int) -> tuple[tuple[Index, int, int], ...]:
-    """(K, prod (k+j)!/k!, mult!(K)) for the index multisets K of one group's
-    differentiation moves: `length` valid indices summing to `total`."""
-    return tuple((K, math.prod(math.perm(k + j, j) for k in K), _mult_factorial(K))
-                 for K in valid_multisets(r, total, length))
+def _derivative_moves(r: int, moving: Index, total: int) -> dict[Index, int]:
+    """{K: w} for the index multisets K of all differentiation moves
+    together: one valid index k per entry j of `moving` (the derivative
+    orders of the factors that differentiate), summing to `total`.  w sums
+    prod (k+j)!/k! over the distinct ways to deal K to the moves, peeling
+    off the first move.  Memoised and shared: callers only read it."""
+    if not moving:
+        return {(): 1} if total == 0 else {}
+    j = moving[0]
+    return {K: sum(math.perm(k + j, j) * _derivative_moves(r, moving[1:], total - k)[kept]
+                   for (k,), kept in _splits(K, 1))
+            for K in valid_multisets(r, total, len(moving))}
 
 
 def _linear_form(I: Index, r: int, balance: int,

@@ -8,7 +8,7 @@ import sympy as sp
 from gdtau.algebra import ParamPoly
 from gdtau.bgw import (TauSeries, _mult_factorial, connected_correlators_pde,
                        connected_from_disconnected, index_multisets, series_from_correlators,
-                       tau_exp)
+                       string_residual, tau_exp)
 from gdtau import wconstraints
 from gdtau.errors import WeightExceeded
 from gdtau.hierarchy import hierarchy, initial_jet, initial_values
@@ -179,6 +179,36 @@ def test_fifth_power_matches_brute_force():
     )
 
 
+def _off_solution(tau):
+    # the series with every third coefficient moved, keys unchanged: the
+    # constraints no longer hold, so no residual vanishes by accident
+    bumped = dict(tau.coeffs)
+    for n, key in enumerate(tau.keys()[1::3]):
+        bumped[key] = bumped[key] + d(1) * Fraction(n + 1, 7) + Fraction(1, n + 2)
+    return TauSeries("d", tau.cap, bumped)
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_three_group_monomial_matches_brute_force(r):
+    # (0, 1, 2) is the first monomial with three factor groups (orders 0, 1
+    # and 2), so the residue pins the differentiation moves of all three
+    # together; it enters the degree-6 current power with multiplicity 60
+    orders, alpha = (0, 1, 2), 5
+    assert dict(_current_monomials(alpha))[orders] == 60
+    arb = _off_solution(bgw_tau(r, 8))
+    syms = oracle.symbols_for(r)
+    out_cap = arb.cap - alpha
+    image = {}
+    for I in [()] + index_multisets(r, out_cap):
+        nums, den = _coefficient_terms(I, r, alpha, orders)
+        image[I] = sum((arb.get(J) * Fraction(w * _mult_factorial(J), den)
+                        for J, w in nums.items()), ParamPoly.zero("d"))
+    brute = oracle.brute_current(oracle.series_to_dict(arb, syms), r, alpha, orders,
+                                 out_cap, arb.cap)
+    assert brute
+    _assert_matches(TauSeries("d", out_cap, image), brute, syms)
+
+
 def _per_monomial(series, op):
     # one kernel call and one scaled add per current monomial and index
     out_cap = series.cap - op.shift - op.alpha
@@ -300,6 +330,19 @@ def test_raw_eigenvalues_frozen():
         3: "1/5*d3 + 3/10*d2 - 1/10*d1^2 - 7/5*d1",
         4: "1/5*d4 + 6/5*d3 - 1/5*d2*d1 - 8/5*d2 - 1/5*d1^2 - 14/5*d1",
     }
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_string_check_is_the_first_reduced_operator(r):
+    # the string constraint is the (1, 1) reduced operator: string_residual
+    # and apply_Wred compute the same image through two independent
+    # implementations, which is why verify prints both lines
+    tau = bgw_tau(r, 6)
+    for series in (tau, _off_solution(tau)):
+        first = apply_Wred(series, WOperatorSpec(r, 1, 1))
+        shifted = first + series.trim(series.cap - 1).scale(rho_in_d(r)[1])
+        assert string_residual(series, r) == shifted
+    assert not string_residual(_off_solution(tau), r).is_zero()
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
