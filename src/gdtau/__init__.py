@@ -39,6 +39,7 @@ from .psido import (
     commutator,
     compose,
     frac_power,
+    lax_operator,
     minus_part,
     plus_part,
     residue,

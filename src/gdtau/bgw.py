@@ -202,17 +202,17 @@ class TauSeries:
             raise WeightExceeded(f"cannot deepen a cap-{self.cap} series to cap {cap}")
         return TauSeries(self.alphabet, cap, self.coeffs)
 
-    def __add__(self, other: "TauSeries") -> "TauSeries":
+    def _plus(self, other: "TauSeries", sign: int) -> "TauSeries":
         coeffs = dict(self.coeffs)
         for I, c in other.coeffs.items():
-            coeffs[I] = coeffs[I] + c if I in coeffs else c
+            coeffs[I] = coeffs[I]._plus(c, sign) if I in coeffs else c * sign
         return TauSeries(self.alphabet, min(self.cap, other.cap), coeffs)
 
+    def __add__(self, other: "TauSeries") -> "TauSeries":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "TauSeries") -> "TauSeries":
-        coeffs = dict(self.coeffs)
-        for I, c in other.coeffs.items():
-            coeffs[I] = coeffs[I] - c if I in coeffs else -c
-        return TauSeries(self.alphabet, min(self.cap, other.cap), coeffs)
+        return self._plus(other, -1)
 
     def scale(self, s: ParamPoly | Rat) -> "TauSeries":
         return TauSeries(self.alphabet, self.cap,
@@ -381,9 +381,9 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
     weight-W value is E (1-x)^(-W) and d/dx multiplies its value by W.
     Hence <tau_I> = value(density(I)) / |I|, with no antiderivative.  One
     index is one read of the value table (`hierarchy.initial_values`); for
-    more, the value is `Hierarchy.t_derivative_value` of the prefix
-    density(I[:-1]) along t_(I_n), the flow read off that table.  Only the
-    memoised prefix densities are built as differential polynomials.
+    more, the value is that table's `t_derivative_value` of the prefix
+    density(I[:-1]) along t_(I_n), which reads the flow off the table.  Only
+    the memoised prefix densities are built as differential polynomials.
 
     Insertions of index 1 cost no flow: the t_1 flow is d/dx itself, so with
     rising factors
@@ -397,8 +397,8 @@ def pde_correlator(r: int, indices: Iterable[int]) -> ParamPoly:
         return pde_correlator(r, J) * rising
     if len(I) == 1:
         return initial_values(r).residue(I[0]) * Fraction(1, I[0])
-    H = hierarchy(r)
-    return H.t_derivative_value(H.density(I[:-1]), I[-1]) * Fraction(1, sum(I))
+    return (initial_values(r).t_derivative_value(hierarchy(r).density(I[:-1]), I[-1])
+            * Fraction(1, sum(I)))
 
 
 def connected_correlators_pde(r: int, max_weight: int) -> CorrelatorTable:

@@ -1,11 +1,12 @@
 """Commuting flows of the order-r reduced hierarchy.
 
 The time variables are t_i with i >= 1 and i not divisible by r (t_1 is x
-itself).  That rule is `psido.check_index`, run by the Lax operator's own
-reads (`LaxOperator.flow`, `LaxOperator.residue`), by `Hierarchy.t_derivative`
-and, through `bgw.correlator_key`, by the correlators, their tables and the
-stabilized values.  An index below 1 raises ValueError("bad index i"), a
-multiple of r IndexDivisible("index i is a multiple of r").
+itself).  That rule is `psido.check_index`, run by the power table's own
+reads (`LaxOperator.flow`, `LaxOperator.residue`), by `Hierarchy.t_derivative`,
+by `InitialValues.t_derivative_value` and, through `bgw.correlator_key`, by
+the correlators, their tables and the stabilized values.  An index below 1
+raises ValueError("bad index i"), a multiple of r IndexDivisible("index i is
+a multiple of r").
 
 The i-th flow moves the operator L = D^r + v1 D^(r-2) + ... by
 
@@ -18,10 +19,12 @@ further flows), are assembled from those components.  The correlators read
 them at the initial point, where v_a^(k) takes the value
 d_a (a+1)(a+2)...(a+k) (`initial_jet`).
 
-`InitialValues` is the Lax operator's power table run on those values: its
-rows, jets and flow components are plain ParamPolys over d, so res L^(i/r)
-and the flows at the initial point are reads of it, with no differential
-polynomial built (`wconstraints.c_from_d`, `pde_correlator`).
+`Hierarchy` is the Lax operator's power table on differential polynomials.
+`InitialValues` is the same table run on those values: its rows, jets and
+flow components are plain ParamPolys over d, so res L^(i/r), the flows and
+the chain rule (`t_derivative_value`) at the initial point are reads of it,
+with no differential polynomial built (`wconstraints.c_from_d`,
+`pde_correlator`).  Neither table holds an operator.
 """
 
 from __future__ import annotations
@@ -39,26 +42,25 @@ def initial_jet(a: int, k: int) -> ParamPoly:
     return ParamPoly.var("d", a) * math.perm(a + k, k)
 
 
-class Hierarchy:
+class Hierarchy(LaxOperator):
     """The order-r hierarchy as differential polynomials, built on demand.
 
-    Owns the Lax operator (with its power table and flows), the flow
-    components' x-derivatives, and one memo of densities: res L^(i/r) for
-    (i,) and its t-derivatives along the further indices of a longer tuple;
-    each is computed once.  The correlators read every entry's last flow on
-    values (`t_derivative_value`), so a density is built only as the prefix
-    of a longer entry.
+    The Lax operator's power table (with its flows) on DiffPolys, plus the
+    flow components' x-derivatives and one memo of densities: res L^(i/r)
+    for (i,) and its t-derivatives along the further indices of a longer
+    tuple; each is computed once.  The correlators read every entry's last
+    flow on values (`InitialValues.t_derivative_value`), so a density is
+    built only as the prefix of a longer entry.
     """
 
     def __init__(self, r: int):
-        self.r = r
-        self.L = LaxOperator(r)
+        super().__init__(r)
         self._flow_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (i, a) -> [X, X', ...]
         self._densities: dict[tuple[int, ...], DiffPoly] = {}
 
     def flow_derivative(self, i: int, a: int, k: int) -> DiffPoly:
         """k-th x-derivative of X_a^i."""
-        return nth_diff_x(self._flow_derivs.setdefault((i, a), [self.L.flow(i)[a]]), k)
+        return nth_diff_x(self._flow_derivs.setdefault((i, a), [self.flow(i)[a]]), k)
 
     def t_derivative(self, p: DiffPoly, j: int) -> DiffPoly:
         """Derivative of a differential polynomial along the t_j flow.
@@ -90,11 +92,38 @@ class Hierarchy:
         got = self._densities.get(I)
         if got is None:
             got = self._densities[I] = (self.t_derivative(self.density(I[:-1]), I[-1])
-                                        if len(I) > 1 else self.L.residue(I[0]))
+                                        if len(I) > 1 else self.residue(I[0]))
         return got
 
+
+class InitialValues(LaxOperator):
+    """The power table of L at the initial point.
+
+    There every coefficient of weight w is E (1-x)^(-w) with E in Q[d], and
+    d/dx maps it to w E (1-x)^(-w-1).  Evaluation commutes with sums,
+    products and d/dx, so `LaxOperator`'s own recurrence runs on the values
+    E: each row, jet and flow component is a ParamPoly over d, v_a is d_a,
+    v_a^(j) is `initial_jet(a, j)`, and the j-th x-derivative of row t of
+    R^k (weight t) is t (t+1) ... (t+j-1) times the row.  Each row and flow
+    is the symbolic one under `DiffPoly.evaluate(initial_jet)`, the tests'
+    reference; `residue` and `flow` are the inherited reads, and
+    `t_derivative_value` reads a DiffPoly's t-derivative off the flows.
+    """
+
+    def _wrap(self, acc: dict) -> ParamPoly:
+        return _wrap_param("d", acc)
+
+    def _new_jet(self, a: int, j: int) -> ParamPoly:
+        return initial_jet(a, j)
+
+    def _row_deriv(self, k: int, t: int, j: int) -> ParamPoly:
+        chain = self._row_derivs.setdefault((k, t), [self._rows[k][t]])
+        while len(chain) <= j:
+            chain.append(chain[-1] * (t + len(chain) - 1))
+        return chain[j]
+
     def t_derivative_value(self, p: DiffPoly, j: int) -> ParamPoly:
-        """The value of ``t_derivative(p, j)``, without building it.
+        """The value of ``Hierarchy.t_derivative(p, j)``, without building it.
 
         X_a^j is homogeneous of weight a + j + 1 (v_b^(m) weighs b + 1 + m),
         so at the initial point the value of its k-th x-derivative is
@@ -106,10 +135,10 @@ class Hierarchy:
         for any P, homogeneous or not.  One pass over P sums the first two
         factors into one group G_a per variable, on P's own integer
         numerators; the result is sum_a G_a value(X_a^j), each value(X_a^j)
-        read off the value table (`initial_values`).  A jet monomial
-        prod (v_a^(k))^e is worth prod d_a^e prod ((a+1)...(a+k))^e.
+        read off this table's flows.  A jet monomial prod (v_a^(k))^e is
+        worth prod d_a^e prod ((a+1)...(a+k))^e.
         """
-        flow = initial_values(self.r).flow(j)
+        flow = self.flow(j)
         groups: dict[int, dict] = {}
         for key, c in p._num.items():
             jets = [(_field_jet(i), e) for i, e in _fields(key)]
@@ -130,36 +159,6 @@ class Hierarchy:
         return _wrap_param("d", out)
 
 
-class InitialValues(LaxOperator):
-    """The power table of L at the initial point.
-
-    There every coefficient of weight w is E (1-x)^(-w) with E in Q[d], and
-    d/dx maps it to w E (1-x)^(-w-1).  Evaluation commutes with sums,
-    products and d/dx, so `LaxOperator`'s own recurrence runs on the values
-    E: each row, jet and flow component is a ParamPoly over d, v_a is d_a,
-    v_a^(j) is `initial_jet(a, j)`, and the j-th x-derivative of row t of
-    R^k (weight t) is t (t+1) ... (t+j-1) times the row.  Each row and flow
-    is the symbolic one under `DiffPoly.evaluate(initial_jet)`, the tests'
-    reference; `residue` and `flow` are the inherited reads.  `power` is
-    not: an operator holds DiffPoly coefficients.
-    """
-
-    def _wrap(self, acc: dict) -> ParamPoly:
-        return _wrap_param("d", acc)
-
-    def _lead(self, t: int) -> ParamPoly:
-        return initial_jet(t - 1, 0) if 1 < t <= self.r else self._wrap({})
-
-    def _new_jet(self, a: int, j: int) -> ParamPoly:
-        return initial_jet(a, j)
-
-    def _row_deriv(self, k: int, t: int, j: int) -> ParamPoly:
-        chain = self._row_derivs.setdefault((k, t), [self._rows[k][t]])
-        while len(chain) <= j:
-            chain.append(chain[-1] * (t + len(chain) - 1))
-        return chain[j]
-
-
 @cache
 def hierarchy(r: int) -> Hierarchy:
     """The process-wide Hierarchy of order r."""
@@ -172,13 +171,12 @@ def initial_values(r: int) -> InitialValues:
     return InitialValues(r)
 
 
-def lax(r: int) -> LaxOperator:
-    return hierarchy(r).L
+lax = hierarchy  # the symbolic table is the Lax operator's power table
 
 
 def gd_flow(r: int, i: int) -> dict[int, DiffPoly]:
     """Components a -> X_a^i of the i-th flow of the order-r hierarchy."""
-    return hierarchy(r).L.flow(i)
+    return hierarchy(r).flow(i)
 
 
 def omega(r: int, i: int, j: int) -> DiffPoly:

@@ -17,10 +17,10 @@ which terminates for n >= 0 and produces an infinite tail for n < 0, hence
 the floor bookkeeping.
 
 `LaxOperator` owns the time-index rule (`check_index`) and the power table
-its flows and residues are read from, in any ring with those kernels (its
-`_wrap` hook: DiffPoly here, ParamPoly values in `hierarchy.InitialValues`);
-`compose`, `frac_power`, `residue` and `LaxOperator.power` build whole
-operators, which no command does.
+its flows and residues are read from, in any ring with those kernels
+(DiffPoly in `hierarchy.Hierarchy`, values in `hierarchy.InitialValues`);
+neither table holds an operator.  Only `lax_operator`, `compose`,
+`frac_power` and `residue` build whole operators, which no command does.
 """
 
 from __future__ import annotations
@@ -235,6 +235,11 @@ def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
 # --------------------------------------------------------------------------
 
 
+def lax_operator(r: int) -> PsiDO:
+    """L = D^r + v1 D^(r-2) + ... + v(r-1) as a whole operator."""
+    return PsiDO({r: 1} | {r - 1 - a: DiffPoly.jet(a, 0) for a in range(1, r)})
+
+
 def check_index(r: int, i: int) -> None:
     """Refuse i unless t_i is a time of the order-r hierarchy: i >= 1 and r
     does not divide i.  The index is checked first, so a bad index is named
@@ -269,7 +274,7 @@ def _row_plan(m: int, t: int, top: int) -> tuple[tuple[int, tuple[tuple[int, int
 
 
 class LaxOperator:
-    """D^r + v1 D^(r-2) + ... + v(r-1), with a lazily filled power table.
+    """The power table of L = D^r + v1 D^(r-2) + ... + v(r-1), filled lazily.
 
     Row t of R^k (R = L^(1/r)) is its coefficient at D^(k-t), each built
     once.  For k <= r rows come from R^k = R^(k-1) R: row t of R^1 is the
@@ -281,20 +286,17 @@ class LaxOperator:
     `check_index`.
 
     The ring enters only through `_wrap` (a ring element around a kernel
-    accumulator), `_lead` (L's coefficient at D^(r-t)), `_new_jet` (v_a^(j),
-    memoised by `_jet`) and `_row_deriv` (the x-derivatives of a row, u_n^(j)
-    among them); a subclass that overrides the four runs the same table and
-    flows on values (`hierarchy.InitialValues`).
+    accumulator), `_new_jet` (v_a^(j), memoised by `_jet`, which is also
+    where the root reads L: its coefficient at D^(r-t) is v_(t-1)) and
+    `_row_deriv` (the x-derivatives of a row, u_n^(j) among them).  No
+    operator is built; a subclass that overrides the three runs the same
+    table and flows on values (`hierarchy.InitialValues`).
     """
 
     def __init__(self, r: int):
         if r < 2:
             raise ValueError("the operator order r must be >= 2")
         self.r = r
-        coeffs: dict[int, DiffPoly | int] = {r: 1}
-        for a in range(1, r):
-            coeffs[r - 1 - a] = DiffPoly.jet(a, 0)
-        self.op = PsiDO(coeffs)
         one = self._wrap({1: {0: 1}})
         self._rows: dict[int, list[DiffPoly]] = {k: [one] for k in range(1, r + 1)}
         self._row_derivs: dict[tuple[int, int], list[DiffPoly]] = {}  # (k, t) -> [row, row', ...]
@@ -303,9 +305,6 @@ class LaxOperator:
 
     def _wrap(self, acc: dict) -> DiffPoly:
         return _wrap_diff(acc)
-
-    def _lead(self, t: int) -> DiffPoly:
-        return self.op.coeff(self.r - t)
 
     def _new_jet(self, a: int, j: int) -> DiffPoly:
         return DiffPoly.jet(a, j)
@@ -342,9 +341,8 @@ class LaxOperator:
             for k in range(2, self.r + 1):
                 partial.append(self._row(partial[-1], self._rows[k - 1], _row_plan(k - 1, t, t - 2),
                                          lambda n, j: self._row_deriv(1, n + 1, j)))
-            u = (self._lead(t) - partial[-1]) * Fraction(1, self.r)
-            if t == 1 and not u.is_zero():
-                raise InvariantViolated("missing subleading term forces a zero root coefficient")
+            lead = self._jet(t - 1, 0) if 1 < t <= self.r else self._wrap({})
+            u = (lead - partial[-1]) * Fraction(1, self.r)
             for k, p in enumerate(partial, start=1):
                 self._rows[k].append(p + u * k)
 
@@ -399,29 +397,24 @@ class LaxOperator:
         self._fill(i, i + 1)
         return self._rows[i][i + 1]
 
-    def power(self, k: int, floor: int) -> PsiDO:
-        """R^k exact at every power >= floor (needs the root down to floor-k+1)."""
-        if k < 1:
-            raise ValueError("the power index must be >= 1")
-        if floor - k + 1 > -1:
-            raise InsufficientDepth("the root is only defined down to floor <= -1")
-        depth = k - floor
-        self._fill(k, depth)
-        return PsiDO({k - t: self._rows[k][t] for t in range(depth + 1)}, floor)
-
 
 def rth_root(L: LaxOperator, floor: int) -> PsiDO:
     """The unique root D + u1 D^-1 + u2 D^-2 + ... of L, down to `floor`."""
-    return L.power(1, floor)
+    return frac_power(L, 1, floor)
 
 
 def frac_power(L: LaxOperator, i: int, floor: Optional[int] = None) -> PsiDO:
     """(r-th root of L)^i.  Integer powers of L come back exact; genuinely
-    fractional ones are truncated at `floor`."""
+    fractional ones are read off L's power table, truncated at `floor` (which
+    needs the root down to floor - i + 1)."""
     if i < 1:
         raise ValueError("the power index must be >= 1")
-    if i % L.r == 0:
-        return reduce(compose, [L.op] * (i // L.r))  # differential x differential: exact
+    if i % L.r == 0:  # differential x differential: exact
+        return reduce(compose, [lax_operator(L.r)] * (i // L.r))
     if floor is None:
         raise InsufficientDepth("fractional powers have an infinite tail; give a floor")
-    return L.power(i, floor)
+    if floor - i + 1 > -1:
+        raise InsufficientDepth("the root is only defined down to floor <= -1")
+    depth = i - floor
+    L._fill(i, depth)
+    return PsiDO({i - t: L._rows[i][t] for t in range(depth + 1)}, floor)

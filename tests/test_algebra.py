@@ -410,15 +410,15 @@ def test_sums_never_mutate_shared_objects(monkeypatch):
 
     def snapshot():
         return {
-            "flows": {i: {a: str(p) for a, p in f.items()} for i, f in H.L._flows.items()},
+            "flows": {i: {a: str(p) for a, p in f.items()} for i, f in H._flows.items()},
             "flow_derivs": {key: [str(p) for p in chain] for key, chain in H._flow_derivs.items()},
             "densities": {I: str(p) for I, p in H._densities.items()},
-            "rows": {k: [str(p) for p in row] for k, row in H.L._rows.items()},
-            "derivs": {n: [str(p) for p in chain] for n, chain in H.L._row_derivs.items()},
+            "rows": {k: [str(p) for p in row] for k, row in H._rows.items()},
+            "derivs": {n: [str(p) for p in chain] for n, chain in H._row_derivs.items()},
         }
 
     connected_correlators_pde(4, 8)
-    H.L.flow(5)  # reads the lifted rows of R^5, which weight 8 does not build
+    H.flow(5)  # reads the lifted rows of R^5, which weight 8 does not build
     before = snapshot()
     connected_correlators_pde(4, 10)
     after = snapshot()

@@ -142,7 +142,7 @@ def test_one_pass_evaluation_matches_the_reference(r):
         if j % r == 0:
             continue
         assert sorted(V.flow(j)) == list(range(1, r))
-        for a, X in H.L.flow(j).items():
+        for a, X in H.flow(j).items():
             assert V.flow(j)[a] == X.evaluate(initial_jet), (j, a)
 
 
@@ -171,17 +171,17 @@ def test_omega_is_the_antiderivative_of_the_pair_density():
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_t_derivative_value_matches_the_reference(r):
     # the chain rule on values against the built t-derivative, evaluated
-    H = hierarchy(r)
+    H, V = hierarchy(r), initial_values(r)
     polys = [H.density(I) for I in index_multisets(r, 8) if 1 not in I]
     polys.append(H.density((1,)) * Fraction(3, 2) + v(1, 2))  # not homogeneous
     flows = [j for j in range(1, 8) if j % r]
     for p in polys:
         for j in flows:
             want = H.t_derivative(p, j).evaluate(initial_jet)
-            assert H.t_derivative_value(p, j) == want, (str(p), j)
+            assert V.t_derivative_value(p, j) == want, (str(p), j)
     for const in (DiffPoly.const(5), DiffPoly.const(Fraction(-2, 7)), DiffPoly.zero()):
         for j in flows:
-            assert H.t_derivative_value(const, j).is_zero()
+            assert V.t_derivative_value(const, j).is_zero()
 
 
 def test_t_derivative_value_evaluates_each_flow_component_once(monkeypatch):
@@ -200,18 +200,18 @@ def test_t_derivative_value_evaluates_each_flow_component_once(monkeypatch):
     initial_values.cache_clear()
     initial_values(4)._flows = Memo()
     assert connected_correlators_pde(4, 12).values == conn_table(4, 12).values
-    assert sorted(H.L._flows) == [2, 3, 5]
+    assert sorted(H._flows) == [2, 3, 5]
     assert sorted(computed) == [2, 3, 5, 6, 7, 9, 10]  # each value flow once
 
 
 def test_t_derivative_value_guards_jets_like_evaluate():
     # a jet v_a with a >= r has no value at the initial point; a bad flow
     # index is refused by the one index rule (test_bgw)
-    H = hierarchy(3)
+    V = initial_values(3)
     for a in (3, 4):
         for j in (1, 2, 4):
             with pytest.raises(ValueError, match=f"^no variable v{a} for r=3$"):
-                H.t_derivative_value(v(1) * v(a, 1), j)
+                V.t_derivative_value(v(1) * v(a, 1), j)
 
 
 # -- the power table at the initial point -------------------------------------------
@@ -236,10 +236,10 @@ def test_value_table_equals_the_evaluated_symbolic_table(r):
     for k in range(1, 2 * r + 2):
         if k % r == 0:
             continue
-        H.L._fill(k, k + 1)
+        H._fill(k, k + 1)
         V._fill(k, k + 1)
         for t in range(k + 2):  # row t is the coefficient at D^(k-t)
             val = V._rows[k][t]
             assert isinstance(val, ParamPoly), (k, t)
-            assert val == H.L._rows[k][t].evaluate(initial_jet), (k, t)
+            assert val == H._rows[k][t].evaluate(initial_jet), (k, t)
         assert V.residue(k) == H.density((k,)).evaluate(initial_jet), k

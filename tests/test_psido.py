@@ -16,12 +16,13 @@ from gdtau import (
     compose,
     frac_power,
     grading,
+    lax_operator,
     minus_part,
     plus_part,
     residue,
     rth_root,
 )
-from gdtau.errors import InsufficientDepth, InvariantViolated
+from gdtau.errors import InsufficientDepth
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,7 +78,7 @@ def test_root_squares_back_to_the_operator():
     R = rth_root(L, -7)
     sq = compose(R, R, -6)
     for e in range(-6, 3):
-        assert sq.coeff(e) == L.op.coeff(e), f"power {e}"
+        assert sq.coeff(e) == lax_operator(2).coeff(e), f"power {e}"
 
 
 def test_square_root_leading_coefficient():
@@ -115,7 +116,7 @@ def test_power_index_must_be_positive():
     L = LaxOperator(3)
     for k, floor in ((-1, -5), (0, -2)):
         with pytest.raises(ValueError, match="the power index must be >= 1"):
-            L.power(k, floor)
+            frac_power(L, k, floor)
     with pytest.raises(ValueError, match="the power index must be >= 1"):
         frac_power(L, 0, -1)
 
@@ -135,7 +136,7 @@ def test_integer_power_is_differential():
     L = LaxOperator(3)
     P = frac_power(L, 3)
     assert P.floor is None
-    assert P == L.op
+    assert P == lax_operator(3)
     P6 = frac_power(L, 6)
     assert min(P6.coeffs) >= 0
     assert residue(P6).is_zero()
@@ -208,8 +209,8 @@ def test_power_table_matches_repeated_composition(r, deepest, deepest_lifted):
         chain[m] = compose(chain[m - 1], R, root_floor + m - 1)
     L = LaxOperator(r)
     for m in range(1, r):
-        lifted = compose(L.op, chain[m], deepest_lifted)
-        assert compose(chain[m], L.op, deepest_lifted) == lifted, m
+        lifted = compose(lax_operator(r), chain[m], deepest_lifted)
+        assert compose(chain[m], lax_operator(r), deepest_lifted) == lifted, m
         for floor in range(-1, deepest - 1, -1):
             assert frac_power(L, m, floor) == chain[m].trim(floor), (m, floor)
         for floor in range(-1, deepest_lifted - 1, -1):
@@ -231,13 +232,6 @@ def test_request_order_does_not_matter(r):
     assert rth_root(deep, -3) == rth_root(shallow, -3)
 
 
-def test_subleading_term_violates_root_invariant():
-    L = LaxOperator(3)
-    L.op = L.op + PsiDO({2: v(1)})  # D^3 + v1 D^2 + ... has no such root
-    with pytest.raises(InvariantViolated):
-        rth_root(L, -1)
-
-
 # -- parts, residue, commutator ----------------------------------------------------
 
 
@@ -250,7 +244,7 @@ def test_plus_minus_split():
 
 
 def test_minus_part_of_differential_operator_is_zero():
-    assert minus_part(LaxOperator(4).op).is_zero()
+    assert minus_part(lax_operator(4)).is_zero()
 
 
 def test_residue_below_floor_raises():
@@ -264,14 +258,14 @@ def test_commutator_d_with_function():
 
 
 def test_commutator_with_itself_vanishes():
-    L = LaxOperator(2).op
+    L = lax_operator(2)
     assert commutator(L, L).is_zero()
 
 
 def test_kdv_flow_commutator():
     L = LaxOperator(2)
     P = plus_part(frac_power(L, 3, -1))
-    C = commutator(P, L.op)
+    C = commutator(P, lax_operator(2))
     want = v(1, 3) * Fraction(1, 4) + v(1) * v(1, 1) * Fraction(3, 2)
     assert C.coeffs == {0: want}
 
@@ -280,7 +274,7 @@ def test_flow_commutator_stays_differential():
     # [ (L^{i/r})_+, L ] must live between D^0 and D^(r-2)
     for r, i in ((2, 5), (3, 4), (4, 3)):
         L = LaxOperator(r)
-        C = commutator(plus_part(frac_power(L, i, -1)), L.op)
+        C = commutator(plus_part(frac_power(L, i, -1)), lax_operator(r))
         assert max(C.coeffs) <= r - 2
         assert min(C.coeffs) >= 0
 
@@ -296,7 +290,7 @@ def test_flows_and_residues_match_the_composed_commutator(r):
         if i % r == 0:
             continue
         R = frac_power(ref, i, -1)
-        C = commutator(plus_part(R), ref.op)
+        C = commutator(plus_part(R), lax_operator(r))
         assert max(C.coeffs) <= r - 2 and min(C.coeffs) >= 0, i
         assert L.flow(i) == {a: C.coeff(r - 1 - a) for a in range(1, r)}, i
         assert L.residue(i) == residue(R), i
@@ -322,12 +316,12 @@ def test_dump_descending_powers():
 
 
 def test_lax_operator_layout():
-    L = LaxOperator(4)
-    assert L.op.coeff(4) == 1
-    assert L.op.coeff(3).is_zero()
-    assert L.op.coeff(2) == v(1)
-    assert L.op.coeff(1) == v(2)
-    assert L.op.coeff(0) == v(3)
+    L = lax_operator(4)
+    assert L.coeff(4) == 1
+    assert L.coeff(3).is_zero()
+    assert L.coeff(2) == v(1)
+    assert L.coeff(1) == v(2)
+    assert L.coeff(0) == v(3)
     with pytest.raises(ValueError):
         LaxOperator(1)
 
@@ -337,23 +331,26 @@ def test_lax_operator_layout():
 
 def test_commands_never_reach_the_operator_calculus():
     # in a fresh interpreter (no table or constant memoised yet), with every
-    # whole-operator builder and the DiffPoly.terms view refusing to run, the
-    # density route, the constants, the stabilized values and the constraint
-    # checks still succeed: they read flows and residues off the power table
-    # alone, and the kernels read the packed fields
+    # whole-operator builder, PsiDO itself and the DiffPoly.terms view
+    # refusing to run, one command of each family still succeeds: the density
+    # route (connected and disconnected), the c tables, the sigma alphabet,
+    # the constraint checks, the constants and the stabilized values read
+    # flows and residues off the power tables alone, and the kernels read the
+    # packed fields.  Neither table holds an operator or builds one
     code = """if True:
-        import sys
+        import contextlib, io, sys
         sys.path.insert(0, sys.argv[1])
         from gdtau import algebra, psido
 
         def refuse(*args, **kwargs):
             raise AssertionError("the operator calculus was reached")
 
-        for name in ("compose", "frac_power", "residue"):
+        for name in ("compose", "frac_power", "residue", "lax_operator"):
             setattr(psido, name, refuse)
-        psido.LaxOperator.power = refuse
+        psido.PsiDO.__init__ = refuse
         algebra.DiffPoly.terms = property(refuse)
         for bite in (lambda: psido.rth_root(psido.LaxOperator(2), -1),
+                     lambda: psido.PsiDO.d(),
                      lambda: algebra.DiffPoly.jet(1).terms):
             try:
                 bite()
@@ -364,10 +361,25 @@ def test_commands_never_reach_the_operator_calculus():
 
         from gdtau import (c_from_d, connected_correlators_pde, stabilized_correlators,
                            verify_constraints)
+        from gdtau.cli import main
+        from gdtau.hierarchy import hierarchy, initial_values
         connected_correlators_pde(4, 10)
         c_from_d(6)
         stabilized_correlators((2, 3))
         assert verify_constraints(4, 8).ok
+        commands = ["correlators --r 4 --weight 10 --alphabet d",
+                    "correlators --r 3 --weight 8 --alphabet d --disconnected",
+                    "correlators --r 3 --weight 10 --disconnected",
+                    "correlators --r 4 --weight 10",
+                    "correlators --r 3 --weight 8 --alphabet sigma",
+                    "verify --r 4 --weight 8",
+                    "constants --r 6",
+                    "stabilized --indices 2,2,3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = {command: main(command.split()) for command in commands}
+        assert codes == dict.fromkeys(commands, 0), codes
+        for table in (hierarchy(4), initial_values(4)):
+            assert not hasattr(table, "op") and not hasattr(table, "power")
         print("ok")
     """
     out = subprocess.run([sys.executable, "-c", code, str(SRC)],

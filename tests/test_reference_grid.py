@@ -3,7 +3,7 @@
 Each command runs through ``cli.main`` in-process; its exit code and the
 sha256 of its stdout must equal the digests recorded here.  The grid covers
 the density route in ``d`` from r = 2 to 8, tables in ``c`` and ``sigma``, a
-disconnected table, the stabilized values, constraint checks, the constant
+disconnected table in c and one in d, the stabilized values, constraint checks, the constant
 dictionaries, and every output format.  A change that alters
 any printed byte fails here; if the new output is intended, record the new
 digests together with the reason.
@@ -64,6 +64,14 @@ GRID = {
         "7d5e08a2327899118c54e187c507d467b92e55748190449040adff6d57df9134",
     "stabilized --indices 3,5 --format latex":
         "91be6e14f303035e03fb35531fe2a148fc760a4379b45ce61740c443824d2475",
+    "correlators --r 4 --weight 10 --alphabet d --disconnected":
+        "c84eba48f5e3840a2af223186b353c7091086f7d9558e806bf0c0fd99f2a3089",
+    "stabilized --indices 1,7 --format json":
+        "48482faab22006665e86ff5c1dcc82919515cae2d65252734c18908d229db12c",
+    "constants --r 12":
+        "931bc353d01133a48920ae063f85d2f522792e06b931f968e8f90f61439d9c8b",
+    "verify --r 8 --weight 10":
+        "a7f490f043bf6023ddbf82042faef518639a425fce11b3e9573f7422492c2a79",
 }
 
 
