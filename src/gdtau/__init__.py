@@ -32,9 +32,8 @@ from .errors import (
     NotStable,
     WeightExceeded,
 )
-from .hierarchy import Hierarchy, gd_flow, hierarchy, lax, omega
+from .hierarchy import Hierarchy, LaxOperator, gd_flow, hierarchy, lax, omega
 from .psido import (
-    LaxOperator,
     PsiDO,
     commutator,
     compose,

@@ -20,7 +20,7 @@ Keys are multisets of time indices >= 1; t_i has weight i.  Series and
 tables are listed in one entry order, by weight and then by index tuple.
 
 A correlator's insertions obey the one index rule of the hierarchy
-(`psido.check_index`: i >= 1, r not dividing i), whether it is computed
+(`hierarchy.check_index`: i >= 1, r not dividing i), whether it is computed
 (`pde_correlator`), stored in a table or looked up.  Tables start at weight 1:
 the weight-1 table holds <tau_1> = d_1 / r alone.
 
@@ -50,8 +50,7 @@ from typing import Iterable, Mapping, Optional, Union
 from .algebra import (ParamPoly, _add_coef, _add_coef_product, _add_param_product, _add_terms,
                       _coef_over, _wrap_coefs, _wrap_param)
 from .errors import WeightExceeded
-from .hierarchy import hierarchy, initial_values
-from .psido import check_index
+from .hierarchy import check_index, hierarchy, initial_values
 
 Rat = Union[int, Fraction]
 Index = tuple[int, ...]

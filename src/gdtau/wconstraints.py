@@ -335,20 +335,23 @@ def _triangular_inverse(images: Mapping[int, ParamPoly], leads: Mapping[int, Fra
     return out
 
 
-def solve_sigma_from_c(r: int) -> dict[int, ParamPoly]:
+def solve_sigma_from_c(r: int, top: Optional[int] = None) -> dict[int, ParamPoly]:
     """sigma_alpha, the diagonal eigenvalue of the reduced operator of
     order alpha, as a polynomial in the one-point constants c (table
-    normalization), solved triangularly from <tau_alpha> = c_alpha."""
-    singles = _solve_entries(r, [(a,) for a in range(1, r)])
-    return _triangular_inverse({a: singles[(a,)] for a in range(1, r)},
+    normalization), solved triangularly from <tau_alpha> = c_alpha, for
+    alpha = 1..top (1..r-1 by default).  sigma_alpha reads only the
+    one-point entries of weight <= alpha, so a bound drops no term."""
+    alphas = range(1, r if top is None else top + 1)
+    singles = _solve_entries(r, [(a,) for a in alphas])
+    return _triangular_inverse({a: singles[(a,)] for a in alphas},
                                {a: Fraction(1) for a in range(1, r)}, "c",
                                "one-point value is not triangular in sigma")
 
 
-def c_from_d(r: int) -> dict[int, ParamPoly]:
+def c_from_d(r: int, top: Optional[int] = None) -> dict[int, ParamPoly]:
     """Scaled one-point constants from the jet parameters:
     c_alpha (residue normalization) = res L^(alpha/r) at the initial jets,
-    i.e. row alpha + 1 of R^alpha, for alpha = 1..r-1.
+    i.e. row alpha + 1 of R^alpha, for alpha = 1..top (1..r-1 by default).
 
     Read off the value table (`hierarchy.initial_values`, memoised per r):
     `LaxOperator`'s own recurrence run on values at the initial point, with
@@ -356,7 +359,7 @@ def c_from_d(r: int) -> dict[int, ParamPoly]:
     leading term alpha/r d_alpha (what `d_from_c` inverts).
     """
     table = initial_values(r)
-    return {alpha: table.residue(alpha) for alpha in range(1, r)}
+    return {alpha: table.residue(alpha) for alpha in range(1, r if top is None else top + 1)}
 
 
 def d_from_c(r: int) -> dict[int, ParamPoly]:
@@ -365,10 +368,10 @@ def d_from_c(r: int) -> dict[int, ParamPoly]:
                                "residue constant is not triangular in d")
 
 
-def _ctab_in_d(r: int) -> dict[int, ParamPoly]:
+def _ctab_in_d(r: int, top: Optional[int] = None) -> dict[int, ParamPoly]:
     """Table-normalized one-point constants in the jets: c_alpha / alpha,
-    leading term d_alpha / r."""
-    return {b: p / b for b, p in c_from_d(r).items()}
+    leading term d_alpha / r, for alpha = 1..top (1..r-1 by default)."""
+    return {b: p / b for b, p in c_from_d(r, top).items()}
 
 
 def d_of_ctab(r: int) -> dict[int, ParamPoly]:
@@ -378,13 +381,13 @@ def d_of_ctab(r: int) -> dict[int, ParamPoly]:
 
 
 @cache
-def rho_in_d(r: int) -> dict[int, ParamPoly]:
+def rho_in_d(r: int, top: Optional[int] = None) -> dict[int, ParamPoly]:
     """The diagonal eigenvalues rho_alpha of the reduced operators in the
-    jets: sigma(c) composed with the table-normalized c(d).  Both come from
-    the initial point alone, so no value is fitted on the series a check
-    reads.  Memoised per r."""
-    tab_in_d = _ctab_in_d(r)
-    return {a: p.substitute(tab_in_d, "d") for a, p in solve_sigma_from_c(r).items()}
+    jets, for alpha = 1..top (1..r-1 by default): sigma(c) composed with the
+    table-normalized c(d).  Both come from the initial point alone, so no
+    value is fitted on the series a check reads.  Memoised per (r, top)."""
+    tab_in_d = _ctab_in_d(r, top)
+    return {a: p.substitute(tab_in_d, "d") for a, p in solve_sigma_from_c(r, top).items()}
 
 
 class ConstantsDictionary(NamedTuple):
@@ -469,7 +472,7 @@ def verify_constraints(r: int, max_weight: int, qextra: int = 2,
         tau = tau_exp(series_from_correlators(conn))
     if tau.alphabet != "d":
         raise ValueError("verification expects a tau series over the d alphabet")
-    rho = rho_in_d(r)
+    rho = rho_in_d(r, min(r - 1, max_weight))  # only alpha <= max_weight has a window
     lines: list[str] = []
     all_ok = True
 

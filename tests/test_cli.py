@@ -454,8 +454,8 @@ def test_verify_fails_on_a_bumped_eigenvalue(capsys, monkeypatch, r):
     real = wconstraints.rho_in_d
     d1 = ParamPoly.var("d", 1)
     for alpha in range(1, r):
-        monkeypatch.setattr(wconstraints, "rho_in_d",
-                            lambda r, a=alpha: {**real(r), a: real(r)[a] + d1})
+        monkeypatch.setattr(wconstraints, "rho_in_d", lambda r, top=None, a=alpha:
+                            {**real(r, top), a: real(r, top)[a] + d1})
         code, out, _ = run(capsys, "verify", "--r", str(r), "--weight", "8")
         assert code == 1, alpha
         assert [line.split(" window=")[0] for line in out.splitlines()

@@ -20,8 +20,8 @@ from gdtau import (
     omega,
 )
 from gdtau.errors import IndexDivisible
-from gdtau.hierarchy import InitialValues, initial_jet, initial_values
-from gdtau.psido import LaxOperator, frac_power, residue
+from gdtau.hierarchy import InitialValues, LaxOperator, initial_jet, initial_values
+from gdtau.psido import frac_power, residue
 
 
 def v(a, k=0):

@@ -1,5 +1,6 @@
 """Operator calculus: composition, roots, fractional powers, residues."""
 
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -340,7 +341,7 @@ def test_commands_never_reach_the_operator_calculus():
     code = """if True:
         import contextlib, io, sys
         sys.path.insert(0, sys.argv[1])
-        from gdtau import algebra, psido
+        from gdtau import LaxOperator, algebra, psido
 
         def refuse(*args, **kwargs):
             raise AssertionError("the operator calculus was reached")
@@ -349,7 +350,7 @@ def test_commands_never_reach_the_operator_calculus():
             setattr(psido, name, refuse)
         psido.PsiDO.__init__ = refuse
         algebra.DiffPoly.terms = property(refuse)
-        for bite in (lambda: psido.rth_root(psido.LaxOperator(2), -1),
+        for bite in (lambda: psido.rth_root(LaxOperator(2), -1),
                      lambda: psido.PsiDO.d(),
                      lambda: algebra.DiffPoly.jet(1).terms):
             try:
@@ -385,3 +386,32 @@ def test_commands_never_reach_the_operator_calculus():
     out = subprocess.run([sys.executable, "-c", code, str(SRC)],
                          capture_output=True, text=True, timeout=300)
     assert (out.returncode, out.stdout.strip()) == (0, "ok"), out.stderr
+
+
+def test_only_the_package_root_imports_the_calculus():
+    # the power table and the index rule live beside the two rings that
+    # subclass the table, so no engine module but the package root (which
+    # exports the calculus) imports psido, and psido defines none of them
+    def top_level(path):
+        return ast.parse((SRC / "gdtau" / path).read_text(), filename=path)
+
+    def imported(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.module or ""
+                yield from (alias.name for alias in node.names)
+
+    def defined(tree):
+        return {node.name for node in tree.body
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+    modules = sorted(path.name for path in (SRC / "gdtau").glob("*.py"))
+    assert "psido.py" in modules
+    importers = [path for path in modules
+                 if any("psido" in name.split(".") for name in imported(top_level(path)))]
+    assert importers == ["__init__.py"]
+    table = {"LaxOperator", "_row_plan", "check_index"}
+    assert table <= defined(top_level("hierarchy.py"))
+    assert not table & defined(top_level("psido.py"))

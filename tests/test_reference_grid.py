@@ -72,6 +72,8 @@ GRID = {
         "931bc353d01133a48920ae063f85d2f522792e06b931f968e8f90f61439d9c8b",
     "verify --r 8 --weight 10":
         "a7f490f043bf6023ddbf82042faef518639a425fce11b3e9573f7422492c2a79",
+    "verify --r 24 --weight 4":
+        "f0d3cad3889033e6f461d26326d2b632262ae00daff4758805e6c6def3aeaac8",
 }
 
 

@@ -501,6 +501,41 @@ def test_table_in_c_rejects_unknown_path():
         table_in_c(3, 4, "magic")
 
 
+# -- the adjoint reflection --------------------------------------------------
+#
+# iota, the linear involution of the d alphabet that reflects the indicial
+# polynomial P(lam) -> (-1)^r P(r-1-lam) of L at the initial point (its
+# roots mu -> -mu about (r-1)/2), sends <t_I> to (-1)^(|I|+len(I)) <t_I> and
+# c_alpha to (-1)^(alpha+1) c_alpha.  Neither rule is an input of either
+# route, so both check the power table, the flows and the weight recursion.
+
+
+@pytest.mark.parametrize("r,weight", [(2, 12), (3, 12), (4, 10), (5, 9), (6, 9)])
+@pytest.mark.parametrize("path", ["pde", "recursion"])
+@pytest.mark.parametrize("kind", ["connected", "disconnected"])
+def test_c_tables_keep_the_reflection_parity(r, weight, path, kind):
+    # c_alpha weighs alpha + 1 mod 2 under iota, so every monomial
+    # prod c_a^e_a of <t_I> has sum (a + 1) e_a = |I| + len(I) mod 2
+    table = table_in_c(r, weight, path, kind)
+    assert table.values
+    for I, value in table.values.items():
+        parities = {sum(a * e for a, e in enumerate(exps, start=2)) % 2 for exps in value.terms}
+        assert parities <= {(sum(I) + len(I)) % 2}, (I, str(value))
+
+
+@pytest.mark.parametrize("r,weight,iota", [
+    (3, 14, {1: d(1), 2: d(1) * 2 - d(2)}),
+    (4, 12, {1: d(1), 2: d(1) * 4 - d(2), 3: d(3) - d(2) * 3 + d(1) * 6}),
+])
+def test_density_tables_change_sign_under_the_reflection(r, weight, iota):
+    table = connected_correlators_pde(r, weight)
+    assert table.values
+    for I, value in table.values.items():
+        assert value.substitute(iota, "d") == value * (-1) ** (sum(I) + len(I)), I
+    for alpha, c in c_from_d(r).items():
+        assert c.substitute(iota, "d") == c * (-1) ** (alpha + 1), alpha
+
+
 # -- the verification sweep --------------------------------------------------
 
 
@@ -550,22 +585,34 @@ def test_verification_builds_each_raw_image_once(monkeypatch):
 
 
 def test_verification_solves_the_one_point_closure_once(monkeypatch):
-    # rho_in_d is memoised per r, so the diagonal checks of every alpha
-    # share one solve of sigma(c)
+    # rho_in_d is memoised per (r, top), so the diagonal checks of every
+    # alpha share one solve of sigma(c), bounded by the last alpha with a
+    # window (alpha <= weight)
     calls = []
     real = wconstraints.solve_sigma_from_c
 
-    def counting(r):
-        calls.append(r)
-        return real(r)
+    def counting(r, top=None):
+        calls.append((r, top))
+        return real(r, top)
 
     monkeypatch.setattr(wconstraints, "solve_sigma_from_c", counting)
     wconstraints.rho_in_d.cache_clear()
     try:
         assert verify_constraints(8, 8).ok
+        assert verify_constraints(12, 3).ok
     finally:
         wconstraints.rho_in_d.cache_clear()
-    assert calls == [8]
+    assert calls == [(8, 7), (12, 3)]
+
+
+@pytest.mark.parametrize("r", [3, 5, 8])
+def test_bounded_constants_are_the_leading_whole_ones(r):
+    # c_alpha(d), sigma_alpha(c) and rho_alpha(d) read nothing above alpha,
+    # so a bound only drops the higher alphas
+    for build in (c_from_d, solve_sigma_from_c, rho_in_d):
+        whole = build(r)
+        for top in range(r):
+            assert build(r, top) == {a: whole[a] for a in range(1, top + 1)}, (build, top)
 
 
 def test_verification_rejects_wrong_alphabet():
