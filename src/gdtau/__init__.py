@@ -1,13 +1,10 @@
 """Exact engine for the order-r reduced hierarchy at its distinguished
-initial point: operator calculus, correlator tables, constraint checks."""
+initial point: the Lax operator's power table and flows, correlator tables,
+constant dictionaries, constraint checks and the large-r limit.  `PsiDO`,
+`frac_power` and `rth_root` read whole operators off the power table for the
+benchmark's stages; no command builds one."""
 
-from .algebra import (
-    DiffPoly,
-    ParamPoly,
-    diff_x,
-    grading,
-    integrate_x,
-)
+from .algebra import DiffPoly, ParamPoly, diff_x, grading
 from .bgw import (
     CorrelatorTable,
     TauSeries,
@@ -27,23 +24,12 @@ from .errors import (
     IndexDivisible,
     InsufficientDepth,
     InvariantViolated,
-    NotExact,
     NotHomogeneous,
     NotStable,
     WeightExceeded,
 )
-from .hierarchy import Hierarchy, LaxOperator, gd_flow, hierarchy, lax, omega
-from .psido import (
-    PsiDO,
-    commutator,
-    compose,
-    frac_power,
-    lax_operator,
-    minus_part,
-    plus_part,
-    residue,
-    rth_root,
-)
+from .hierarchy import Hierarchy, LaxOperator, gd_flow, hierarchy, lax
+from .psido import PsiDO, frac_power, rth_root
 from .wconstraints import (
     ConstantsDictionary,
     VerificationReport,

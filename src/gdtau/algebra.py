@@ -32,11 +32,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, reduce
-from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import AlphabetMismatch, InvariantViolated, NotExact, NotHomogeneous
+from .errors import AlphabetMismatch, InvariantViolated, NotHomogeneous
 
 Rat = Union[int, Fraction]
 
@@ -704,68 +703,6 @@ def nth_diff_x(chain: list[DiffPoly], k: int) -> DiffPoly:
     while len(chain) <= k:
         chain.append(diff_x(chain[-1]))
     return chain[k]
-
-
-def _peel_key(key: int) -> tuple:
-    """Heap key of the exactness peeling, smallest first for the largest
-    monomial.  Monomials are ordered by their descending jet sequence, jets
-    compared by (derivative order, variable index); the key negates each
-    jet and ends with (1,), which beats every negated jet, so that a proper
-    prefix (a smaller monomial) gets the larger key."""
-    seq: list[tuple[int, int]] = []
-    for i, e in _fields(key):
-        a, k = _field_jet(i)
-        seq.extend([(-k, -a)] * e)
-    seq.sort()
-    seq.append((1,))
-    return tuple(seq)
-
-
-def integrate_x(p: DiffPoly) -> DiffPoly:
-    """Inverse of :func:`diff_x` on its image; raises NotExact otherwise.
-
-    Works by repeatedly peeling the largest monomial: if the input is a total
-    derivative, that monomial's highest jet has order k >= 1, appears to the
-    first power, is the only jet of its order, and no jet of order k-1 has a
-    larger variable index.  Any violation certifies non-exactness.  The
-    remainder's monomials wait in a heap, each keyed once when it enters.
-    """
-    rem = {key: Fraction(c, p._den) for key, c in p._num.items()}
-    heap = [(_peel_key(key), key) for key in rem]
-    heapify(heap)
-    out: dict = {}
-    while rem:
-        key = heappop(heap)[1]
-        coef = rem.pop(key, None)
-        if coef is None:
-            continue  # cancelled after it was queued
-        if not key:
-            raise NotExact("nonzero constant term cannot be integrated")
-        d = {_field_jet(i): e for i, e in _fields(key)}
-        (k, a) = max((k, a) for (a, k) in d)
-        if k == 0:
-            raise NotExact(f"monomial {DiffPoly({_jet_mono(key): 1})} is not a total derivative")
-        if d[(a, k)] != 1:
-            raise NotExact("highest jet occurs with exponent > 1")
-        if any(kk == k and aa != a for (aa, kk) in d):
-            raise NotExact("two distinct jets share the highest derivative order")
-        if any(kk == k - 1 and aa > a for (aa, kk) in d):
-            raise NotExact("order/index pattern not reachable by differentiation")
-        candidate = key - _x_step(_jet_field(a, k - 1))  # v_a^(k) back to v_a^(k-1)
-        coef /= d.get((a, k - 1), 0) + 1
-        _add_scaled(out, {candidate: coef.numerator}, 1, coef.denominator)
-        for i, e in _fields(candidate):  # rem -= d/dx (coef * candidate)
-            m = candidate + _x_step(i)
-            if m == key:
-                continue  # its coefficient is the one just taken out of rem
-            if m not in rem:
-                heappush(heap, (_peel_key(m), m))
-            v = rem.get(m, 0) - coef * e
-            if v:
-                rem[m] = v
-            else:
-                del rem[m]
-    return _wrap_diff(out)
 
 
 def degrees(p: DiffPoly) -> set[int]:

@@ -9,10 +9,6 @@ class AlphabetMismatch(EngineError):
     """Arithmetic attempted between polynomials over different parameter alphabets."""
 
 
-class NotExact(EngineError):
-    """A differential polynomial is not a total x-derivative."""
-
-
 class NotHomogeneous(EngineError):
     """A polynomial mixes several weights; carries the set of weights found."""
 

@@ -24,7 +24,9 @@ d_a (a+1)(a+2)...(a+k) (`initial_jet`).
 differential polynomials, `InitialValues` on the values at the initial
 point: ParamPolys over d, so res L^(i/r), the flows and the chain rule
 (`t_derivative_value`) there are reads of it (`wconstraints.c_from_d`,
-`pde_correlator`).  Neither holds an operator; `psido` reads this table.
+`pde_correlator`).  Neither holds an operator: `psido.frac_power` reads
+whole powers off this table, and the tests check its recurrence against
+whole operators composed by the Leibniz rule (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import (_FIELD, DiffPoly, ParamPoly, _add_param_product, _add_scaled, _add_terms,
-                      _field_jet, _fields, _wrap_diff, _wrap_param, integrate_x, nth_diff_x)
+                      _field_jet, _fields, _wrap_diff, _wrap_param, nth_diff_x)
 from .errors import IndexDivisible, InvariantViolated
 
 
@@ -241,15 +243,6 @@ class Hierarchy(LaxOperator):
             _add_param_product(out, self.flow_derivative(j, a, k), p.partial(a, k))
         return _wrap_diff(out)
 
-    def omega(self, i: int, j: int) -> DiffPoly:
-        """The density Omega_{i,j}: x-antiderivative of d(res L^(i/r))/dt_j.
-
-        Symmetric in (i, j), vanishing constant term; NotExact propagates if
-        the antiderivative ever failed to close (it does close for every
-        valid pair).  Not memoised: the correlators never ask for it.
-        """
-        return integrate_x(self.density((i, j)))
-
     def density(self, I: tuple[int, ...]) -> DiffPoly:
         """res L^(I0/r) moved along t_i for each further index i of I, in
         order; memoised per index tuple, so a longer tuple extends the
@@ -344,7 +337,3 @@ lax = hierarchy  # the symbolic table is the Lax operator's power table
 def gd_flow(r: int, i: int) -> dict[int, DiffPoly]:
     """Components a -> X_a^i of the i-th flow of the order-r hierarchy."""
     return hierarchy(r).flow(i)
-
-
-def omega(r: int, i: int, j: int) -> DiffPoly:
-    return hierarchy(r).omega(i, j)

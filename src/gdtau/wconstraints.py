@@ -335,31 +335,45 @@ def _triangular_inverse(images: Mapping[int, ParamPoly], leads: Mapping[int, Fra
     return out
 
 
+def _alphas(r: int, top: Optional[int]) -> range:
+    """alpha = 1..top, top defaulting to r - 1: the orders of the reduced
+    operators and of the one-point constants.  A top outside 1..r-1 is
+    refused here, before any table is read."""
+    if r < 2:
+        raise ValueError("the operator order r must be >= 2")
+    top = r - 1 if top is None else top
+    if not 1 <= top <= r - 1:
+        raise ValueError(f"top must lie in 1..{r - 1}, not {top}")
+    return range(1, top + 1)
+
+
 def solve_sigma_from_c(r: int, top: Optional[int] = None) -> dict[int, ParamPoly]:
     """sigma_alpha, the diagonal eigenvalue of the reduced operator of
     order alpha, as a polynomial in the one-point constants c (table
     normalization), solved triangularly from <tau_alpha> = c_alpha, for
-    alpha = 1..top (1..r-1 by default).  sigma_alpha reads only the
-    one-point entries of weight <= alpha, so a bound drops no term."""
-    alphas = range(1, r if top is None else top + 1)
+    alpha = 1..top (1..r-1 by default, `_alphas`).  sigma_alpha reads only
+    the one-point entries of weight <= alpha, so a bound drops no term."""
+    alphas = _alphas(r, top)
     singles = _solve_entries(r, [(a,) for a in alphas])
     return _triangular_inverse({a: singles[(a,)] for a in alphas},
-                               {a: Fraction(1) for a in range(1, r)}, "c",
+                               dict.fromkeys(alphas, Fraction(1)), "c",
                                "one-point value is not triangular in sigma")
 
 
 def c_from_d(r: int, top: Optional[int] = None) -> dict[int, ParamPoly]:
     """Scaled one-point constants from the jet parameters:
     c_alpha (residue normalization) = res L^(alpha/r) at the initial jets,
-    i.e. row alpha + 1 of R^alpha, for alpha = 1..top (1..r-1 by default).
+    i.e. row alpha + 1 of R^alpha, for alpha = 1..top (1..r-1 by default,
+    `_alphas`).
 
     Read off the value table (`hierarchy.initial_values`, memoised per r):
     `LaxOperator`'s own recurrence run on values at the initial point, with
     no hierarchy built.  c_alpha is homogeneous of weight alpha + 1 with
     leading term alpha/r d_alpha (what `d_from_c` inverts).
     """
+    alphas = _alphas(r, top)
     table = initial_values(r)
-    return {alpha: table.residue(alpha) for alpha in range(1, r if top is None else top + 1)}
+    return {alpha: table.residue(alpha) for alpha in alphas}
 
 
 def d_from_c(r: int) -> dict[int, ParamPoly]:
@@ -380,12 +394,17 @@ def d_of_ctab(r: int) -> dict[int, ParamPoly]:
                                "residue constant is not triangular in d")
 
 
-@cache
 def rho_in_d(r: int, top: Optional[int] = None) -> dict[int, ParamPoly]:
     """The diagonal eigenvalues rho_alpha of the reduced operators in the
-    jets, for alpha = 1..top (1..r-1 by default): sigma(c) composed with the
-    table-normalized c(d).  Both come from the initial point alone, so no
-    value is fitted on the series a check reads.  Memoised per (r, top)."""
+    jets, for alpha = 1..top (1..r-1 by default, `_alphas`): sigma(c)
+    composed with the table-normalized c(d).  Both come from the initial
+    point alone, so no value is fitted on the series a check reads.
+    Memoised per r and resolved top, so rho_in_d(r) is rho_in_d(r, r - 1)."""
+    return _rho_in_d(r, _alphas(r, top)[-1])
+
+
+@cache
+def _rho_in_d(r: int, top: int) -> dict[int, ParamPoly]:
     tab_in_d = _ctab_in_d(r, top)
     return {a: p.substitute(tab_in_d, "d") for a, p in solve_sigma_from_c(r, top).items()}
 

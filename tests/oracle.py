@@ -25,12 +25,34 @@ The ``print_*`` functions are the reference printers: they read the
 ``terms`` views, one ``Fraction`` per term, and join signed terms the way
 the engine prints them.  ``string_residual_reference`` spells the string
 residual out with five polynomial operations per entry.
+
+The reference operator calculus (``compose``, ``commutator``, the parts,
+``residue``, ``lax_operator``, ``integrate_x`` and ``omega``) is the one
+section that does not model a kernel: unlike the ``frac_*`` and ``jet_*``
+models it runs on the engine's own kernels (``DiffPoly``, ``PsiDO``, the
+packed accumulators).  What it checks independently is the power table's
+recurrence: it multiplies whole operators by the Leibniz rule, which the
+table (``hierarchy.LaxOperator``) never does.
+
+``indicial_polynomial`` is P(lam), the symbol of L at the initial point on
+powers of 1 - x, over sympy.  ``reflection`` solves the adjoint reflection
+iota of the d alphabet from it, and ``centred_power_sums`` the power sums
+of its centred roots; ``affine_coordinates`` is one exact linear solve.
+None of them reads the engine's tables.
 """
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from typing import Optional
 
 import sympy as sp
+
+from gdtau.algebra import (DiffPoly, ParamPoly, _add_param_product, _add_scaled, _field_jet,
+                           _fields, _jet_field, _jet_mono, _wrap_diff, _x_step, nth_diff_x)
+from gdtau.errors import EngineError, InsufficientDepth
+from gdtau.hierarchy import _binom, hierarchy
+from gdtau.psido import PsiDO
 
 
 def poly_to_sym(p, syms):
@@ -43,6 +65,12 @@ def poly_to_sym(p, syms):
                 term *= syms[i] ** e
         out += term
     return sp.expand(out)
+
+
+def sym_to_poly(expr, syms, alphabet="d"):
+    """sympy polynomial in syms[1], syms[2], ... -> ParamPoly over `alphabet`."""
+    terms = sp.Poly(sp.expand(expr), *[syms[i] for i in sorted(syms)]).terms()
+    return ParamPoly(alphabet, {exps: Fraction(int(cf.p), int(cf.q)) for exps, cf in terms})
 
 
 def series_to_dict(series, syms):
@@ -431,3 +459,233 @@ def string_residual_reference(tau, const):
 
     rec((), 1, tau.cap - 1)
     return out
+
+
+# -- the reference operator calculus, on the engine's kernels ---------------------
+
+_NEG_INF = float("-inf")
+
+
+def _wfloor(A: PsiDO) -> float:
+    """The lowest power A knows, -inf for an exact operator."""
+    return _NEG_INF if A.floor is None else float(A.floor)
+
+
+def _wtop(A: PsiDO) -> float:
+    """The highest power A holds or may hold (the top of its unknown region)."""
+    cands = [float(e) for e in A.coeffs]
+    if A.floor is not None:
+        cands.append(float(A.floor - 1))
+    return max(cands, default=_NEG_INF)
+
+
+def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
+    """Operator product A B, exact at all powers >= floor, by the extended
+    Leibniz rule
+
+        D^n f = sum_k C(n, k) f^(k) D^(n-k),   C(n,k) = n(n-1)...(n-k+1)/k!
+
+    which terminates for n >= 0 and has an infinite tail for n < 0.
+
+    With ``floor=None`` the result is exact at every power, which requires
+    both inputs exact and a finite Leibniz expansion (A purely differential,
+    or B with constant coefficients); a window the inputs cannot fill raises
+    InsufficientDepth.
+    """
+    if A.is_zero() and A.floor is None:
+        return PsiDO.zero()
+    if B.is_zero() and B.floor is None:
+        return PsiDO.zero()
+
+    guaranteed = max(_wfloor(A) + _wtop(B), _wfloor(B) + _wtop(A))
+    if floor is None:
+        if guaranteed != _NEG_INF:
+            raise InsufficientDepth(
+                "truncated operands: an explicit output floor is required"
+            )
+        if A.coeffs and min(A.coeffs) < 0 and any(c.jets() for c in B.coeffs.values()):
+            raise InsufficientDepth(
+                "composition has an infinite tail; request an explicit floor"
+            )
+    elif guaranteed > floor:
+        raise InsufficientDepth(
+            f"inputs only guarantee floor {guaranteed:.0f}, requested {floor}"
+        )
+
+    out: dict[int, dict] = {}
+    chains = {j: [bj] for j, bj in B.coeffs.items()}  # j -> [b_j, b_j', ...]
+    for i, ai in A.coeffs.items():
+        for j, chain in chains.items():
+            k = 0
+            while True:
+                if i >= 0 and k > i:
+                    break
+                if floor is not None and i + j - k < floor:
+                    break
+                deriv = nth_diff_x(chain, k)
+                if deriv.is_zero():
+                    break
+                c = _binom(i, k)
+                if c:
+                    _add_param_product(out.setdefault(i + j - k, {}), ai, deriv, c)
+                k += 1
+    return PsiDO({e: _wrap_diff(acc) for e, acc in out.items()}, floor)
+
+
+def plus_part(A: PsiDO) -> PsiDO:
+    """Projection onto powers >= 0.  Exact whenever A's floor reaches 0."""
+    floor = None if (A.floor is None or A.floor <= 0) else A.floor
+    return PsiDO({e: c for e, c in A.coeffs.items() if e >= 0}, floor)
+
+
+def minus_part(A: PsiDO) -> PsiDO:
+    """Projection onto powers < 0; keeps A's floor."""
+    return PsiDO({e: c for e, c in A.coeffs.items() if e < 0}, A.floor)
+
+
+def residue(A: PsiDO) -> DiffPoly:
+    """Coefficient of D^-1."""
+    return A.coeff(-1)
+
+
+def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
+    return compose(A, B, floor) - compose(B, A, floor)
+
+
+def lax_operator(r: int) -> PsiDO:
+    """L = D^r + v1 D^(r-2) + ... + v(r-1) as a whole operator."""
+    return PsiDO({r: 1} | {r - 1 - a: DiffPoly.jet(a, 0) for a in range(1, r)})
+
+
+class NotExact(EngineError):
+    """A differential polynomial is not a total x-derivative."""
+
+
+def _peel_key(key: int) -> tuple:
+    """Heap key of the exactness peeling, smallest first for the largest
+    monomial.  Monomials are ordered by their descending jet sequence, jets
+    compared by (derivative order, variable index); the key negates each
+    jet and ends with (1,), which beats every negated jet, so that a proper
+    prefix (a smaller monomial) gets the larger key."""
+    seq: list[tuple[int, int]] = []
+    for i, e in _fields(key):
+        a, k = _field_jet(i)
+        seq.extend([(-k, -a)] * e)
+    seq.sort()
+    seq.append((1,))
+    return tuple(seq)
+
+
+def integrate_x(p: DiffPoly) -> DiffPoly:
+    """Inverse of :func:`diff_x` on its image; raises NotExact otherwise.
+
+    Works by repeatedly peeling the largest monomial: if the input is a total
+    derivative, that monomial's highest jet has order k >= 1, appears to the
+    first power, is the only jet of its order, and no jet of order k-1 has a
+    larger variable index.  Any violation certifies non-exactness.  The
+    remainder's monomials wait in a heap, each keyed once when it enters.
+    """
+    rem = {key: Fraction(c, p._den) for key, c in p._num.items()}
+    heap = [(_peel_key(key), key) for key in rem]
+    heapify(heap)
+    out: dict = {}
+    while rem:
+        key = heappop(heap)[1]
+        coef = rem.pop(key, None)
+        if coef is None:
+            continue  # cancelled after it was queued
+        if not key:
+            raise NotExact("nonzero constant term cannot be integrated")
+        d = {_field_jet(i): e for i, e in _fields(key)}
+        (k, a) = max((k, a) for (a, k) in d)
+        if k == 0:
+            raise NotExact(f"monomial {DiffPoly({_jet_mono(key): 1})} is not a total derivative")
+        if d[(a, k)] != 1:
+            raise NotExact("highest jet occurs with exponent > 1")
+        if any(kk == k and aa != a for (aa, kk) in d):
+            raise NotExact("two distinct jets share the highest derivative order")
+        if any(kk == k - 1 and aa > a for (aa, kk) in d):
+            raise NotExact("order/index pattern not reachable by differentiation")
+        candidate = key - _x_step(_jet_field(a, k - 1))  # v_a^(k) back to v_a^(k-1)
+        coef /= d.get((a, k - 1), 0) + 1
+        _add_scaled(out, {candidate: coef.numerator}, 1, coef.denominator)
+        for i, e in _fields(candidate):  # rem -= d/dx (coef * candidate)
+            m = candidate + _x_step(i)
+            if m == key:
+                continue  # its coefficient is the one just taken out of rem
+            if m not in rem:
+                heappush(heap, (_peel_key(m), m))
+            v = rem.get(m, 0) - coef * e
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return _wrap_diff(out)
+
+
+def omega(r: int, i: int, j: int) -> DiffPoly:
+    """The density Omega_{i,j}: x-antiderivative of d(res L^(i/r))/dt_j.
+    Symmetric in (i, j), with no constant term."""
+    return integrate_x(hierarchy(r).density((i, j)))
+
+
+# -- the indicial polynomial of L at the initial point ---------------------------
+#
+# With y = 1 - x the initial point is v_a = d_a y^(-(a+1)), and L maps y^lam
+# to P(lam) y^(lam-r), where
+#
+#     P(lam) = (-1)^r [lam]_r + sum_a (-1)^(r-1-a) d_a [lam]_(r-1-a),
+#
+# [lam]_m = lam (lam-1) ... (lam-m+1).  Its coefficients are linear in d.
+
+
+def indicial_polynomial(r, d, lam):
+    """P(lam) as a sympy expression, d = {a: coefficient of L at D^(r-1-a)}."""
+    return ((-1) ** r * sp.ff(lam, r)
+            + sum((-1) ** (r - 1 - a) * d[a] * sp.ff(lam, r - 1 - a) for a in range(1, r)))
+
+
+def reflection(r):
+    """iota, the map of the d alphabet that reflects the indicial roots
+    lam -> r-1-lam: {a: (iota d)_a as a ParamPoly over d}, solved from
+    P_(iota d)(lam) = (-1)^r P_d(r-1-lam) coefficient by coefficient (an
+    inconsistent or underdetermined system fails the assertion)."""
+    lam = sp.Symbol("lam")
+    d = symbols_for(r)
+    e = {a: sp.Symbol(f"e{a}") for a in range(1, r)}
+    gap = sp.expand(indicial_polynomial(r, e, lam)
+                    - (-1) ** r * indicial_polynomial(r, d, r - 1 - lam))
+    solved = sp.solve(sp.Poly(gap, lam).all_coeffs(), list(e.values()), dict=True)
+    assert len(solved) == 1 and len(solved[0]) == r - 1, solved
+    return {a: sym_to_poly(solved[0][e[a]], d) for a in range(1, r)}
+
+
+def centred_power_sums(r):
+    """{k: p_k} for k = 1..r, p_k the k-th power sum of the centred roots
+    mu = lam - (r-1)/2 of P, as ParamPolys over d: Newton's identities on
+    the monic (-1)^r P(mu + (r-1)/2) = mu^r - e_1 mu^(r-1) + e_2 mu^(r-2) ..."""
+    mu = sp.Symbol("mu")
+    d = symbols_for(r)
+    monic = sp.Poly(sp.expand((-1) ** r * indicial_polynomial(r, d, mu + sp.Rational(r - 1, 2))),
+                    mu)
+    coeffs = monic.all_coeffs()  # mu^r first
+    assert coeffs[0] == 1
+    e = {j: sym_to_poly((-1) ** j * coeffs[j], d) for j in range(1, r + 1)}
+    p = {}
+    for k in range(1, r + 1):
+        p[k] = e[k] * ((-1) ** (k - 1) * k)
+        for j in range(1, k):
+            p[k] = p[k] + e[j] * p[k - j] * (-1) ** (j - 1)
+    return p
+
+
+def affine_coordinates(target, basis):
+    """[b, a_1, ..., a_n] with target = b + sum a_i basis[i-1], ParamPolys
+    over one alphabet, from one exact linear solve over every monomial; a
+    target outside the span raises ValueError, and the basis (with the
+    constant) must be independent."""
+    keys = sorted(set(target.terms).union({()}, *(p.terms for p in basis)))
+    rows = sp.Matrix([[int(key == ())] + [p.terms.get(key, 0) for p in basis] for key in keys])
+    solution, free = rows.gauss_jordan_solve(sp.Matrix([target.terms.get(key, 0) for key in keys]))
+    assert free.shape[0] == 0, "the basis is not independent"
+    return [Fraction(int(x.p), int(x.q)) for x in solution]

@@ -9,15 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from gdtau import (DiffPoly, LaxOperator, ParamPoly, compose, diff_x, grading, integrate_x,
-                   lax_operator, rth_root)
+from gdtau import DiffPoly, LaxOperator, ParamPoly, diff_x, grading, rth_root
 from gdtau.bgw import (
     connected_correlators_pde,
     series_from_correlators,
     string_residual,
     tau_exp,
 )
-from gdtau.hierarchy import omega
 from gdtau.wconstraints import (
     constants,
     rho_in_d,
@@ -26,6 +24,7 @@ from gdtau.wconstraints import (
     table_in_c,
     verify_constraints,
 )
+from oracle import compose, integrate_x, lax_operator, omega
 
 
 def C(i):

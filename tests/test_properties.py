@@ -10,12 +10,8 @@ from gdtau import (
     DiffPoly,
     ParamPoly,
     PsiDO,
-    compose,
     diff_x,
     grading,
-    integrate_x,
-    minus_part,
-    plus_part,
 )
 from gdtau.algebra import degrees, substitute_all
 from gdtau.bgw import TauSeries, index_multisets, log_tau, tau_exp
@@ -23,9 +19,10 @@ from gdtau.cli import _latex_poly
 from gdtau.errors import AlphabetMismatch, InvariantViolated
 from gdtau.wconstraints import WOperatorSpec, apply_S
 
-from oracle import (frac_add, frac_evaluate, frac_exp, frac_log, frac_mul, frac_scale,
-                    frac_substitute, jet_degrees, jet_diff_x, jet_jets, jet_mono, jet_mul,
-                    jet_partial, print_jet, print_latex, print_param)
+from oracle import (compose, frac_add, frac_evaluate, frac_exp, frac_log, frac_mul, frac_scale,
+                    frac_substitute, integrate_x, jet_degrees, jet_diff_x, jet_jets, jet_mono,
+                    jet_mul, jet_partial, minus_part, plus_part, print_jet, print_latex,
+                    print_param)
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)

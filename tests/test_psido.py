@@ -1,29 +1,19 @@
-"""Operator calculus: composition, roots, fractional powers, residues."""
+"""Operator calculus: roots and fractional powers off the power table,
+checked against the reference composition calculus of the oracle."""
 
 import ast
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-from gdtau import (
-    DiffPoly,
-    LaxOperator,
-    ParamPoly,
-    PsiDO,
-    commutator,
-    compose,
-    frac_power,
-    grading,
-    lax_operator,
-    minus_part,
-    plus_part,
-    residue,
-    rth_root,
-)
+import gdtau
+from gdtau import DiffPoly, LaxOperator, ParamPoly, PsiDO, frac_power, grading, rth_root
 from gdtau.errors import InsufficientDepth
+from oracle import commutator, compose, lax_operator, minus_part, plus_part, residue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -141,6 +131,15 @@ def test_integer_power_is_differential():
     P6 = frac_power(L, 6)
     assert min(P6.coeffs) >= 0
     assert residue(P6).is_zero()
+    # rows 0..kr of R^(kr), read off the table, are L^k composed; the rows
+    # below them vanish
+    for r in (2, 3, 4, 5):
+        L = LaxOperator(r)
+        for k in (1, 2, 3):
+            i = k * r
+            assert frac_power(L, i, -5) == reduce(compose, [lax_operator(r)] * k), (r, k)
+            L._fill(i, i + 3)
+            assert all(row.is_zero() for row in L._rows[i][i + 1:i + 4]), (r, k)
 
 
 def test_fractional_power_needs_floor():
@@ -346,7 +345,8 @@ def test_commands_never_reach_the_operator_calculus():
         def refuse(*args, **kwargs):
             raise AssertionError("the operator calculus was reached")
 
-        for name in ("compose", "frac_power", "residue", "lax_operator"):
+        for name in ("frac_power", "rth_root"):
+            assert hasattr(psido, name), name  # a stale name would be added silently
             setattr(psido, name, refuse)
         psido.PsiDO.__init__ = refuse
         algebra.DiffPoly.terms = property(refuse)
@@ -391,7 +391,8 @@ def test_commands_never_reach_the_operator_calculus():
 def test_only_the_package_root_imports_the_calculus():
     # the power table and the index rule live beside the two rings that
     # subclass the table, so no engine module but the package root (which
-    # exports the calculus) imports psido, and psido defines none of them
+    # exports PsiDO and the powers) imports psido, and psido defines none of
+    # them
     def top_level(path):
         return ast.parse((SRC / "gdtau" / path).read_text(), filename=path)
 
@@ -415,3 +416,22 @@ def test_only_the_package_root_imports_the_calculus():
     table = {"LaxOperator", "_row_plan", "check_index"}
     assert table <= defined(top_level("hierarchy.py"))
     assert not table & defined(top_level("psido.py"))
+
+
+def test_the_composition_calculus_lives_in_the_oracle():
+    # psido reads every power off the power table and composes nothing; the
+    # composition calculus, the antiderivative and Omega are test references,
+    # so no engine module defines or exports them
+    tree = ast.parse((SRC / "gdtau" / "psido.py").read_text())
+    assert {node.name for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))} == {"PsiDO", "rth_root",
+                                                                    "frac_power"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"compose", "commutator", "reduce"}
+    moved = ("compose", "commutator", "plus_part", "minus_part", "residue", "lax_operator",
+             "integrate_x", "NotExact", "omega")
+    engine = [gdtau, gdtau.algebra, gdtau.errors, gdtau.hierarchy, gdtau.psido]
+    assert [(module.__name__, name) for module in engine for name in moved
+            if hasattr(module, name)] == []
+    assert not hasattr(gdtau.Hierarchy, "omega")

@@ -508,9 +508,11 @@ def test_table_in_c_rejects_unknown_path():
 # roots mu -> -mu about (r-1)/2), sends <t_I> to (-1)^(|I|+len(I)) <t_I> and
 # c_alpha to (-1)^(alpha+1) c_alpha.  Neither rule is an input of either
 # route, so both check the power table, the flows and the weight recursion.
+# `oracle.reflection` solves iota from P itself.
 
 
-@pytest.mark.parametrize("r,weight", [(2, 12), (3, 12), (4, 10), (5, 9), (6, 9)])
+@pytest.mark.parametrize("r,weight", [(2, 12), (3, 12), (4, 10), (5, 9), (6, 9), (7, 10),
+                                      (8, 10)])
 @pytest.mark.parametrize("path", ["pde", "recursion"])
 @pytest.mark.parametrize("kind", ["connected", "disconnected"])
 def test_c_tables_keep_the_reflection_parity(r, weight, path, kind):
@@ -523,17 +525,69 @@ def test_c_tables_keep_the_reflection_parity(r, weight, path, kind):
         assert parities <= {(sum(I) + len(I)) % 2}, (I, str(value))
 
 
-@pytest.mark.parametrize("r,weight,iota", [
-    (3, 14, {1: d(1), 2: d(1) * 2 - d(2)}),
-    (4, 12, {1: d(1), 2: d(1) * 4 - d(2), 3: d(3) - d(2) * 3 + d(1) * 6}),
-])
-def test_density_tables_change_sign_under_the_reflection(r, weight, iota):
+def test_the_reflection_is_solved_from_the_indicial_polynomial():
+    # pins of the solve; iota fixes d1, is the identity at r = 2, and is an
+    # involution at every order
+    pins = {
+        2: {1: d(1)},
+        3: {1: d(1), 2: d(1) * 2 - d(2)},
+        4: {1: d(1), 2: d(1) * 4 - d(2), 3: d(3) - d(2) * 3 + d(1) * 6},
+        5: {1: d(1), 2: d(1) * 6 - d(2), 3: d(3) - d(2) * 6 + d(1) * 18,
+            4: -d(4) + d(3) * 4 - d(2) * 12 + d(1) * 24},
+    }
+    for r, iota in pins.items():
+        assert oracle.reflection(r) == iota, r
+    for r in range(2, 9):
+        iota = oracle.reflection(r)
+        assert {a: p.substitute(iota, "d") for a, p in iota.items()} == {
+            a: d(a) for a in range(1, r)}, r
+
+
+@pytest.mark.parametrize("r,weight", [(2, 12), (3, 14), (4, 12), (5, 12), (6, 12), (7, 10),
+                                      (8, 10)])
+def test_density_tables_change_sign_under_the_reflection(r, weight):
+    iota = oracle.reflection(r)
     table = connected_correlators_pde(r, weight)
     assert table.values
     for I, value in table.values.items():
         assert value.substitute(iota, "d") == value * (-1) ** (sum(I) + len(I)), I
     for alpha, c in c_from_d(r).items():
         assert c.substitute(iota, "d") == c * (-1) ** (alpha + 1), alpha
+
+
+# -- the eigenvalues through the indicial roots --------------------------------
+#
+# p_k, the power sums of the centred indicial roots (`oracle.centred_power_sums`),
+# are polynomials in d with p_1 = 0.  r rho_alpha is affine-linear in
+# p_2..p_(alpha+1), with no product of power sums.
+
+
+def _closed_forms(r):
+    """alpha -> (b_alpha(r), {k: a_(alpha,k)(r)}) where known in closed form
+    (alpha <= 4); each was found from the fewest orders."""
+    s = Fraction(r * (r * r - 1))
+    return {1: (s / 24, {2: Fraction(-1, 2)}),
+            2: (s / 12, {2: -1}),
+            3: (-s * (7 * r * r - 223) / 960, {2: Fraction(r * r - 23, 8)}),
+            4: (-s * (7 * r * r - 103) / 120, {2: r * r - 11, 3: Fraction(43 - r * r, 6)})}
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_eigenvalues_are_affine_in_the_centred_power_sums(r):
+    # r rho_alpha = b + sum_(k=2..alpha+1) a_k p_k by one exact solve per
+    # alpha; the top two coefficients do not depend on r
+    p = oracle.centred_power_sums(r)
+    assert p[1].is_zero()
+    rho = rho_in_d(r)
+    closed = _closed_forms(r)
+    for alpha in range(1, r):
+        b, *coords = oracle.affine_coordinates(rho[alpha] * r, [p[k] for k in range(2, alpha + 2)])
+        a = dict(enumerate(coords, start=2))
+        assert a[alpha + 1] == Fraction((-1) ** alpha, alpha + 1), alpha
+        if alpha >= 2:
+            assert a[alpha] == Fraction((-1) ** (alpha + 1) * alpha, 2), alpha
+        if alpha in closed:
+            assert (b, {k: a[k] for k in closed[alpha][1]}) == closed[alpha], alpha
 
 
 # -- the verification sweep --------------------------------------------------
@@ -596,23 +650,34 @@ def test_verification_solves_the_one_point_closure_once(monkeypatch):
         return real(r, top)
 
     monkeypatch.setattr(wconstraints, "solve_sigma_from_c", counting)
-    wconstraints.rho_in_d.cache_clear()
+    wconstraints._rho_in_d.cache_clear()
     try:
         assert verify_constraints(8, 8).ok
         assert verify_constraints(12, 3).ok
     finally:
-        wconstraints.rho_in_d.cache_clear()
+        wconstraints._rho_in_d.cache_clear()
     assert calls == [(8, 7), (12, 3)]
 
 
 @pytest.mark.parametrize("r", [3, 5, 8])
 def test_bounded_constants_are_the_leading_whole_ones(r):
     # c_alpha(d), sigma_alpha(c) and rho_alpha(d) read nothing above alpha,
-    # so a bound only drops the higher alphas
+    # so a bound only drops the higher alphas; rho_in_d memoises the
+    # resolved bound, so the default shares the entry of top = r - 1
     for build in (c_from_d, solve_sigma_from_c, rho_in_d):
         whole = build(r)
-        for top in range(r):
+        for top in range(1, r):
             assert build(r, top) == {a: whole[a] for a in range(1, top + 1)}, (build, top)
+    assert rho_in_d(r) is rho_in_d(r, r - 1)
+
+
+@pytest.mark.parametrize("r, top", [(3, 3), (4, 9), (3, 0), (5, -1)])
+def test_a_top_outside_the_orders_is_refused(r, top):
+    # one rule for every bounded constant: 1 <= top <= r - 1, refused before
+    # the closure or the value table is read
+    for build in (c_from_d, solve_sigma_from_c, rho_in_d):
+        with pytest.raises(ValueError, match=f"top must lie in 1..{r - 1}, not {top}"):
+            build(r, top)
 
 
 def test_verification_rejects_wrong_alphabet():
