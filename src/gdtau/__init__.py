@@ -4,7 +4,7 @@ constant dictionaries, constraint checks and the large-r limit.  `PsiDO`,
 `frac_power` and `rth_root` read whole operators off the power table for the
 benchmark's stages; no command builds one."""
 
-from .algebra import DiffPoly, ParamPoly, diff_x, grading
+from .algebra import DiffPoly, ParamPoly, diff_x
 from .bgw import (
     CorrelatorTable,
     TauSeries,
@@ -24,7 +24,6 @@ from .errors import (
     IndexDivisible,
     InsufficientDepth,
     InvariantViolated,
-    NotHomogeneous,
     NotStable,
     WeightExceeded,
 )
@@ -34,7 +33,6 @@ from .wconstraints import (
     ConstantsDictionary,
     VerificationReport,
     WOperatorSpec,
-    apply_S,
     apply_Wred,
     c_from_d,
     constants,

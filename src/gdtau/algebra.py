@@ -24,7 +24,8 @@ zero coefficient is ever stored and a polynomial is put in lowest terms
 once, by the kernel that builds it, so equality compares stored fields
 exactly.  One printer (``_join_terms``) reads the stored integers, not the
 view, for both classes and for the LaTeX output, so ``str`` output is
-bit-stable across runs.
+bit-stable across runs.  The weights of a polynomial and the evaluation of
+a jet polynomial are read by the tests alone and live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cache, reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import AlphabetMismatch, InvariantViolated, NotHomogeneous
+from .errors import AlphabetMismatch, InvariantViolated
 
 Rat = Union[int, Fraction]
 
@@ -382,12 +383,6 @@ class ParamPoly(_Ring):
             return NotImplemented
         return (self.alphabet, self._den, self._num) == (other.alphabet, other._den, other._num)
 
-    # -- grading ------------------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        """Set of weights present; parameter index a weighs a + 1."""
-        return {sum(e * (i + 2) for i, e in enumerate(_unpack(key))) for key in self._num}
-
     # -- substitution -------------------------------------------------------
 
     def substitute(self, values: Mapping[int, "ParamPoly"], alphabet: str) -> "ParamPoly":
@@ -653,12 +648,6 @@ class DiffPoly(_Ring):
                 num[key - unit] = c * e
         return _wrap_diff({self._den: num})
 
-    def evaluate(self, value: Callable[[int, int], ParamPoly]) -> ParamPoly:
-        """Substitute every jet variable via ``value(a, k)`` (over ``d``): one
-        `substitute_all`, each field mapped to the value of its jet."""
-        fields = _fields(reduce(or_, self._num, 0))
-        return substitute_all([self], {i + 1: value(*_field_jet(i)) for i, _ in fields}, "d")[0]
-
     # -- printing ----------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -703,18 +692,3 @@ def nth_diff_x(chain: list[DiffPoly], k: int) -> DiffPoly:
     while len(chain) <= k:
         chain.append(diff_x(chain[-1]))
     return chain[k]
-
-
-def degrees(p: DiffPoly) -> set[int]:
-    """All weights present in p."""
-    return {sum(e * jet_weight(_field_jet(i)) for i, e in _fields(key)) for key in p._num}
-
-
-def grading(p: DiffPoly) -> int:
-    """Common weight of all terms; NotHomogeneous if mixed, 0 for zero."""
-    degs = degrees(p)
-    if not degs:
-        return 0
-    if len(degs) > 1:
-        raise NotHomogeneous(degs)
-    return next(iter(degs))

@@ -9,14 +9,6 @@ class AlphabetMismatch(EngineError):
     """Arithmetic attempted between polynomials over different parameter alphabets."""
 
 
-class NotHomogeneous(EngineError):
-    """A polynomial mixes several weights; carries the set of weights found."""
-
-    def __init__(self, degrees):
-        self.degrees = frozenset(degrees)
-        super().__init__(f"not homogeneous: degrees {sorted(self.degrees)}")
-
-
 class InsufficientDepth(EngineError):
     """A pseudo-differential operator is truncated too shallow for the request."""
 

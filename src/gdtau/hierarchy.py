@@ -265,9 +265,10 @@ class InitialValues(LaxOperator):
     E: each row, jet and flow component is a ParamPoly over d, v_a is d_a,
     v_a^(j) is `initial_jet(a, j)`, and the j-th x-derivative of row t of
     R^k (weight t) is t (t+1) ... (t+j-1) times the row.  Each row and flow
-    is the symbolic one under `DiffPoly.evaluate(initial_jet)`, the tests'
-    reference; `residue` and `flow` are the inherited reads, and
-    `t_derivative_value` reads a DiffPoly's t-derivative off the flows.
+    is the symbolic one evaluated at `initial_jet` (``evaluate`` in
+    ``tests/oracle.py``, the tests' reference); `residue` and `flow` are the
+    inherited reads, and `t_derivative_value` reads a DiffPoly's t-derivative
+    off the flows.
     """
 
     def _wrap(self, acc: dict) -> ParamPoly:

@@ -1,18 +1,15 @@
-"""Pseudo-differential operators, and the Lax operator's powers as operators.
+"""The Lax operator's powers as whole operators, for the benchmark's stages.
 
 An operator is a formal sum ``sum_e a_e * D^e`` (``D`` = d/dx) with
-:class:`~gdtau.algebra.DiffPoly` coefficients: jet polynomials with rational
-coefficients, summed by the packed-monomial kernel of `algebra`
-(`_add_terms`).  Truncation is explicit: an operator either knows *all* its
-coefficients (``floor is None``; finitely many are nonzero) or only those at
-powers ``>= floor``, and asking below the floor raises
-:class:`~gdtau.errors.InsufficientDepth` instead of silently truncating.
-
-`frac_power` and `rth_root` read powers of L off its power table
-(`hierarchy.LaxOperator`) as whole operators, which no command does.  They
-stay in the engine because the benchmark's stages import them; the
-composition calculus the tests check the table against lives in
-``tests/oracle.py``.  No other module of the engine imports this one.
+:class:`~gdtau.algebra.DiffPoly` coefficients, known at all powers
+(``floor is None``) or only at powers ``>= floor``.  `PsiDO` is that
+container alone.  `frac_power` and `rth_root` fill it from L's power table
+(`hierarchy.LaxOperator`), and refuse a floor the root cannot reach, or an
+infinite tail without one, with :class:`~gdtau.errors.InsufficientDepth`.
+No command reads them, and no other engine module imports this one: they
+stay because the benchmark's stages import them.  The operator arithmetic
+and the composition calculus the tests check the table against live in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,13 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import DiffPoly, ParamPoly, _add_terms, _wrap_diff
+from .algebra import DiffPoly, ParamPoly
 from .errors import InsufficientDepth
 from .hierarchy import LaxOperator
 
 
 class PsiDO:
-    """Truncated formal sum of powers of D with DiffPoly coefficients."""
+    """``coeffs``: each power of D to its nonzero DiffPoly coefficient;
+    ``floor``: None for an exact operator, else the lowest power known."""
 
     __slots__ = ("coeffs", "floor")
 
@@ -47,85 +45,12 @@ class PsiDO:
                 clean[e] = poly
         self.coeffs = clean
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PsiDO":
-        return cls()
-
-    @classmethod
-    def d(cls, power: int = 1) -> "PsiDO":
-        return cls({power: 1})
-
-    @classmethod
-    def from_diffpoly(cls, p: DiffPoly) -> "PsiDO":
-        """Multiplication operator by p."""
-        return cls({0: p})
-
-    # -- accessors --------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, e: int) -> DiffPoly:
-        got = self.coeffs.get(e)
-        if got is not None:
-            return got
-        if self.floor is not None and e < self.floor:
-            raise InsufficientDepth(
-                f"coefficient at D^{e} is below the truncation floor {self.floor}"
-            )
-        return DiffPoly.zero()
-
-    def trim(self, floor: int) -> "PsiDO":
-        """Restrict to powers >= floor (may only shallow an exact operator)."""
-        if self.floor is not None and floor < self.floor:
-            raise InsufficientDepth(
-                f"cannot deepen a floor-{self.floor} operator to floor {floor}"
-            )
-        return PsiDO({e: c for e, c in self.coeffs.items() if e >= floor}, floor)
-
-    # -- linear structure ---------------------------------------------------------
-
-    def _merge_floor(self, other: "PsiDO") -> Optional[int]:
-        if self.floor is None:
-            return other.floor
-        if other.floor is None:
-            return self.floor
-        return max(self.floor, other.floor)
-
-    def __add__(self, other: "PsiDO") -> "PsiDO":
-        if not isinstance(other, PsiDO):
-            return NotImplemented
-        out: dict[int, dict] = {}
-        for op in (self, other):
-            for e, c in op.coeffs.items():
-                _add_terms(out.setdefault(e, {}), c)
-        return PsiDO({e: _wrap_diff(acc) for e, acc in out.items()}, self._merge_floor(other))
-
-    def __neg__(self) -> "PsiDO":
-        return PsiDO({e: -c for e, c in self.coeffs.items()}, self.floor)
-
-    def __sub__(self, other: "PsiDO") -> "PsiDO":
-        return self + (-other)
-
     def __eq__(self, other):
         if not isinstance(other, PsiDO):
             return NotImplemented
         return self.floor == other.floor and self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
-
-    # -- printing -------------------------------------------------------------------
-
-    def dump(self) -> str:
-        """One line per power, descending: ``∂^e : <coefficient>``."""
-        lines = [f"∂^{e} : {self.coeffs[e]}" for e in sorted(self.coeffs, reverse=True)]
-        return "\n".join(lines) if lines else "0"
-
-    def __repr__(self) -> str:
-        tag = "exact" if self.floor is None else f"floor={self.floor}"
-        return f"PsiDO({tag}: {';  '.join(self.dump().splitlines())})"
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,10 @@ viewpoints read it:
 
 Both read one kernel, `_coefficient_terms`: coefficient I of one
 normal-ordered current monomial applied to a series, as a linear form in the
-correlators, summed over the operator's monomials by `_linear_form`.  The
-plain operator `apply_S` is the leading monomial alone (alpha + 1 underived
-factors).
+correlators, summed over the operator's monomials by `_linear_form`, and
+applied to a series by `_apply_power`.  The tests' plain operator
+(``apply_S`` in ``tests/oracle.py``) is the leading monomial alone (alpha + 1
+underived factors) through the same pass.
 
 c(d) is read off the Lax operator's power table at the initial point
 (`hierarchy.initial_values`).  Every change of constants back, d(c) in
@@ -207,13 +208,6 @@ def _apply_power(series: TauSeries, op: WOperatorSpec,
             if w and aJ is not None:
                 _add_coef(terms, I, aJ, w * _mult_factorial(J), den)
     return TauSeries(series.alphabet, out_cap, _wrap_coefs(series.alphabet, terms))
-
-
-def apply_S(series: TauSeries, op: WOperatorSpec) -> TauSeries:
-    """Image of a truncated series under the plain bidegree-(alpha, q)
-    operator, exact through cap - shift - alpha.  It is the leading current
-    monomial: alpha + 1 underived factors."""
-    return _apply_power(series, op, [((0,) * (op.alpha + 1), 1)])
 
 
 @cache

@@ -19,40 +19,55 @@ term, and ``frac_exp`` / ``frac_log`` are the truncated power series of
 exp and log over such dicts.  The ``jet_*`` functions model the jet
 polynomial kernels the same way, over ``{jet monomial: Fraction}`` dicts
 (monomials as sorted ``((a, k), exponent)`` tuples, the ``DiffPoly.terms``
-shape); ``frac_add`` and ``frac_scale`` serve both.
+shape); ``frac_add`` and ``frac_scale`` serve both.  The weights of a
+polynomial (``param_degrees``, ``degrees``, ``grading`` with
+``NotHomogeneous``) are read off the ``terms`` views by the same models.
 
 The ``print_*`` functions are the reference printers: they read the
 ``terms`` views, one ``Fraction`` per term, and join signed terms the way
 the engine prints them.  ``string_residual_reference`` spells the string
 residual out with five polynomial operations per entry.
 
-The reference operator calculus (``compose``, ``commutator``, the parts,
-``residue``, ``lax_operator``, ``integrate_x`` and ``omega``) is the one
-section that does not model a kernel: unlike the ``frac_*`` and ``jet_*``
-models it runs on the engine's own kernels (``DiffPoly``, ``PsiDO``, the
-packed accumulators).  What it checks independently is the power table's
-recurrence: it multiplies whole operators by the Leibniz rule, which the
-table (``hierarchy.LaxOperator``) never does.
+The reference operator calculus (``coeff``, ``add``, ``sub``, ``compose``,
+``commutator``, the parts, ``residue``, ``lax_operator``, ``integrate_x``
+and ``omega``) is the one section that does not model a kernel: unlike the
+``frac_*`` and ``jet_*`` models it runs on the engine's own kernels
+(``DiffPoly``, the packed accumulators) and fills the engine's ``PsiDO``
+container.  What it checks independently is the power table's recurrence:
+it multiplies whole operators by the Leibniz rule, which the table
+(``hierarchy.LaxOperator``) never does.  The same section holds the two
+references that reuse an engine pass: ``evaluate`` (a jet polynomial at
+given jet values, one ``substitute_all``; at ``initial_jet`` the value
+table's reference, itself checked against a term-by-term ``Fraction``
+evaluation) and ``apply_S`` (the plain operator, the leading current
+monomial through ``wconstraints._apply_power``).
 
 ``indicial_polynomial`` is P(lam), the symbol of L at the initial point on
 powers of 1 - x, over sympy.  ``reflection`` solves the adjoint reflection
 iota of the d alphabet from it, and ``centred_power_sums`` the power sums
 of its centred roots; ``affine_coordinates`` is one exact linear solve.
-None of them reads the engine's tables.
+``symbol_constants`` runs the indicial symbol calculus on ``ParamPoly``
+series in 1/lam: the root of L's symbol, then res L^(alpha/r) at the
+initial point, the reference for ``c_from_d``.  None of them reads the
+engine's tables.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from operator import or_
 from typing import Optional
 
 import sympy as sp
 
-from gdtau.algebra import (DiffPoly, ParamPoly, _add_param_product, _add_scaled, _field_jet,
-                           _fields, _jet_field, _jet_mono, _wrap_diff, _x_step, nth_diff_x)
+from gdtau.algebra import (DiffPoly, ParamPoly, _add_param_product, _add_scaled, _add_terms,
+                           _field_jet, _fields, _jet_field, _jet_mono, _wrap_diff, _x_step,
+                           nth_diff_x, substitute_all)
 from gdtau.errors import EngineError, InsufficientDepth
 from gdtau.hierarchy import _binom, hierarchy
 from gdtau.psido import PsiDO
+from gdtau.wconstraints import _apply_power
 
 
 def poly_to_sym(p, syms):
@@ -286,6 +301,12 @@ def frac_evaluate(a, assignment):
     return out
 
 
+def param_degrees(p):
+    """The weights present in a ParamPoly, read off its ``terms`` view:
+    parameter index a weighs a + 1."""
+    return {sum(e * (i + 1) for i, e in enumerate(expts, start=1)) for expts in p.terms}
+
+
 def _series_mul(x, y, cap):
     out = {}
     for I, a in x.items():
@@ -367,6 +388,28 @@ def jet_jets(a):
 
 def jet_degrees(a):
     return {sum(e * (v + 1 + k) for (v, k), e in mono) for mono in a}
+
+
+class NotHomogeneous(EngineError):
+    """A polynomial mixes several weights; carries the set of weights found."""
+
+    def __init__(self, degrees):
+        self.degrees = frozenset(degrees)
+        super().__init__(f"not homogeneous: degrees {sorted(self.degrees)}")
+
+
+def degrees(p):
+    """All weights present in a DiffPoly, read off its ``terms`` view."""
+    return jet_degrees(p.terms)
+
+
+def grading(p):
+    """The common weight of a DiffPoly's terms; NotHomogeneous if mixed, 0
+    for zero."""
+    degs = degrees(p)
+    if len(degs) > 1:
+        raise NotHomogeneous(degs)
+    return next(iter(degs), 0)
 
 
 # -- reference printers on Fraction views ---------------------------------------
@@ -466,6 +509,30 @@ def string_residual_reference(tau, const):
 _NEG_INF = float("-inf")
 
 
+def coeff(A: PsiDO, e: int) -> DiffPoly:
+    """A's coefficient at D^e; InsufficientDepth below A's floor."""
+    got = A.coeffs.get(e)
+    if got is not None:
+        return got
+    if A.floor is not None and e < A.floor:
+        raise InsufficientDepth(f"coefficient at D^{e} is below the truncation floor {A.floor}")
+    return DiffPoly.zero()
+
+
+def add(A: PsiDO, B: PsiDO) -> PsiDO:
+    """A + B, known down to the higher of the two floors."""
+    out: dict[int, dict] = {}
+    for op in (A, B):
+        for e, c in op.coeffs.items():
+            _add_terms(out.setdefault(e, {}), c)
+    floors = [op.floor for op in (A, B) if op.floor is not None]
+    return PsiDO({e: _wrap_diff(acc) for e, acc in out.items()}, max(floors, default=None))
+
+
+def sub(A: PsiDO, B: PsiDO) -> PsiDO:
+    return add(A, PsiDO({e: -c for e, c in B.coeffs.items()}, B.floor))
+
+
 def _wfloor(A: PsiDO) -> float:
     """The lowest power A knows, -inf for an exact operator."""
     return _NEG_INF if A.floor is None else float(A.floor)
@@ -492,10 +559,10 @@ def compose(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
     or B with constant coefficients); a window the inputs cannot fill raises
     InsufficientDepth.
     """
-    if A.is_zero() and A.floor is None:
-        return PsiDO.zero()
-    if B.is_zero() and B.floor is None:
-        return PsiDO.zero()
+    if not A.coeffs and A.floor is None:
+        return PsiDO()
+    if not B.coeffs and B.floor is None:
+        return PsiDO()
 
     guaranteed = max(_wfloor(A) + _wtop(B), _wfloor(B) + _wtop(A))
     if floor is None:
@@ -545,11 +612,11 @@ def minus_part(A: PsiDO) -> PsiDO:
 
 def residue(A: PsiDO) -> DiffPoly:
     """Coefficient of D^-1."""
-    return A.coeff(-1)
+    return coeff(A, -1)
 
 
 def commutator(A: PsiDO, B: PsiDO, floor: Optional[int] = None) -> PsiDO:
-    return compose(A, B, floor) - compose(B, A, floor)
+    return sub(compose(A, B, floor), compose(B, A, floor))
 
 
 def lax_operator(r: int) -> PsiDO:
@@ -629,6 +696,21 @@ def omega(r: int, i: int, j: int) -> DiffPoly:
     return integrate_x(hierarchy(r).density((i, j)))
 
 
+def evaluate(p: DiffPoly, value) -> ParamPoly:
+    """Substitute every jet variable of p via ``value(a, k)`` (over ``d``):
+    one `substitute_all`, each field mapped to the value of its jet.  With
+    ``hierarchy.initial_jet`` it is the reference for the value table."""
+    fields = _fields(reduce(or_, p._num, 0))
+    return substitute_all([p], {i + 1: value(*_field_jet(i)) for i, _ in fields}, "d")[0]
+
+
+def apply_S(series, op):
+    """Image of a truncated series under the plain bidegree-(alpha, q)
+    operator, exact through cap - shift - alpha: the leading current
+    monomial, alpha + 1 underived factors, through the engine's one pass."""
+    return _apply_power(series, op, [((0,) * (op.alpha + 1), 1)])
+
+
 # -- the indicial polynomial of L at the initial point ---------------------------
 #
 # With y = 1 - x the initial point is v_a = d_a y^(-(a+1)), and L maps y^lam
@@ -689,3 +771,63 @@ def affine_coordinates(target, basis):
     solution, free = rows.gauss_jordan_solve(sp.Matrix([target.terms.get(key, 0) for key in keys]))
     assert free.shape[0] == 0, "the basis is not independent"
     return [Fraction(int(x.p), int(x.q)) for x in solution]
+
+
+# -- the indicial symbol calculus ---------------------------------------------------
+#
+# A weight-k operator with initial-point coefficients maps y^lam to
+# s(lam) y^(lam-k), and composition is s_AB(lam) = s_A(lam - k_B) s_B(lam):
+# D has symbol -lam and L has symbol P(lam).  So R = L^(1/r) has a symbol
+# s_R(lam) = -lam + sum_i u_i lam^(-i) with prod_(j<r) s_R(lam - j) = P(lam),
+# and R^alpha the symbol prod_(j<alpha) s_R(lam - j).  Of the terms c D^m
+# of R^alpha (symbol (-1)^m [lam]_m for m >= 0, (-1)^n / ((lam+1)...(lam+n))
+# for m = -n < 0), only D^-1 reaches lam^-1, with -c: res L^(alpha/r) at the
+# initial point is -[lam^-1] prod_(j<alpha) s_R(lam - j).  Nothing here reads
+# the power table.
+
+
+def indicial_coefficients(r):
+    """{e: coefficient of lam^e in P(lam)} as ParamPolys over d."""
+    lam, d = sp.Symbol("lam"), symbols_for(r)
+    coeffs = sp.Poly(indicial_polynomial(r, d, lam), lam).all_coeffs()[::-1]
+    return {e: sym_to_poly(c, d) for e, c in enumerate(coeffs)}
+
+
+def symbol_constants(r):
+    """{alpha: res L^(alpha/r) at the initial point} for alpha = 1..r-1, from
+    the indicial symbol calculus alone: the reference for ``c_from_d(r)``.
+
+    Series in 1/lam are coefficient lists from the top.  ``shifted[j][m]`` is
+    the coefficient of s_R(lam - j) at lam^(1-m): -1, then j + u_0, then
+    sum_(i+n=m-1) u_i C(-i, n) (-j)^n, each u_i (lam - j)^(-i) expanded by
+    the generalized binomial.  ``prods[k][m]`` is the coefficient of
+    prod_(j<k) s_R(lam - j) at lam^(k-m).  Level m is built once with
+    u_(m-1) left out; u_(m-1) enters each shifted[j][m] with coefficient 1,
+    so prods[k][m] misses k (-1)^(k-1) u_(m-1), and matching prods[r][m]
+    against P at lam^(r-m) solves it (lead r (-1)^(r-1)); then both are
+    completed.  Levels 1..r fix u_0..u_(r-1), all that R^alpha reads at
+    lam^-1 for alpha < r."""
+    zero, one = ParamPoly.zero("d"), ParamPoly.const("d", 1)
+    target = indicial_coefficients(r)
+    u = []
+    shifted = [[-one] for _ in range(r)]
+    prods = [[one] + [zero] * r] + [[one * (-1) ** k] for k in range(1, r + 1)]
+    for m in range(1, r + 1):
+        for j in range(r):
+            acc = one * j if m == 1 else zero
+            for i, ui in enumerate(u):
+                n = m - 1 - i
+                acc = acc + ui * Fraction(_ff(-i, n) * (-j) ** n, math.factorial(n))
+            shifted[j].append(acc)
+        for k in range(1, r + 1):
+            acc = zero
+            for l in range(m + 1):
+                acc = acc + prods[k - 1][l] * shifted[k - 1][m - l]
+            prods[k].append(acc)
+        u.append((target[r - m] - prods[r][m]) / (r * (-1) ** (r - 1)))
+        for j in range(r):
+            shifted[j][m] = shifted[j][m] + u[-1]
+        for k in range(1, r + 1):
+            prods[k][m] = prods[k][m] + u[-1] * (k * (-1) ** (k - 1))
+    assert u[0].is_zero(), "R has no D^0 term"
+    return {alpha: -prods[alpha][alpha + 1] for alpha in range(1, r)}

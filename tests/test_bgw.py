@@ -67,7 +67,7 @@ def test_jet_variable_range_guard():
 
 def test_jets_evaluate_diffpoly():
     p = DiffPoly.jet(1, 1) * DiffPoly.jet(2, 0)
-    assert p.evaluate(initial_jet) == d(1) * d(2) * 2
+    assert oracle.evaluate(p, initial_jet) == d(1) * d(2) * 2
 
 
 # -- index bookkeeping -----------------------------------------------------------
@@ -151,7 +151,7 @@ def test_seed_pair_independence():
                 density = oracle.omega(r, I[si], I[sj])
                 for k in I[:si] + I[si + 1:sj] + I[sj + 1:]:
                     density = H.t_derivative(density, k)
-                got = density.evaluate(initial_jet)
+                got = oracle.evaluate(density, initial_jet)
                 assert got == default, (r, I, (I[si], I[sj]))
 
 
@@ -168,7 +168,7 @@ def test_omega_is_the_reference_of_the_density_route():
             density = oracle.omega(r, I[0], I[1])
             for k in I[2:]:
                 density = H.t_derivative(density, k)
-            assert pde_correlator(r, I) == density.evaluate(initial_jet), (r, I)
+            assert pde_correlator(r, I) == oracle.evaluate(density, initial_jet), (r, I)
             checked += 1
     assert checked == 37
 
@@ -189,7 +189,7 @@ def test_density_route_without_integration(r):
             density = H.density((i,))
             for k in rest:
                 density = H.t_derivative(density, k)
-            assert density.evaluate(initial_jet) == table.value(I) * sum(I), (I, i)
+            assert oracle.evaluate(density, initial_jet) == table.value(I) * sum(I), (I, i)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
@@ -205,7 +205,7 @@ def test_index_one_entries_match_flow_one(r):
         density = oracle.omega(r, 1, I[1])
         for k in I[2:]:
             density = H.t_derivative(density, k)
-        assert density.evaluate(initial_jet) == table.value(I), I
+        assert oracle.evaluate(density, initial_jet) == table.value(I), I
         checked += 1
     assert checked > 0
 
@@ -258,7 +258,7 @@ def test_correlator_degrees_are_bounded():
     # never below the lightest parameter
     table = conn_table(3, 6)
     for I in table.keys():
-        degs = table.value(I).degrees()
+        degs = oracle.param_degrees(table.value(I))
         assert degs and min(degs) >= 2 and max(degs) <= sum(I) + 1, (I, degs)
 
 
@@ -560,4 +560,4 @@ def test_variable_level_string_relation():
     # at the initial point: -(d/dt_1) v_a + (a+1) v_a = 0 once jets are set
     for a in (1, 2, 3):
         combo = gd_flow(4, 1)[a] * (-1) + DiffPoly.jet(a, 0) * (a + 1)
-        assert combo.evaluate(initial_jet).is_zero(), a
+        assert oracle.evaluate(combo, initial_jet).is_zero(), a

@@ -11,18 +11,18 @@ from gdtau import (
     ParamPoly,
     PsiDO,
     diff_x,
-    grading,
 )
-from gdtau.algebra import degrees, substitute_all
+from gdtau.algebra import substitute_all
 from gdtau.bgw import TauSeries, index_multisets, log_tau, tau_exp
 from gdtau.cli import _latex_poly
 from gdtau.errors import AlphabetMismatch, InvariantViolated
-from gdtau.wconstraints import WOperatorSpec, apply_S
+from gdtau.hierarchy import initial_jet
+from gdtau.wconstraints import WOperatorSpec
 
-from oracle import (compose, frac_add, frac_evaluate, frac_exp, frac_log, frac_mul, frac_scale,
-                    frac_substitute, integrate_x, jet_degrees, jet_diff_x, jet_jets, jet_mono,
-                    jet_mul, jet_partial, minus_part, plus_part, print_jet, print_latex,
-                    print_param)
+from oracle import (add, apply_S, compose, degrees, evaluate, frac_add, frac_evaluate, frac_exp,
+                    frac_log, frac_mul, frac_scale, frac_substitute, grading, integrate_x,
+                    jet_degrees, jet_diff_x, jet_jets, jet_mono, jet_mul, jet_partial,
+                    minus_part, param_degrees, plus_part, print_jet, print_latex, print_param)
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -250,7 +250,7 @@ sparse_polys = st.builds(lambda spec: _wide_poly("c", spec), sparse_terms)
 def _assert_shape(p, ref):
     assert_matches(p, ref)
     assert p.max_index() == max((len(e) for e in ref), default=0)
-    assert p.degrees() == {sum(e * (i + 2) for i, e in enumerate(expts)) for expts in ref}
+    assert param_degrees(p) == {sum(e * (i + 2) for i, e in enumerate(expts)) for expts in ref}
     assert p.is_constant() == all(not e for e in ref)
     if p.is_constant():
         assert p.constant_value() == ref.get((), 0)
@@ -298,7 +298,7 @@ def test_products_at_the_guard_raise_instead_of_wrapping(index, a, b, others):
 
 
 def test_constructor_refuses_what_a_field_cannot_hold():
-    assert ParamPoly("c", {(0, MAX_EXPONENT): 1}).degrees() == {3 * MAX_EXPONENT}
+    assert param_degrees(ParamPoly("c", {(0, MAX_EXPONENT): 1})) == {3 * MAX_EXPONENT}
     for expts in [(MAX_EXPONENT + 1,), (0, 2**16), (-1,), (1.5,), (Fraction(1),), ("1",)]:
         with pytest.raises(ValueError):
             ParamPoly("c", {expts: 1})
@@ -393,6 +393,28 @@ def test_packed_jet_kernels_match_plain_fractions(p_pair, q_pair, s, jet):
     assert p.jets() == jet_jets(pref)
     assert degrees(p) == jet_degrees(pref)
     assert (p == q) == (pref == qref)
+
+
+def _at_initial_jets(terms):
+    """{d exponents: Fraction} of {jet monomial: Fraction} at the initial
+    point, term by term: v_a^(k) -> (a+1)...(a+k) d_a."""
+    out = {}
+    for mono, c in terms.items():
+        expts = [0] * max((a for (a, _), _ in mono), default=0)
+        for (a, k), e in mono:
+            c *= math.perm(a + k, k) ** e
+            expts[a - 1] += e
+        out = frac_add(out, {_trimmed(expts): c})
+    return out
+
+
+@settings(max_examples=100)
+@given(jet_polys)
+def test_evaluate_at_the_initial_jets_matches_plain_fractions(p_pair):
+    # the value table's reference, checked without substitute_all
+    p, _ = p_pair
+    values = _at_initial_jets({mono: c.constant_value() for mono, c in p.terms.items()})
+    assert_matches(evaluate(p, initial_jet), values)
 
 
 @settings(max_examples=60)
@@ -497,7 +519,7 @@ def _diff_operator(coeff_list):
     for e, p in enumerate(coeff_list):
         if p.is_zero():
             continue
-        op = op + compose(PsiDO.from_diffpoly(p), PsiDO.d(e))
+        op = add(op, compose(PsiDO({0: p}), PsiDO({e: 1})))
     return op
 
 
@@ -514,10 +536,10 @@ def test_compose_is_associative_on_differential_operators(A, B, C):
 @given(diff_operators, st.integers(min_value=1, max_value=4))
 def test_plus_and_minus_parts_partition(A, depth):
     # glue a finite negative tail onto a differential operator
-    tail = compose(PsiDO.from_diffpoly(DiffPoly.jet(1)), PsiDO.d(-depth))
-    B = A + tail
-    assert plus_part(B) + minus_part(B) == B
-    assert plus_part(B) == plus_part(A) + plus_part(tail)
+    tail = compose(PsiDO({0: DiffPoly.jet(1)}), PsiDO({-depth: 1}))
+    B = add(A, tail)
+    assert add(plus_part(B), minus_part(B)) == B
+    assert plus_part(B) == add(plus_part(A), plus_part(tail))
 
 
 # -- truncated series ----------------------------------------------------------

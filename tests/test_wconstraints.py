@@ -17,7 +17,6 @@ from gdtau.wconstraints import (
     _coefficient_terms,
     _current_monomials,
     _solve_entries,
-    apply_S,
     apply_Wred,
     c_from_d,
     constants,
@@ -32,6 +31,7 @@ from gdtau.wconstraints import (
 
 import oracle
 from conftest import bgw_tau
+from oracle import apply_S, evaluate
 
 
 def d(i):
@@ -427,7 +427,17 @@ def test_value_ring_equals_symbolic_residues(r):
     cd = c_from_d(r)
     assert sorted(cd) == list(range(1, r))
     for a in range(1, r):
-        assert cd[a] == H.density((a,)).evaluate(initial_jet), a
+        assert cd[a] == evaluate(H.density((a,)), initial_jet), a
+
+
+@pytest.mark.parametrize("r", range(2, 17))
+def test_constants_equal_the_indicial_symbol_calculus(r):
+    # res L^(alpha/r) at the initial point from the symbol of R = L^(1/r) on
+    # powers of 1 - x: no power table, jet or derivative chain is read
+    symbol = oracle.symbol_constants(r)
+    for alpha, c in symbol.items():  # leading term alpha/r d_alpha
+        assert (c - d(alpha) * Fraction(alpha, r)).max_index() < alpha, alpha
+    assert symbol == c_from_d(r)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 12])
